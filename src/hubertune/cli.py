@@ -1,9 +1,13 @@
 """Command-line entry point.
 
 Subcommands: fit, select, simulate, diagnose, check-derivatives. All
-commands are deterministic given their flags and seeds; no environment
-variables are consulted. JSON reports follow the schemas shipped under
-hubertune/schemas/.
+commands are deterministic given their flags and seeds. JSON reports follow
+the schemas shipped under hubertune/schemas/.
+
+Threads: for the length of a main() call, every loaded OpenBLAS runs one
+thread, and so does each `simulate --jobs` worker; the previous count is
+restored on return. A user who sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
+or MKL_NUM_THREADS keeps the thread count those give instead.
 
 Exit codes: 0 success, 1 input error, 2 numerical failure, 3 no feasible
 candidate.
@@ -15,10 +19,12 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from .blas import thread_policy
 from .criterion import DEFAULT_ETA, ZERO_TRACE_V_REL, crit_adaptive, select
 from .data import Dataset
 from .diagnostics import (
@@ -49,7 +55,7 @@ from .simulate import (
     write_aggregate_csv,
     write_pivot_csv,
 )
-from .solver import FitOptions, fit
+from .solver import FitOptions, fit, largest_singular_value
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -277,6 +283,14 @@ def cmd_select(args) -> int:
     data = _make_dataset(X, y)
     options = _options_from_args(args)
     cells = _load_grid(args.grid)
+    # One power iteration for the whole grid, as in simulate. Not with an
+    # intercept: fit() would loosen the hint to (n + ||X||^2) / n, which
+    # costs more iterations than the per-cell power iteration it saves. A
+    # zero design gets no hint, so fit() takes its own zero-design path.
+    if not options.intercept:
+        sig = largest_singular_value(data.X)
+        if sig > 0.0:
+            options = replace(options, lipschitz_bound=sig * sig / data.n)
 
     entries = []
     triples = []  # candidates with a usable sensitivity bundle
@@ -602,7 +616,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="directory for per-metric (lambda x tau) mean pivot CSVs",
     )
-    sim_p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    sim_p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="parallel workers; each runs one BLAS thread unless "
+        "OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is set",
+    )
     sim_p.add_argument("--max-iterations", type=int, default=50_000)
     sim_p.add_argument("--kkt-tolerance", type=float, default=1e-8)
 
@@ -655,7 +675,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        with thread_policy():
+            return _HANDLERS[args.command](args)
     except (InputError, IllPosed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

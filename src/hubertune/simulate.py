@@ -27,6 +27,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .blas import get_threads, set_threads
 from .criterion import crit_adaptive, crit_oracle_sigma, out_of_sample_error
 from .data import Dataset
 from .errors import InputError, NonConvergence, SingularSystem
@@ -433,7 +434,10 @@ def run_grid(
         options = FitOptions()
     reps = range(config.replications)
     if jobs > 1 and config.replications > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Workers run the parent's BLAS thread count whatever the start method.
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=set_threads, initargs=(get_threads(),)
+        ) as pool:
             per_rep = list(
                 pool.map(
                     _replication_records,

@@ -384,6 +384,40 @@ class TestSelect:
             )
             assert entry["feasible"] == (report.constraint_ok and report.crit_defined)
 
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_grid_shares_one_power_iteration_without_an_intercept(
+        self, tmp_path, monkeypatch, intercept
+    ):
+        import hubertune.cli
+        import hubertune.solver
+
+        calls = []
+        original = hubertune.solver.largest_singular_value
+
+        def counted(X):
+            calls.append(X.shape)
+            return original(X)
+
+        monkeypatch.setattr(hubertune.cli, "largest_singular_value", counted)
+        monkeypatch.setattr(hubertune.solver, "largest_singular_value", counted)
+        design, response, X, y = make_regression_files(tmp_path, n=40, p=6, seed=3)
+        grid = write_grid(tmp_path)
+        out = tmp_path / "selection.json"
+        argv = ["select", str(design), str(response), str(grid), "--out", str(out)]
+        assert main(argv + (["--intercept"] if intercept else [])) == 0
+        # With an intercept each fit bounds its own [1 X] design.
+        assert len(calls) == (len(GRID_3) if intercept else 1)
+
+        # The shared bound equals the one each fit computes alone, so the
+        # iterates, and hence the iteration counts, are the same.
+        monkeypatch.undo()
+        data = Dataset(X, y)
+        for entry, cell in zip(read_json(out)["candidates"], GRID_3):
+            loss = make_loss("huber", huber_scale=cell["huber_scale"])
+            penalty = ElasticNet(lam=cell["lambda"], tau=cell["tau"])
+            result = fit(data, loss, penalty, FitOptions(intercept=intercept))
+            assert entry["iterations"] == result.iterations
+
     def test_all_infeasible_exits_3_but_still_writes_report(self, tmp_path, capsys):
         design, response, _, _ = make_regression_files(tmp_path)
         grid = write_grid(tmp_path)
