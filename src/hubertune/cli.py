@@ -19,13 +19,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .blas import thread_policy
-from .criterion import DEFAULT_ETA, ZERO_TRACE_V_REL, crit_adaptive, select
+from .criterion import DEFAULT_ETA, CriterionReport, evaluate, evaluate_grid, select
 from .data import Dataset
 from .diagnostics import (
     ks_normal,
@@ -46,7 +46,7 @@ from .errors import (
 from .formatting import write_csv
 from .losses import HuberLoss, make_loss
 from .penalties import ElasticNet
-from .sensitivity import run_derivative_checks, sensitivity_closed_form
+from .sensitivity import run_derivative_checks
 from .simulate import (
     GRID_METRICS,
     load_sim_config,
@@ -55,7 +55,7 @@ from .simulate import (
     write_aggregate_csv,
     write_pivot_csv,
 )
-from .solver import FitOptions, fit, largest_singular_value
+from .solver import FitOptions
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -124,7 +124,9 @@ def read_response_csv(path, header: bool = False) -> np.ndarray:
     return mat[:, 0]
 
 
-def _make_dataset(X, y) -> Dataset:
+def _read_dataset(args) -> Dataset:
+    X = read_matrix_csv(args.design, args.header)
+    y = read_response_csv(args.response, args.header)
     try:
         return Dataset(X, y)
     except ValueError as exc:
@@ -222,30 +224,33 @@ def write_report(doc: dict, out) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_fit(args) -> int:
-    X = read_matrix_csv(args.design, args.header)
-    y = read_response_csv(args.response, args.header)
-    data = _make_dataset(X, y)
+def _evaluate_one(args, eta: float = DEFAULT_ETA):
+    """Read the inputs of fit/diagnose and evaluate their one candidate.
+
+    Non-convergence warns on stderr and keeps the best iterate; a singular
+    sensitivity system raises, so no report is written.
+    """
+    data = _read_dataset(args)
     loss = _loss_from_args(args)
     penalty = _penalty_from_args(args)
     options = _options_from_args(args)
+    cand = evaluate(data, loss, penalty, options, eta=eta)
+    if cand.warning is not None:
+        print(f"warning: {cand.warning}", file=sys.stderr)
+    if cand.bundle is None:
+        raise SingularSystem(cand.singular)
+    return data, cand
 
-    exit_code = EXIT_OK
-    try:
-        result = fit(data, loss, penalty, options)
-    except NonConvergence as exc:
-        result = exc.result
-        exit_code = EXIT_NUMERICAL
-        print(f"warning: {exc}", file=sys.stderr)
-    bundle = sensitivity_closed_form(data, loss, penalty, result)
-    report = crit_adaptive(result, bundle, loss, eta=args.eta)
 
+def cmd_fit(args) -> int:
+    data, cand = _evaluate_one(args, args.eta)
+    result, bundle = cand.result, cand.bundle
     doc = {
         "command": "fit",
         "n": data.n,
         "p": data.p,
-        "loss": _loss_doc(loss),
-        "penalty": _penalty_doc(penalty),
+        "loss": _loss_doc(cand.loss),
+        "penalty": _penalty_doc(cand.penalty),
         "with_intercept": result.with_intercept,
         "intercept": result.intercept_hat if result.with_intercept else None,
         "beta_hat": result.beta_hat,
@@ -262,101 +267,40 @@ def cmd_fit(args) -> int:
             "p_hat": bundle.p_hat,
             "tau_eff": bundle.tau_eff,
         },
-        "criterion": {
-            "crit_adaptive": report.crit_adaptive,
-            "ratio": report.ratio,
-            "constraint_value": report.constraint_value,
-            "constraint_ok": report.constraint_ok,
-            "eta": report.eta,
-            "crit_defined": report.crit_defined,
-        },
+        "criterion": asdict(cand.report),
     }
     write_report(doc, args.out)
     if args.beta_out is not None:
         write_csv(args.beta_out, None, ((b,) for b in result.beta_hat))
-    return exit_code
+    return EXIT_OK if result.converged else EXIT_NUMERICAL
+
+
+def _select_entry(index: int, cand, eta: float) -> dict:
+    # A singular sensitivity system leaves no report: its values are null.
+    report = cand.report or CriterionReport(math.nan, math.nan, math.nan, False, eta, False)
+    criterion = asdict(report)
+    del criterion["eta"]
+    return {
+        "index": index,
+        "loss": _loss_doc(cand.loss),
+        "penalty": _penalty_doc(cand.penalty),
+        "converged": cand.result.converged,
+        "iterations": cand.result.iterations,
+        **criterion,
+        "feasible": cand.feasible,
+        "reason": cand.reason,
+    }
 
 
 def cmd_select(args) -> int:
-    X = read_matrix_csv(args.design, args.header)
-    y = read_response_csv(args.response, args.header)
-    data = _make_dataset(X, y)
+    data = _read_dataset(args)
     options = _options_from_args(args)
-    cells = _load_grid(args.grid)
-    # One power iteration for the whole grid, as in simulate. Not with an
-    # intercept: fit() would loosen the hint to (n + ||X||^2) / n, which
-    # costs more iterations than the per-cell power iteration it saves. A
-    # zero design gets no hint, so fit() takes its own zero-design path.
-    if not options.intercept:
-        sig = largest_singular_value(data.X)
-        if sig > 0.0:
-            options = replace(options, lipschitz_bound=sig * sig / data.n)
-
-    entries = []
-    triples = []  # candidates with a usable sensitivity bundle
-    back = []  # original index of each triple
-    for idx, cell in enumerate(cells):
-        loss = cell.loss()
-        penalty = cell.penalty()
-        converged = True
-        try:
-            result = fit(data, loss, penalty, options)
-        except NonConvergence as exc:
-            result = exc.result
-            converged = False
-        entry = {
-            "index": idx,
-            "loss": _loss_doc(loss),
-            "penalty": _penalty_doc(penalty),
-            "converged": converged,
-            "iterations": result.iterations,
-        }
-        try:
-            bundle = sensitivity_closed_form(data, loss, penalty, result)
-        except SingularSystem as exc:
-            entry.update(
-                crit_adaptive=None,
-                ratio=None,
-                constraint_value=None,
-                constraint_ok=False,
-                crit_defined=False,
-                feasible=False,
-                reason=f"sensitivity system singular: {exc}",
-            )
-            entries.append(entry)
-            continue
-        rep = crit_adaptive(result, bundle, loss, eta=args.eta)
-        feasible = rep.constraint_ok and rep.crit_defined
-        if feasible:
-            reason = None
-        elif not rep.crit_defined:
-            reason = "criterion undefined: trace of V is numerically zero"
-        else:
-            reason = (
-                f"constraint value {rep.constraint_value} below eta {args.eta}"
-            )
-        entry.update(
-            crit_adaptive=rep.crit_adaptive,
-            ratio=rep.ratio,
-            constraint_value=rep.constraint_value,
-            constraint_ok=rep.constraint_ok,
-            crit_defined=rep.crit_defined,
-            feasible=feasible,
-            reason=reason,
-        )
-        entries.append(entry)
-        triples.append((result, bundle, loss))
-        back.append(idx)
-
-    selected = None
-    ranking = []
-    if triples:
-        try:
-            sel = select(triples, eta=args.eta)
-            selected = back[sel.selected_index]
-            ranking = [back[i] for i in sel.ranking]
-        except NoFeasibleCandidate:
-            pass
+    candidates = evaluate_grid(data, _load_grid(args.grid), options, eta=args.eta)
+    try:
+        sel = select(candidates, eta=args.eta)
+        selected, ranking = sel.selected_index, list(sel.ranking)
+    except NoFeasibleCandidate:
+        selected, ranking = None, []
 
     doc = {
         "command": "select",
@@ -365,7 +309,7 @@ def cmd_select(args) -> int:
         "eta": args.eta,
         "selected_index": selected,
         "ranking": ranking,
-        "candidates": entries,
+        "candidates": [_select_entry(i, c, args.eta) for i, c in enumerate(candidates)],
     }
     write_report(doc, args.out)
     if selected is None:
@@ -400,31 +344,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    X = read_matrix_csv(args.design, args.header)
-    y = read_response_csv(args.response, args.header)
-    data = _make_dataset(X, y)
-    loss = _loss_from_args(args)
-    penalty = _penalty_from_args(args)
-    options = _options_from_args(args)
-
-    exit_code = EXIT_OK
-    try:
-        result = fit(data, loss, penalty, options)
-    except NonConvergence as exc:
-        result = exc.result
-        exit_code = EXIT_NUMERICAL
-        print(f"warning: {exc}", file=sys.stderr)
-    bundle = sensitivity_closed_form(data, loss, penalty, result)
+    data, cand = _evaluate_one(args)
+    result, bundle, loss = cand.result, cand.bundle, cand.loss
 
     if args.t_hat is not None:
         t_hat = args.t_hat
         source = "flag"
     else:
-        if bundle.trace_V <= ZERO_TRACE_V_REL * data.n:
+        if not cand.report.crit_defined:
             raise DegenerateDenominator(
                 "trace of V is numerically zero; pass --t-hat explicitly"
             )
-        t_hat = bundle.df / bundle.trace_V
+        t_hat = cand.report.ratio
         source = "adaptive"
 
     rep = residual_representation_check(result, bundle, loss, t_hat=t_hat)
@@ -441,7 +372,7 @@ def cmd_diagnose(args) -> int:
         "n": data.n,
         "p": data.p,
         "loss": _loss_doc(loss),
-        "penalty": _penalty_doc(penalty),
+        "penalty": _penalty_doc(cand.penalty),
         "converged": result.converged,
         "t_hat": t_hat,
         "t_hat_source": source,
@@ -460,7 +391,7 @@ def cmd_diagnose(args) -> int:
         write_qq_csv(z, args.qq_out)
     if args.hist_out is not None:
         write_histogram_csv(z, args.hist_out, bins=args.bins)
-    return exit_code
+    return EXIT_OK if result.converged else EXIT_NUMERICAL
 
 
 CHECK_TOLERANCES = {

@@ -1,25 +1,28 @@
-"""Risk proxies and tuning-parameter selection.
+"""Risk proxies, the per-candidate pipeline, and tuning-parameter selection.
 
 The adaptive criterion ||r + (df/trace V) psi(r)||^2 needs neither the
 design covariance nor the noise distribution; with the covariance known,
 ||r + trace[Sigma A] psi(r)||^2 is the oracle counterpart. Selection picks
 the feasible candidate (average psi' of the residuals at least eta) with
-the smallest adaptive criterion.
+the smallest adaptive criterion. evaluate() runs one candidate through
+fit -> sensitivity -> criterion and records numerical failures instead of
+raising them; evaluate_grid() does so for every cell of a grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NoFeasibleCandidate
+from .data import Dataset
+from .errors import NoFeasibleCandidate, NonConvergence, SingularSystem
 from .losses import Loss
-from .penalties import ElasticNet  # noqa: F401  (re-exported for callers)
-from .sensitivity import SensitivityBundle, trace_sigma_A
-from .solver import FitResult
+from .penalties import ElasticNet
+from .sensitivity import SensitivityBundle, sensitivity_closed_form, trace_sigma_A
+from .solver import FitOptions, FitResult, fit, largest_singular_value
 
 DEFAULT_ETA = 0.05
 
@@ -36,7 +39,20 @@ class CriterionReport:
     constraint_ok: bool
     eta: float
     crit_defined: bool
-    crit_oracle: Optional[float] = None
+
+    @property
+    def feasible(self) -> bool:
+        """The constraint holds and the criterion is defined."""
+        return self.constraint_ok and self.crit_defined
+
+    @property
+    def reason(self) -> Optional[str]:
+        """Why the candidate is infeasible; None when it is feasible."""
+        if self.feasible:
+            return None
+        if not self.crit_defined:
+            return "criterion undefined: trace of V is numerically zero"
+        return f"constraint value {self.constraint_value} below eta {self.eta}"
 
 
 def crit_adaptive(
@@ -101,33 +117,117 @@ def out_of_sample_error(beta_hat, beta_star, Sigma) -> float:
 
 
 @dataclass(frozen=True)
+class Candidate:
+    """One tuning candidate after fit -> sensitivity -> criterion.
+
+    result is the converged fit or, when the iteration cap was hit, the best
+    iterate (converged False, the solver's message in warning). bundle and
+    report are None when the sensitivity system was singular, whose message
+    is then in singular.
+    """
+
+    loss: Loss
+    penalty: ElasticNet
+    result: FitResult
+    bundle: Optional[SensitivityBundle] = None
+    report: Optional[CriterionReport] = None
+    warning: Optional[str] = None
+    singular: Optional[str] = None
+
+    @property
+    def feasible(self) -> bool:
+        return self.report is not None and self.report.feasible
+
+    @property
+    def reason(self) -> Optional[str]:
+        if self.report is None:
+            return f"sensitivity system singular: {self.singular}"
+        return self.report.reason
+
+
+def evaluate(
+    data: Dataset,
+    loss: Loss,
+    penalty: ElasticNet,
+    options: Optional[FitOptions] = None,
+    eta: float = DEFAULT_ETA,
+) -> Candidate:
+    """Fit one candidate, differentiate it, and score it.
+
+    Never raises on non-convergence or a singular sensitivity system: both
+    are recorded on the returned Candidate. Input errors (IllPosed) and a
+    degenerate intercept fit (DegenerateFit) still raise.
+    """
+    warning = None
+    try:
+        result = fit(data, loss, penalty, options)
+    except NonConvergence as exc:
+        result, warning = exc.result, str(exc)
+    try:
+        bundle = sensitivity_closed_form(data, loss, penalty, result)
+    except SingularSystem as exc:
+        return Candidate(loss, penalty, result, warning=warning, singular=str(exc))
+    report = crit_adaptive(result, bundle, loss, eta=eta)
+    return Candidate(loss, penalty, result, bundle, report, warning)
+
+
+def evaluate_grid(
+    data: Dataset,
+    cells: Sequence,
+    options: Optional[FitOptions] = None,
+    eta: float = DEFAULT_ETA,
+) -> list:
+    """evaluate() every cell (anything with loss() and penalty()) on one design.
+
+    The solver's step-size bound is computed once for the design, including
+    the unit column when an intercept is fitted, and shared by every cell;
+    each fit then runs exactly as it would alone. A zero design gets no
+    bound, so fit() takes its own zero-design path.
+    """
+    if options is None:
+        options = FitOptions()
+    if options.lipschitz_bound is None:
+        design = data.X
+        if options.intercept:
+            design = np.hstack([np.ones((data.n, 1)), data.X])
+        sig = largest_singular_value(design)
+        if sig > 0.0:
+            options = replace(options, lipschitz_bound=sig * sig / data.n)
+    return [evaluate(data, cell.loss(), cell.penalty(), options, eta) for cell in cells]
+
+
+@dataclass(frozen=True)
 class SelectionReport:
     selected_index: int
-    reports: tuple
+    reports: tuple  # None where the sensitivity system was singular
     feasible: tuple
     ranking: tuple  # feasible indices sorted by criterion, then by index
 
 
 def select(
-    candidates: Sequence[tuple],
+    candidates: Sequence,
     eta: float = DEFAULT_ETA,
 ) -> SelectionReport:
     """Pick the feasible candidate minimizing the adaptive criterion.
 
-    ``candidates`` holds (FitResult, SensitivityBundle, Loss) triples. A
-    candidate is feasible when its constraint holds and its criterion is
-    defined; infeasible candidates stay in the report (never silently
-    dropped). Ties break to the smallest index. Raises NoFeasibleCandidate
-    when nothing is feasible.
+    ``candidates`` holds Candidate objects from evaluate() or evaluate_grid()
+    (scored again only if they were scored at another eta), or
+    (FitResult, SensitivityBundle, Loss) triples. Infeasible candidates stay
+    in the report (never silently dropped). Ties break to the smallest
+    index. Raises NoFeasibleCandidate when nothing is feasible.
     """
     if len(candidates) == 0:
         raise ValueError("candidate list is empty")
     reports = []
-    feasible = []
-    for fit_result, bundle, loss in candidates:
-        rep = crit_adaptive(fit_result, bundle, loss, eta=eta)
+    for cand in candidates:
+        if not isinstance(cand, Candidate):
+            rep = crit_adaptive(*cand, eta=eta)
+        elif cand.report is not None and cand.report.eta != eta:
+            rep = crit_adaptive(cand.result, cand.bundle, cand.loss, eta=eta)
+        else:
+            rep = cand.report
         reports.append(rep)
-        feasible.append(rep.constraint_ok and rep.crit_defined)
+    feasible = [rep is not None and rep.feasible for rep in reports]
     idx_feasible = [i for i, ok in enumerate(feasible) if ok]
     if not idx_feasible:
         raise NoFeasibleCandidate(

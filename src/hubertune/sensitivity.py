@@ -36,7 +36,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .data import Dataset
 from .errors import DegenerateFit, NonConvergence, SingularSystem
-from .losses import HuberLoss, Loss, SquareLoss
+from .losses import HuberLoss, Loss
 from .penalties import ElasticNet
 from .solver import FitOptions, FitResult, fit
 
@@ -65,58 +65,27 @@ class SensitivityBundle:
     with_intercept: bool
 
 
-def _psi_inner_gram(XS: np.ndarray, d: np.ndarray, with_intercept: bool):
-    """X_S' D X_S, rank-one corrected to X_S' Psi' X_S for intercept fits.
+def _intercept_rank_one(XS: np.ndarray, d: np.ndarray):
+    """(q, s) = (X_S'd, sum(d)) of the intercept's rank-one correction.
 
-    Returns (gram, q, s) where q = X_S'd and s = sum(d) feed the same
-    rank-one correction elsewhere; q, s are None without an intercept.
+    An intercept fit replaces D by Psi' = D - d d'/s, so X_S' Psi' W =
+    X_S' D W - q (d'W)/s for any W. Raises DegenerateFit when s = 0.
     """
-    B = XS.T @ (d[:, None] * XS)
-    if not with_intercept:
-        return B, None, None
     s = float(np.sum(d))
     if s <= 0.0:
         raise DegenerateFit(
             "all residuals have psi' = 0; the intercept correction is undefined"
         )
-    q = XS.T @ d
-    return B - np.outer(q, q) / s, q, s
+    return XS.T @ d, s
 
 
-def sensitivity_closed_form(
-    data: Dataset, loss: Loss, penalty: ElasticNet, fit_result: FitResult
-) -> SensitivityBundle:
-    """Compute A_hat, df, trace_V, n_hat, p_hat from one factorization.
-
-    An empty active set is not an error: it yields an empty A_hat, df = 0,
-    and trace_V = sum(psi'(r)).
-    """
-    n, p = data.n, data.p
-    r = fit_result.residuals
-    d = loss.psi_prime(r)
-    ps = loss.psi(r)
-    n_hat = float(np.sum(d))
-    S = fit_result.active_set
-    p_hat = int(S.size)
-    tau_eff = max(penalty.tau, TAU_FLOOR)
-
-    if p_hat == 0:
-        return SensitivityBundle(
-            A_hat=np.zeros((0, 0)),
-            df=0.0,
-            trace_V=n_hat,
-            n_hat=n_hat,
-            p_hat=0,
-            psi_diag=ps,
-            psi_prime_diag=d,
-            active_set=S,
-            tau_eff=tau_eff,
-            p=p,
-            with_intercept=fit_result.with_intercept,
-        )
-
-    XS = data.X[:, S]
-    gram, q, s = _psi_inner_gram(XS, d, fit_result.with_intercept)
+def _active_block(XS, d, n_hat, tau_eff, with_intercept):
+    """(A_hat, df, trace_V) on a nonempty active set, from one factorization."""
+    n, p_hat = XS.shape
+    gram = XS.T @ (d[:, None] * XS)
+    if with_intercept:
+        q, s = _intercept_rank_one(XS, d)
+        gram = gram - np.outer(q, q) / s  # X_S' Psi' X_S
     M = gram + n * tau_eff * np.eye(p_hat)
     try:
         factor = cho_factor(M, lower=True)
@@ -131,26 +100,47 @@ def sensitivity_closed_form(
     # A_hat (gram + n*tau_eff I) = I.
     df = p_hat - n * tau_eff * float(np.trace(A_hat))
 
-    if fit_result.with_intercept:
-        # trace_V = trace[D] - trace[A_hat X_S' Psi' D X_S] with
-        # X_S' Psi' D X_S = X_S'D^2 X_S - q (X_S'd^2)'/s.
-        C = XS.T @ ((d * d)[:, None] * XS) - np.outer(q, XS.T @ (d * d)) / s
+    # trace_V = trace[D] - trace[A_hat X_S' Psi' D X_S], Psi' = D without
+    # an intercept.
+    C = XS.T @ ((d * d)[:, None] * XS)
+    if with_intercept:
+        C = C - np.outer(q, XS.T @ (d * d)) / s
         trace_V = n_hat - float(np.sum(A_hat * C.T))
     else:
-        C = XS.T @ ((d * d)[:, None] * XS)
         trace_V = n_hat - float(np.sum(A_hat * C))
+    return A_hat, df, trace_V
 
+
+def sensitivity_closed_form(
+    data: Dataset, loss: Loss, penalty: ElasticNet, fit_result: FitResult
+) -> SensitivityBundle:
+    """Compute A_hat, df, trace_V, n_hat, p_hat from one factorization.
+
+    An empty active set is not an error: it yields an empty A_hat, df = 0,
+    and trace_V = sum(psi'(r)).
+    """
+    r = fit_result.residuals
+    d = loss.psi_prime(r)
+    n_hat = float(np.sum(d))
+    S = fit_result.active_set
+    tau_eff = max(penalty.tau, TAU_FLOOR)
+    if S.size == 0:
+        A_hat, df, trace_V = np.zeros((0, 0)), 0.0, n_hat
+    else:
+        A_hat, df, trace_V = _active_block(
+            data.X[:, S], d, n_hat, tau_eff, fit_result.with_intercept
+        )
     return SensitivityBundle(
         A_hat=A_hat,
         df=float(df),
         trace_V=float(trace_V),
         n_hat=n_hat,
-        p_hat=p_hat,
-        psi_diag=ps,
+        p_hat=int(S.size),
+        psi_diag=loss.psi(r),
         psi_prime_diag=d,
         active_set=S,
         tau_eff=tau_eff,
-        p=p,
+        p=data.p,
         with_intercept=fit_result.with_intercept,
     )
 
@@ -174,12 +164,7 @@ def jacobian_y(
     d = bundle.psi_prime_diag
     inner = XS.T * d[None, :]  # X_S' D
     if bundle.with_intercept:
-        s = float(np.sum(d))
-        if s <= 0.0:
-            raise DegenerateFit(
-                "all residuals have psi' = 0; the intercept correction is undefined"
-            )
-        q = XS.T @ d
+        q, s = _intercept_rank_one(XS, d)
         inner = inner - np.outer(q, d) / s  # X_S' Psi'
     J[bundle.active_set, :] = bundle.A_hat @ inner
     return J
@@ -242,10 +227,6 @@ def apply_V(
     return out
 
 
-def _warm_options(options: FitOptions, beta0: np.ndarray) -> FitOptions:
-    return replace(options, initial_point=beta0)
-
-
 def sensitivity_fd_oracle(
     data: Dataset,
     loss: Loss,
@@ -263,7 +244,7 @@ def sensitivity_fd_oracle(
     tau > 0), only the iteration count.
     """
     base = fit(data, loss, penalty, options)
-    warm = _warm_options(options, base.beta_hat)
+    warm = replace(options, initial_point=base.beta_hat)
     n, p = data.n, data.p
     J = np.empty((p, n))
     for i in range(n):
@@ -281,21 +262,6 @@ def sensitivity_fd_oracle(
     df_fd = float(np.sum(xj_diag))
     trace_V_fd = float(np.sum(d * (1.0 - xj_diag)))
     return J, df_fd, trace_V_fd
-
-
-def intercept_psi_matrix(fit_result: FitResult, loss: Loss) -> np.ndarray:
-    """The n x n matrix D - psi'(r) psi'(r)'/sum(psi'(r)) of intercept fits.
-
-    Symmetric PSD with zero row sums. Raises DegenerateFit when every
-    residual has psi' = 0 (no quadratic-regime observation left).
-    """
-    d = loss.psi_prime(fit_result.residuals)
-    s = float(np.sum(d))
-    if s <= 0.0:
-        raise DegenerateFit(
-            "all residuals have psi' = 0; the intercept correction is undefined"
-        )
-    return np.diag(d) - np.outer(d, d) / s
 
 
 @dataclass(frozen=True)
@@ -386,7 +352,7 @@ def contraction_check(
 
     # Finite-difference left sides, all assembled from the same 2np fits.
     eps_vec = data.y - G @ beta_star
-    warm = _warm_options(options, fit_result.beta_hat)
+    warm = replace(options, initial_point=fit_result.beta_hat)
     lhs1 = np.zeros(n)
     lhs2 = np.zeros(p)
     lhs3 = 0.0

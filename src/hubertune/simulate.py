@@ -21,21 +21,21 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .blas import get_threads, set_threads
-from .criterion import crit_adaptive, crit_oracle_sigma, out_of_sample_error
+from .criterion import crit_oracle_sigma, evaluate_grid, out_of_sample_error
 from .data import Dataset
-from .errors import InputError, NonConvergence, SingularSystem
+from .errors import InputError
 from .formatting import format_value, write_csv
 from .losses import HuberLoss, Loss, SquareLoss
 from .penalties import ElasticNet
-from .sensitivity import sensitivity_closed_form, trace_sigma_A
-from .solver import FitOptions, fit, largest_singular_value
+from .sensitivity import trace_sigma_A
+from .solver import FitOptions
 
 
 @dataclass(frozen=True)
@@ -272,67 +272,39 @@ def generate(
     return Dataset(X, y), eps
 
 
-GRID_COLUMNS = [
-    "lambda",
-    "tau",
-    "huber_scale",
-    "replication",
-    "df",
-    "trace_v",
-    "n_hat",
-    "p_hat",
-    "trace_sigma_a",
-    "crit_adaptive",
-    "crit_oracle",
-    "oos_error",
-    "eps_norm_sq_over_n",
-    "constraint_value",
-    "solver_iterations",
-    "failed",
-]
-
-# Metrics that aggregate() summarizes and cmd_simulate pivots.
-GRID_METRICS = GRID_COLUMNS[4:15]
-
-
 @dataclass(frozen=True)
 class GridRecord:
+    """One (cell, replication) fit.
+
+    The defaults describe a fit whose sensitivity system was singular: no
+    derived quantity, and failed.
+    """
+
     lam: float
     tau: float
     huber_scale: Optional[float]
     replication: int
-    df: float
-    trace_v: float
-    n_hat: float
-    p_hat: int
-    trace_sigma_a: float
-    crit_adaptive: float
-    crit_oracle: float
-    oos_error: float
-    eps_norm_sq_over_n: float
-    constraint_value: float
-    solver_iterations: int
-    failed: bool
+    df: float = math.nan
+    trace_v: float = math.nan
+    n_hat: float = math.nan
+    p_hat: int = 0
+    trace_sigma_a: float = math.nan
+    crit_adaptive: float = math.nan
+    crit_oracle: float = math.nan
+    oos_error: float = math.nan
+    eps_norm_sq_over_n: float = math.nan
+    constraint_value: float = math.nan
+    solver_iterations: int = 0
+    failed: bool = True
 
     def row(self) -> tuple:
-        return (
-            self.lam,
-            self.tau,
-            "" if self.huber_scale is None else self.huber_scale,
-            self.replication,
-            self.df,
-            self.trace_v,
-            self.n_hat,
-            self.p_hat,
-            self.trace_sigma_a,
-            self.crit_adaptive,
-            self.crit_oracle,
-            self.oos_error,
-            self.eps_norm_sq_over_n,
-            self.constraint_value,
-            self.solver_iterations,
-            self.failed,
-        )
+        return tuple("" if v is None else v for v in astuple(self))
+
+
+GRID_COLUMNS = ["lambda" if f.name == "lam" else f.name for f in fields(GridRecord)]
+
+# Metrics that aggregate() summarizes and cmd_simulate pivots.
+GRID_METRICS = GRID_COLUMNS[4:15]
 
 
 @dataclass(frozen=True)
@@ -363,59 +335,32 @@ def _replication_records(config: SimConfig, options: FitOptions, rep: int):
         config.base_seed ^ rep,
         config.design_kind,
     )
-    sig = largest_singular_value(data.X)
-    cell_options = replace(options, lipschitz_bound=sig * sig / config.n)
     eps_term = float(eps @ eps) / config.n
 
     out = []
-    for cell in config.grid:
-        loss = cell.loss()
-        penalty = cell.penalty()
-        failed = False
-        try:
-            result = fit(data, loss, penalty, cell_options)
-        except NonConvergence as exc:
-            result = exc.result
-            failed = True
-        try:
-            bundle = sensitivity_closed_form(data, loss, penalty, result)
-            report = crit_adaptive(result, bundle, loss)
-            record = GridRecord(
-                lam=cell.lam,
-                tau=cell.tau,
-                huber_scale=cell.huber_scale,
-                replication=rep,
+    for cell, cand in zip(config.grid, evaluate_grid(data, config.grid, options)):
+        result, bundle = cand.result, cand.bundle
+        record = GridRecord(
+            cell.lam,
+            cell.tau,
+            cell.huber_scale,
+            rep,
+            oos_error=out_of_sample_error(result.beta_hat, beta_star, Sigma),
+            eps_norm_sq_over_n=eps_term,
+            solver_iterations=result.iterations,
+        )
+        if bundle is not None:
+            record = replace(
+                record,
                 df=bundle.df,
                 trace_v=bundle.trace_V,
                 n_hat=bundle.n_hat,
                 p_hat=bundle.p_hat,
                 trace_sigma_a=trace_sigma_A(bundle, Sigma),
-                crit_adaptive=report.crit_adaptive,
-                crit_oracle=crit_oracle_sigma(result, bundle, Sigma, loss),
-                oos_error=out_of_sample_error(result.beta_hat, beta_star, Sigma),
-                eps_norm_sq_over_n=eps_term,
-                constraint_value=report.constraint_value,
-                solver_iterations=result.iterations,
-                failed=failed,
-            )
-        except SingularSystem:
-            record = GridRecord(
-                lam=cell.lam,
-                tau=cell.tau,
-                huber_scale=cell.huber_scale,
-                replication=rep,
-                df=math.nan,
-                trace_v=math.nan,
-                n_hat=math.nan,
-                p_hat=0,
-                trace_sigma_a=math.nan,
-                crit_adaptive=math.nan,
-                crit_oracle=math.nan,
-                oos_error=out_of_sample_error(result.beta_hat, beta_star, Sigma),
-                eps_norm_sq_over_n=eps_term,
-                constraint_value=math.nan,
-                solver_iterations=result.iterations,
-                failed=True,
+                crit_adaptive=cand.report.crit_adaptive,
+                crit_oracle=crit_oracle_sigma(result, bundle, Sigma, cand.loss),
+                constraint_value=cand.report.constraint_value,
+                failed=not result.converged,
             )
         out.append(record)
     return out
@@ -491,8 +436,7 @@ def aggregate(result: GridResult):
         ]
         sample = ok if ok else recs
         for metric in GRID_METRICS:
-            pos = GRID_COLUMNS.index(metric)
-            vals = np.array([r.row()[pos] for r in sample], dtype=float)
+            vals = np.array([getattr(r, metric) for r in sample], dtype=float)
             row.extend(
                 [
                     float(np.mean(vals)),
@@ -518,12 +462,10 @@ def pivot_table(result: GridResult, metric: str):
     """
     if metric not in GRID_METRICS:
         raise ValueError(f"unknown metric: {metric!r}")
-    pos = GRID_COLUMNS.index(metric)
     cells = {}
     for rec in result.records:
-        if rec.failed:
-            continue
-        cells.setdefault((rec.lam, rec.tau), []).append(rec.row()[pos])
+        if not rec.failed:
+            cells.setdefault((rec.lam, rec.tau), []).append(getattr(rec, metric))
     lams = sorted({k[0] for k in cells})
     taus = sorted({k[1] for k in cells})
     header = ["lambda"] + [format_value(t) for t in taus]

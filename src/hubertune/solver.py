@@ -15,7 +15,7 @@ set with no epsilon thresholding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,10 +30,11 @@ from .penalties import ElasticNet
 class FitOptions:
     """Solver knobs.
 
-    lipschitz_bound is an optional performance hint: the squared operator
-    norm of the design divided by n (an upper bound of the loss-gradient
-    Lipschitz constant). Callers fitting many models on one design can
-    compute it once; it must not underestimate the true value.
+    lipschitz_bound is an optional performance hint: sigma_max^2 / n of the
+    matrix the solver iterates on, which is [1 X] when an intercept is
+    fitted and X otherwise (an upper bound of the loss-gradient Lipschitz
+    constant). Callers fitting many models on one design can compute it
+    once; it must not underestimate the true value.
     """
 
     max_iterations: int = 50_000
@@ -71,6 +72,25 @@ def objective_value(
     return float(np.mean(loss.value(r)) + penalty.value(beta))
 
 
+def _kkt_score_gap(g: np.ndarray, beta: np.ndarray, penalty: ElasticNet) -> float:
+    """Max distance of the score g = (1/n) X'psi(r) from the subdifferential.
+
+    Active coordinates contribute |g_j - lam*sign(b_j) - tau*b_j|, inactive
+    ones max(0, |g_j| - lam).
+    """
+    active = beta != 0.0
+    worst = 0.0
+    if np.any(active):
+        worst = float(
+            np.abs(
+                g[active] - penalty.lam * np.sign(beta[active]) - penalty.tau * beta[active]
+            ).max()
+        )
+    if np.any(~active):
+        worst = max(worst, float(np.maximum(np.abs(g[~active]) - penalty.lam, 0.0).max()))
+    return worst
+
+
 def kkt_residual(
     data: Dataset,
     loss: Loss,
@@ -80,24 +100,15 @@ def kkt_residual(
 ) -> float:
     """Max distance of (1/n) X'psi(r) from the penalty subdifferential.
 
-    Active coordinates contribute |(1/n)(X'psi(r))_j - lam*sign(b_j) -
-    tau*b_j|, inactive ones max(0, |(1/n)(X'psi(r))_j| - lam). Pass a
-    numeric ``intercept`` to include the stationarity term |(1/n)1'psi(r)|
-    of an unpenalized intercept; ``None`` means the model has none.
+    Pass a numeric ``intercept`` to include the stationarity term
+    |(1/n)1'psi(r)| of an unpenalized intercept; ``None`` means the model
+    has none.
     """
     beta = np.asarray(beta, dtype=float)
     b0 = 0.0 if intercept is None else float(intercept)
     r = data.y - b0 - data.X @ beta
     ps = loss.psi(r)
-    g = data.X.T @ ps / data.n
-    active = beta != 0.0
-    res_active = np.abs(g[active] - penalty.lam * np.sign(beta[active]) - penalty.tau * beta[active])
-    res_inactive = np.maximum(np.abs(g[~active]) - penalty.lam, 0.0)
-    worst = 0.0
-    if res_active.size:
-        worst = max(worst, float(res_active.max()))
-    if res_inactive.size:
-        worst = max(worst, float(res_inactive.max()))
+    worst = _kkt_score_gap(data.X.T @ ps / data.n, beta, penalty)
     if intercept is not None:
         worst = max(worst, abs(float(np.sum(ps))) / data.n)
     return worst
@@ -169,22 +180,7 @@ def fit(
 
     def kkt_from_gradient(gvec: np.ndarray, wvec: np.ndarray) -> float:
         # gvec = (1/n) Xa' psi(r); coordinate 0 is the intercept term.
-        beta = wvec[off:]
-        gb = gvec[off:]
-        active = beta != 0.0
-        worst = 0.0
-        if np.any(active):
-            worst = float(
-                np.abs(
-                    gb[active]
-                    - penalty.lam * np.sign(beta[active])
-                    - penalty.tau * beta[active]
-                ).max()
-            )
-        if np.any(~active):
-            worst = max(
-                worst, float(np.maximum(np.abs(gb[~active]) - penalty.lam, 0.0).max())
-            )
+        worst = _kkt_score_gap(gvec[off:], wvec[off:], penalty)
         if use_icpt:
             worst = max(worst, abs(float(gvec[0])))
         return worst
@@ -204,9 +200,7 @@ def fit(
         )
 
     if options.lipschitz_bound is not None:
-        # The hint is ||X||_op^2 / n for the bare design; an intercept adds
-        # a unit column, and ||[1 X]||_op^2 <= n + ||X||_op^2.
-        lip_raw = options.lipschitz_bound + (1.0 if use_icpt else 0.0)
+        lip_raw = options.lipschitz_bound
     else:
         sigma_max = largest_singular_value(Xa)
         if sigma_max == 0.0:
@@ -338,14 +332,3 @@ def fit(
         f"{best_kkt:.3e} > tolerance {options.kkt_tolerance:.3e}",
         result=partial,
     )
-
-
-def fit_with_intercept(
-    data: Dataset, loss: Loss, penalty: ElasticNet, options: FitOptions | None = None
-) -> FitResult:
-    """fit() with the unpenalized-intercept variant forced on."""
-    if options is None:
-        options = FitOptions(intercept=True)
-    elif not options.intercept:
-        options = replace(options, intercept=True)
-    return fit(data, loss, penalty, options)

@@ -19,6 +19,7 @@ from hubertune import (
     Dataset,
     ElasticNet,
     FitOptions,
+    SingularSystem,
     crit_adaptive,
     fit,
     make_loss,
@@ -104,6 +105,24 @@ def write_grid(tmp_path, cells=None, name="grid.json"):
     path = tmp_path / name
     path.write_text(json.dumps(GRID_3 if cells is None else cells))
     return path
+
+
+@pytest.fixture
+def singular_at_lambda(monkeypatch):
+    """Make the sensitivity system singular on every cell with one lambda."""
+    import hubertune.criterion
+
+    original = hubertune.criterion.sensitivity_closed_form
+
+    def install(lam):
+        def patched(data, loss, penalty, fit_result):
+            if penalty.lam == lam:
+                raise SingularSystem(f"injected at lambda={lam}")
+            return original(data, loss, penalty, fit_result)
+
+        monkeypatch.setattr(hubertune.criterion, "sensitivity_closed_form", patched)
+
+    return install
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +404,8 @@ class TestSelect:
             assert entry["feasible"] == (report.constraint_ok and report.crit_defined)
 
     @pytest.mark.parametrize("intercept", [False, True])
-    def test_grid_shares_one_power_iteration_without_an_intercept(
-        self, tmp_path, monkeypatch, intercept
-    ):
-        import hubertune.cli
+    def test_grid_shares_one_power_iteration(self, tmp_path, monkeypatch, intercept):
+        import hubertune.criterion
         import hubertune.solver
 
         calls = []
@@ -398,15 +415,15 @@ class TestSelect:
             calls.append(X.shape)
             return original(X)
 
-        monkeypatch.setattr(hubertune.cli, "largest_singular_value", counted)
+        monkeypatch.setattr(hubertune.criterion, "largest_singular_value", counted)
         monkeypatch.setattr(hubertune.solver, "largest_singular_value", counted)
         design, response, X, y = make_regression_files(tmp_path, n=40, p=6, seed=3)
         grid = write_grid(tmp_path)
         out = tmp_path / "selection.json"
         argv = ["select", str(design), str(response), str(grid), "--out", str(out)]
         assert main(argv + (["--intercept"] if intercept else [])) == 0
-        # With an intercept each fit bounds its own [1 X] design.
-        assert len(calls) == (len(GRID_3) if intercept else 1)
+        # One bound per grid, of [1 X] when an intercept is fitted.
+        assert calls == [(40, 7 if intercept else 6)]
 
         # The shared bound equals the one each fit computes alone, so the
         # iterates, and hence the iteration counts, are the same.
@@ -417,6 +434,52 @@ class TestSelect:
             penalty = ElasticNet(lam=cell["lambda"], tau=cell["tau"])
             result = fit(data, loss, penalty, FitOptions(intercept=intercept))
             assert entry["iterations"] == result.iterations
+
+    def test_singular_cell_is_reported_and_the_rest_ranked(
+        self, tmp_path, singular_at_lambda
+    ):
+        design, response, _, _ = make_regression_files(tmp_path, n=40, p=6, seed=3)
+        grid = write_grid(tmp_path)
+        argv = ["select", str(design), str(response), str(grid), "--out"]
+        assert main(argv + [str(tmp_path / "clean.json")]) == 0
+        clean = read_json(tmp_path / "clean.json")
+
+        singular_at_lambda(GRID_3[1]["lambda"])
+        out = tmp_path / "selection.json"
+        assert main(argv + [str(out)]) == 0
+        doc = read_json(out)
+        validate(doc, "select_report.schema.json")
+        entry = doc["candidates"][1]
+        assert entry["reason"] == "sensitivity system singular: injected at lambda=0.1"
+        assert entry["feasible"] is False
+        assert entry["constraint_ok"] is False and entry["crit_defined"] is False
+        assert entry["crit_adaptive"] is None
+        assert entry["ratio"] is None and entry["constraint_value"] is None
+        assert entry["iterations"] == clean["candidates"][1]["iterations"]
+        assert doc["ranking"] == [i for i in clean["ranking"] if i != 1]
+        for k in (0, 2):
+            assert doc["candidates"][k] == clean["candidates"][k]
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_one_cell_entry_equals_the_fit_criterion_block(self, tmp_path, intercept):
+        design, response, _, _ = make_regression_files(tmp_path, n=40, p=6, seed=3)
+        cell = GRID_3[0]
+        grid = write_grid(tmp_path, [cell])
+        flag = ["--intercept"] if intercept else []
+        fit_out, sel_out = tmp_path / "fit.json", tmp_path / "selection.json"
+        fit_argv = [
+            "fit", str(design), str(response), "--huber-scale", str(cell["huber_scale"]),
+            "--lambda", str(cell["lambda"]), "--tau", str(cell["tau"]), "--eta", "0.3",
+        ]
+        assert main(fit_argv + flag + ["--out", str(fit_out)]) == 0
+        sel_argv = ["select", str(design), str(response), str(grid), "--eta", "0.3"]
+        assert main(sel_argv + flag + ["--out", str(sel_out)]) == 0
+        fit_doc, (entry,) = read_json(fit_out), read_json(sel_out)["candidates"]
+        block = dict(fit_doc["criterion"])
+        assert block.pop("eta") == 0.3
+        assert {k: entry[k] for k in block} == block
+        assert entry["iterations"] == fit_doc["iterations"]
+        assert entry["converged"] == fit_doc["converged"]
 
     def test_all_infeasible_exits_3_but_still_writes_report(self, tmp_path, capsys):
         design, response, _, _ = make_regression_files(tmp_path)
@@ -490,6 +553,29 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "wrote 6 records" in err
         assert "0 failed fits" in err
+
+    def test_singular_cell_is_a_failed_nan_record(
+        self, tmp_path, capsys, singular_at_lambda
+    ):
+        singular_at_lambda(0.05)
+        config = write_sim_config(tmp_path)
+        out = tmp_path / "records.csv"
+        assert main(["simulate", str(config), "--out", str(out)]) == 0
+        assert "wrote 6 records (3 failed fits)" in capsys.readouterr().err
+        lines = out.read_text().strip().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        derived = ["df", "trace_v", "n_hat", "trace_sigma_a", "crit_adaptive",
+                   "crit_oracle", "constraint_value"]
+        for row in rows:
+            if row["lambda"] == "0.05":
+                assert row["failed"] == "true" and row["p_hat"] == "0"
+                assert all(row[key] == "nan" for key in derived)
+                assert math.isfinite(float(row["oos_error"]))
+                assert int(row["solver_iterations"]) > 0
+            else:
+                assert row["failed"] == "false"
+                assert all(math.isfinite(float(row[key])) for key in derived)
 
     def test_rerun_and_parallel_runs_are_byte_identical(self, tmp_path):
         config = write_sim_config(tmp_path)

@@ -13,9 +13,12 @@ from hubertune import (
     HuberLoss,
     NoFeasibleCandidate,
     SensitivityBundle,
+    SingularSystem,
     SquareLoss,
     crit_adaptive,
     crit_oracle_sigma,
+    evaluate,
+    evaluate_grid,
     fit,
     lasso,
     out_of_sample_error,
@@ -23,6 +26,7 @@ from hubertune import (
     sensitivity_closed_form,
     trace_sigma_A,
 )
+from hubertune.simulate import GridCell
 
 
 def _fit_case(seed=0, n=30, p=6, loss=None, penalty=None):
@@ -238,3 +242,61 @@ class TestSelect:
         assert a.ranking == b.ranking
         for ra, rb in zip(a.reports, b.reports):
             assert ra == rb  # dataclass equality: bit-identical floats
+
+
+class TestEvaluate:
+    def test_matches_the_hand_written_pipeline(self):
+        data, loss, penalty, result, bundle = _fit_case(
+            7, loss=HuberLoss(scale=0.8), penalty=ElasticNet(lam=0.04, tau=0.08)
+        )
+        cand = evaluate(data, loss, penalty, FitOptions(kkt_tolerance=1e-11), eta=0.2)
+        assert cand.warning is None and cand.singular is None
+        assert np.array_equal(cand.result.beta_hat, result.beta_hat)
+        assert cand.bundle.df == bundle.df and cand.bundle.trace_V == bundle.trace_V
+        assert cand.report == crit_adaptive(result, bundle, loss, eta=0.2)
+        assert cand.feasible == cand.report.feasible
+        assert cand.reason == cand.report.reason
+
+    def test_nonconvergence_keeps_the_best_iterate(self):
+        data, loss, penalty, _, _ = _fit_case(8)
+        cand = evaluate(data, loss, penalty, FitOptions(max_iterations=2, kkt_tolerance=1e-14))
+        assert not cand.result.converged
+        assert cand.warning.startswith("iteration cap 2 reached")
+        assert cand.report is not None and cand.bundle is not None
+
+    def test_singular_system_is_recorded(self, monkeypatch):
+        import hubertune.criterion
+
+        def singular(*args):
+            raise SingularSystem("injected")
+
+        monkeypatch.setattr(hubertune.criterion, "sensitivity_closed_form", singular)
+        data, loss, penalty, _, _ = _fit_case(9)
+        cand = evaluate(data, loss, penalty)
+        assert cand.bundle is None and cand.report is None
+        assert cand.result.converged
+        assert not cand.feasible
+        assert cand.reason == "sensitivity system singular: injected"
+        with pytest.raises(NoFeasibleCandidate):
+            select([cand])
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_grid_fits_as_each_cell_alone(self, intercept):
+        """The shared step-size bound leaves every fit bit-identical."""
+        data, _, _, _, _ = _fit_case(10, n=40, p=8)
+        cells = [GridCell(1.0, lam=0.02, tau=0.05), GridCell(None, lam=0.1, tau=0.0)]
+        options = FitOptions(intercept=intercept)
+        grid = evaluate_grid(data, cells, options)
+        for cell, cand in zip(cells, grid):
+            alone = fit(data, cell.loss(), cell.penalty(), options)
+            assert cand.result.iterations == alone.iterations
+            assert np.array_equal(cand.result.beta_hat, alone.beta_hat)
+
+    def test_select_rescored_at_its_own_eta(self):
+        data, loss, penalty, _, _ = _fit_case(11, loss=HuberLoss(scale=0.3))
+        cand = evaluate(data, loss, penalty, eta=0.05)
+        value = cand.report.constraint_value
+        assert select([cand], eta=0.05).feasible == (True,)
+        with pytest.raises(NoFeasibleCandidate):
+            select([cand], eta=value + 0.01)
+

@@ -14,8 +14,6 @@ from hubertune import (
     apply_V,
     contraction_check,
     fit,
-    fit_with_intercept,
-    intercept_psi_matrix,
     jacobian_x_entry,
     jacobian_y,
     lasso,
@@ -25,6 +23,7 @@ from hubertune import (
     trace_sigma_A,
 )
 from hubertune.sensitivity import TAU_FLOOR, sensitivity_fd_oracle
+from oracles import fit_with_intercept, intercept_psi_matrix
 
 TIGHT = FitOptions(kkt_tolerance=1e-11)
 

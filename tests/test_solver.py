@@ -12,13 +12,14 @@ from hubertune import (
     NonConvergence,
     SquareLoss,
     fit,
-    fit_with_intercept,
     kkt_residual,
     largest_singular_value,
     lasso,
     objective_value,
     ridge,
 )
+
+from oracles import fit_with_intercept
 
 
 def golden_section(f, lo, hi, tol=1e-10):
