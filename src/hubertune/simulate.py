@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -296,12 +296,16 @@ class GridRecord:
     constraint_value: float = math.nan
     solver_iterations: int = 0
     failed: bool = True
+    # Solver counter kept out of the CSV (GRID_COLUMNS and row() skip it).
+    newton_attempts: int = field(default=0, metadata={"csv": False})
 
     def row(self) -> tuple:
-        return tuple("" if v is None else v for v in astuple(self))
+        values = (getattr(self, f.name) for f in _CSV_FIELDS)
+        return tuple("" if v is None else v for v in values)
 
 
-GRID_COLUMNS = ["lambda" if f.name == "lam" else f.name for f in fields(GridRecord)]
+_CSV_FIELDS = [f for f in fields(GridRecord) if f.metadata.get("csv", True)]
+GRID_COLUMNS = ["lambda" if f.name == "lam" else f.name for f in _CSV_FIELDS]
 
 # Metrics that aggregate() summarizes and cmd_simulate pivots.
 GRID_METRICS = GRID_COLUMNS[4:15]
@@ -348,6 +352,7 @@ def _replication_records(config: SimConfig, options: FitOptions, rep: int):
             oos_error=out_of_sample_error(result.beta_hat, beta_star, Sigma),
             eps_norm_sq_over_n=eps_term,
             solver_iterations=result.iterations,
+            newton_attempts=result.newton_attempts,
         )
         if bundle is not None:
             record = replace(

@@ -11,6 +11,25 @@ The stopping rule is the KKT residual rather than the objective decrement:
 the downstream sensitivity formulas assume stationarity at the returned
 point, and the penalty prox produces exact zeros, which define the active
 set with no epsilon thresholding.
+
+Active-set Newton polish. Both losses have psi' in {0, 1}, so the objective
+is piecewise quadratic: once the pattern (the signs of b, which residuals
+are inliers, and the signs of the outliers) is known, the minimizer solves
+one linear system with the sensitivity matrix,
+
+    (X_S' D X_S + n tau I) b_S = X_S'(D y + psi(r) - D r) - n lam sign(b_S),
+
+where D = diag{psi'(r)}, S is the active set, and an intercept joins S as an
+unpenalized unit column. When the pattern has stayed the same over
+PATTERN_CHECKS consecutive KKT checks, the solver factors that matrix once
+(Cholesky) and solves for b_S. The solved point is accepted only if its own
+KKT residual is within the tolerance, the same certificate a FISTA iterate
+must meet; otherwise FISTA carries on from its own iterate. A deterministic
+flop budget gates the attempts, so results never depend on timing: with a
+FISTA iteration costed at 6 n p and an attempt at n p_hat^2 + p_hat^3 / 3,
+attempt k (from 0) waits until the iterations so far cost at least 2^k
+attempts. All attempts together thus cost at most twice the FISTA work they
+interrupt, and large active sets are rarely polished.
 """
 
 from __future__ import annotations
@@ -19,11 +38,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .data import Dataset
 from .errors import IllPosed, NonConvergence
 from .losses import Loss
 from .penalties import ElasticNet
+
+# Consecutive KKT checks with an unchanged pattern before a Newton attempt.
+PATTERN_CHECKS = 3
 
 
 @dataclass(frozen=True)
@@ -61,6 +84,8 @@ class FitResult:
     converged: bool
     with_intercept: bool
     objective: float
+    # Newton polish attempts, successful or not; kept out of reports and CSVs.
+    newton_attempts: int = 0
 
 
 def objective_value(
@@ -185,7 +210,7 @@ def fit(
             worst = max(worst, abs(float(gvec[0])))
         return worst
 
-    def build_result(wvec, resid, iters, kkt, converged):
+    def build_result(wvec, resid, iters, kkt, converged, attempts=0):
         beta = wvec[off:].copy()
         return FitResult(
             beta_hat=beta,
@@ -197,7 +222,38 @@ def fit(
             converged=converged,
             with_intercept=use_icpt,
             objective=full_objective(resid, wvec),
+            newton_attempts=attempts,
         )
+
+    def newton_point(wvec, resid, psi_r, d):
+        """Minimizer of the quadratic piece of F holding the current pattern.
+
+        Returns (w, r, kkt) at the solved point when its KKT residual meets
+        the tolerance, and None when it does not or the system cannot be
+        factored.
+        """
+        S = np.flatnonzero(wvec[off:]) + off
+        if use_icpt:
+            S = np.concatenate([[0], S])
+        XS = Xa[:, S]
+        X_in = XS[d != 0.0]  # D = diag{psi'(r)} with psi' in {0, 1}
+        G = X_in.T @ X_in
+        penalized = np.arange(off, S.size)
+        G[penalized, penalized] += n * penalty.tau
+        sign_S = np.sign(wvec[S])
+        sign_S[:off] = 0.0
+        rhs = XS.T @ (d * y + psi_r - d * resid) - n * penalty.lam * sign_S
+        try:
+            factor = cho_factor(G, lower=True)
+        except np.linalg.LinAlgError:
+            return None
+        w_new = np.zeros_like(wvec)
+        w_new[S] = cho_solve(factor, rhs)
+        r_new = y - Xa @ w_new
+        kkt_new = kkt_from_gradient(Xa.T @ loss.psi(r_new) / n, w_new)
+        if kkt_new <= options.kkt_tolerance:
+            return w_new, r_new, kkt_new
+        return None
 
     if options.lipschitz_bound is not None:
         lip_raw = options.lipschitz_bound
@@ -267,6 +323,9 @@ def fit(
     converged = False
     stalled_checks = 0
     plain_mode = False
+    iteration_flops = 6 * n * Xa.shape[1]
+    attempts = 0
+    pattern, stable_checks, tried_pattern = None, 0, None
     for iterations in range(1, options.max_iterations + 1):
         if plain_mode:
             # Terminal phase: momentum oscillates around the optimum at the
@@ -311,6 +370,29 @@ def fit(
             if kkt <= options.kkt_tolerance:
                 converged = True
                 break
+
+            d = loss.psi_prime(r)
+            new_pattern = np.concatenate([np.sign(w[off:]), np.sign(ps - d * r)])
+            if np.array_equal(new_pattern, pattern):
+                stable_checks += 1
+            else:
+                pattern, stable_checks = new_pattern, 1
+            # The solved point depends on the pattern alone, so a pattern
+            # that failed once is not tried again.
+            if stable_checks >= PATTERN_CHECKS and not np.array_equal(
+                pattern, tried_pattern
+            ):
+                p_hat = int(np.count_nonzero(w[off:])) + off
+                attempt_flops = n * p_hat * p_hat + p_hat**3 / 3.0
+                if iterations * iteration_flops >= 2**attempts * attempt_flops:
+                    attempts += 1
+                    tried_pattern = pattern
+                    polished = newton_point(w, r, ps, d)
+                    if polished is not None:
+                        w, r, kkt = polished
+                        converged = True
+                        break
+
             # Momentum that stops making clear KKT progress while within
             # striking distance of the tolerance is circling the optimum at
             # the float-noise level; drop to plain steps, which settle on
@@ -323,10 +405,10 @@ def fit(
                     plain_mode = True
 
     if converged:
-        return build_result(w, r, iterations, kkt, True)
+        return build_result(w, r, iterations, kkt, True, attempts)
 
     w_best, r_best, it_best = best_state
-    partial = build_result(w_best, r_best, it_best, best_kkt, False)
+    partial = build_result(w_best, r_best, it_best, best_kkt, False, attempts)
     raise NonConvergence(
         f"iteration cap {options.max_iterations} reached with KKT residual "
         f"{best_kkt:.3e} > tolerance {options.kkt_tolerance:.3e}",

@@ -314,6 +314,27 @@ class TestRunGrid:
             rec.row() for rec in parallel.records
         ]
 
+    def test_newton_attempts_repeat_across_runs_and_jobs(self):
+        """The solver's polish counter is deterministic and stays off the CSV."""
+        cfg = self.small_config(
+            n=30,
+            p=60,
+            grid=[
+                {"huber_scale": 1.0, "lambda": 0.05, "tau": 0.0},
+                {"huber_scale": 1.0, "lambda": 0.02, "tau": 0.001},
+                {"huber_scale": None, "lambda": 0.05, "tau": 0.01},
+            ],
+        )
+        serial = run_grid(cfg, jobs=1)
+        again = run_grid(cfg, jobs=1)
+        parallel = run_grid(cfg, jobs=2)
+        attempts = [rec.newton_attempts for rec in serial.records]
+        assert sum(attempts) > 0
+        assert [rec.newton_attempts for rec in again.records] == attempts
+        assert [rec.newton_attempts for rec in parallel.records] == attempts
+        assert "newton_attempts" not in GRID_COLUMNS
+        assert len(serial.records[0].row()) == len(GRID_COLUMNS)
+
     def test_noise_term_constant_within_replication(self):
         result = run_grid(self.small_config())
         for rep in range(4):
