@@ -1,22 +1,27 @@
 """Sensitivity of the fitted coefficients to perturbations of (y, X).
 
-Everything flows through one p-hat x p-hat matrix: with D = diag{psi'(r)}
-and S the active set,
+With D = diag{psi'(r)} and S the active set, the sensitivity matrix is
 
-    A_hat = (X_S' D X_S + n * tau_eff * I)^{-1},
+    A_hat = (X_S' D X_S + n * tau_eff * I)^{-1}   (zero off the active set).
 
-the inverse computed from a single Cholesky factorization. From it come the
-Jacobian of beta_hat in y (columns A_hat X'e_i psi'(r_i)), the Jacobian in
-single design entries, the effective degrees of freedom df = trace[X dbeta/dy],
-and trace of V = diag{psi'(r)}(I - X dbeta/dy) — V itself is never
-materialized as an n x n matrix; only its trace and matrix-vector products
-are exposed.
+It gives the Jacobian of beta_hat in y (columns A_hat X'e_i psi'(r_i)), the
+Jacobian in single design entries, the effective degrees of freedom
+df = trace[X dbeta/dy], and trace of V = diag{psi'(r)}(I - X dbeta/dy) —
+V itself is never materialized; only its trace and products are exposed.
 
-An intercept fit replaces the inner D by the rank-one-corrected
-Psi' = D - psi'(r) psi'(r)' / sum(psi'(r)) in both A_hat and the Jacobian.
-Both losses have psi' in {0, 1}, so D^2 = D and Psi' D = Psi', and
-trace_V = trace[D] - trace[A_hat X_S' Psi' D X_S] reduces to n_hat - df
-with or without an intercept.
+Both losses have psi' in {0, 1}, so X_S' D X_S = Z'Z for the block Z of the
+n_hat inlier rows (psi' = 1) of X_S. With c = n * tau_eff,
+
+    df = p_hat - c trace[(Z'Z + cI)^{-1}] = n_hat - c trace[(ZZ' + cI)^{-1}],
+
+so df = m - c ||L^{-1}||_F^2 from one Cholesky factor L of the smaller
+side: the p_hat x p_hat primal system, or the n_hat x n_hat dual one when
+n_hat < p_hat. D^2 = D makes trace_V = n_hat - df exactly. A_hat is formed
+from the primal factor only when first read.
+
+An intercept fit replaces D by Psi' = D - psi'(r) psi'(r)' / sum(psi'(r)).
+With Z column-centred, X_S' Psi' X_S = Z'Z again and X_S' Psi' is Z' on the
+inlier columns (zero elsewhere), so the same formulas hold.
 
 A central finite-difference oracle over y provides independent verification,
 and contraction_check verifies five summed-derivative identities over the
@@ -29,11 +34,13 @@ used is recorded in the bundle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dtrtri
 
 from .data import Dataset
 from .errors import DegenerateFit, NonConvergence, SingularSystem
@@ -48,12 +55,14 @@ TAU_FLOOR = 1e-10
 class SensitivityBundle:
     """Closed-form sensitivity objects for one fit.
 
-    A_hat is the p_hat x p_hat block of the sensitivity matrix on the
-    active set (the full matrix is zero elsewhere); psi_diag and
-    psi_prime_diag are psi(r_i) and psi'(r_i) at the fitted residuals.
+    psi_diag and psi_prime_diag are psi(r_i) and psi'(r_i) at the fitted
+    residuals. system is the side factored for df ("primal", "dual", or
+    "none" on an empty active set) and system_size its order. inverse()
+    builds A_hat, the p_hat x p_hat active block of the sensitivity matrix;
+    the A_hat property calls it once, on first access (it raises
+    SingularSystem when the primal system cannot be factored).
     """
 
-    A_hat: np.ndarray
     df: float
     trace_V: float
     n_hat: float
@@ -64,65 +73,72 @@ class SensitivityBundle:
     tau_eff: float
     p: int
     with_intercept: bool
+    system: str
+    system_size: int
+    inverse: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def A_hat(self) -> np.ndarray:
+        return self.inverse()
 
 
-def _intercept_rank_one(XS: np.ndarray, d: np.ndarray):
-    """(q, s) = (X_S'd, sum(d)) of the intercept's rank-one correction.
-
-    An intercept fit replaces D by Psi' = D - d d'/s, so X_S' Psi' W =
-    X_S' D W - q (d'W)/s for any W. Raises DegenerateFit when s = 0.
-    """
-    s = float(np.sum(d))
-    if s <= 0.0:
-        raise DegenerateFit(
-            "all residuals have psi' = 0; the intercept correction is undefined"
-        )
-    return XS.T @ d, s
-
-
-def _active_block(XS, d, tau_eff, with_intercept):
-    """(A_hat, df) on a nonempty active set, from one factorization."""
-    n, p_hat = XS.shape
-    gram = XS.T @ (d[:, None] * XS)
+def _inlier_block(X, S, d, with_intercept):
+    """Z: the rows of X_S with psi' = 1, column-centred with an intercept."""
+    Z = X[np.ix_(np.flatnonzero(d), S)]
     if with_intercept:
-        q, s = _intercept_rank_one(XS, d)
-        gram = gram - np.outer(q, q) / s  # X_S' Psi' X_S
-    M = gram + n * tau_eff * np.eye(p_hat)
+        if Z.shape[0] == 0:
+            raise DegenerateFit(
+                "all residuals have psi' = 0; the intercept correction is undefined"
+            )
+        Z -= Z.mean(axis=0)
+    return Z
+
+
+def _inverse_factor(G: np.ndarray, c: float) -> np.ndarray:
+    """L^{-1} for the Cholesky factor L of G + cI (G is overwritten)."""
+    G[np.diag_indices_from(G)] += c
     try:
-        factor = cho_factor(M, lower=True)
+        L = cho_factor(G, lower=True, overwrite_a=True)[0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(
-            f"sensitivity system singular at p_hat={p_hat}, tau_eff={tau_eff:g}"
+            f"sensitivity system singular at order {G.shape[0]}, n*tau_eff={c:g}"
         ) from exc
-    A_hat = cho_solve(factor, np.eye(p_hat))
-    A_hat = 0.5 * (A_hat + A_hat.T)  # symmetrize away factorization roundoff
+    return np.tril(dtrtri(L, lower=1, overwrite_c=1)[0])
 
-    # df = trace[A_hat * gram] = p_hat - n*tau_eff*trace[A_hat], because
-    # A_hat (gram + n*tau_eff I) = I.
-    df = p_hat - n * tau_eff * float(np.trace(A_hat))
-    return A_hat, df
+
+def _primal_inverse(X, S, d, with_intercept, c) -> np.ndarray:
+    Z = _inlier_block(X, S, d, with_intercept)
+    Linv = _inverse_factor(Z.T @ Z, c)
+    return Linv.T @ Linv  # one syrk: exactly symmetric
 
 
 def sensitivity_closed_form(
     data: Dataset, loss: Loss, penalty: ElasticNet, fit_result: FitResult
 ) -> SensitivityBundle:
-    """Compute A_hat, df, trace_V, n_hat, p_hat from one factorization.
+    """Compute df, trace_V, n_hat, p_hat from one factorization.
 
-    An empty active set is not an error: it yields an empty A_hat, df = 0,
-    and trace_V = sum(psi'(r)).
+    The smaller of the primal and dual systems is factored (see the module
+    docstring); A_hat waits for its first access. An empty active set is not
+    an error: it yields an empty A_hat, df = 0, and trace_V = sum(psi'(r)).
     """
     r = fit_result.residuals
     d = loss.psi_prime(r)
     n_hat = float(np.sum(d))
-    S = fit_result.active_set
+    S, icpt = fit_result.active_set, fit_result.with_intercept
     tau_eff = max(penalty.tau, TAU_FLOOR)
-    if S.size == 0:
-        A_hat, df = np.zeros((0, 0)), 0.0
-    else:
-        A_hat, df = _active_block(data.X[:, S], d, tau_eff, fit_result.with_intercept)
+    c = data.n * tau_eff
+    system, Linv, inverse = "none", np.zeros((0, 0)), partial(np.zeros, (0, 0))
+    if S.size:
+        Z = _inlier_block(data.X, S, d, icpt)
+        if Z.shape[0] < Z.shape[1]:
+            system, Linv = "dual", _inverse_factor(Z @ Z.T, c)
+            inverse = partial(_primal_inverse, data.X, S, d, icpt, c)
+        else:
+            system, Linv = "primal", _inverse_factor(Z.T @ Z, c)
+            inverse = partial(np.matmul, Linv.T, Linv)
+    df = Linv.shape[0] - c * float(np.sum(Linv * Linv))
     return SensitivityBundle(
-        A_hat=A_hat,
-        df=float(df),
+        df=df,
         trace_V=n_hat - df,  # see the module docstring
         n_hat=n_hat,
         p_hat=int(S.size),
@@ -131,7 +147,10 @@ def sensitivity_closed_form(
         active_set=S,
         tau_eff=tau_eff,
         p=data.p,
-        with_intercept=fit_result.with_intercept,
+        with_intercept=icpt,
+        system=system,
+        system_size=Linv.shape[0],
+        inverse=inverse,
     )
 
 
@@ -146,17 +165,17 @@ def a_hat_full(bundle: SensitivityBundle) -> np.ndarray:
 def jacobian_y(
     bundle: SensitivityBundle, data: Dataset, fit_result: FitResult
 ) -> np.ndarray:
-    """p x n Jacobian of beta_hat in y; rows off the active set are zero."""
+    """p x n Jacobian of beta_hat in y; rows off the active set are zero.
+
+    X_S' Psi' (X_S' D without an intercept) is Z' on the inlier columns and
+    zero elsewhere, so the active rows are A_hat Z' there.
+    """
     J = np.zeros((bundle.p, data.n))
     if bundle.p_hat == 0:
         return J
-    XS = data.X[:, bundle.active_set]
     d = bundle.psi_prime_diag
-    inner = XS.T * d[None, :]  # X_S' D
-    if bundle.with_intercept:
-        q, s = _intercept_rank_one(XS, d)
-        inner = inner - np.outer(q, d) / s  # X_S' Psi'
-    J[bundle.active_set, :] = bundle.A_hat @ inner
+    Z = _inlier_block(data.X, bundle.active_set, d, bundle.with_intercept)
+    J[np.ix_(bundle.active_set, np.flatnonzero(d))] = bundle.A_hat @ Z.T
     return J
 
 
@@ -169,27 +188,11 @@ def jacobian_x_entry(
 ) -> np.ndarray:
     """Derivative of beta_hat in the single design entry x_ij.
 
-    A_hat e_j psi(r_i) - psi'(r_i) beta_j A_hat X'e_i; with an intercept the
-    second term uses the Psi'-corrected Jacobian column, which preserves the
-    identity d beta/d x_ij + beta_j * d beta/d y_i = A_hat e_j psi(r_i).
+    A_hat e_j psi(r_i) - beta_j d beta/d y_i, which is the identity
+    d beta/d x_ij + beta_j * d beta/d y_i = A_hat e_j psi(r_i).
     """
-    out = np.zeros(bundle.p)
-    if bundle.p_hat == 0:
-        return out
-    S = bundle.active_set
-    pos = np.searchsorted(S, j)
-    if pos < S.size and S[pos] == j:
-        out[S] = bundle.A_hat[:, pos] * bundle.psi_diag[i]
-    beta_j = fit_result.beta_hat[j]
-    if beta_j != 0.0:
-        if bundle.with_intercept:
-            col = jacobian_y(bundle, data, fit_result)[:, i]
-            out -= beta_j * col
-        else:
-            XS = data.X[:, S]
-            col_S = bundle.A_hat @ XS[i, :]
-            out[S] -= bundle.psi_prime_diag[i] * beta_j * col_S
-    return out
+    out = a_hat_full(bundle)[:, j] * bundle.psi_diag[i]
+    return out - fit_result.beta_hat[j] * jacobian_y(bundle, data, fit_result)[:, i]
 
 
 def trace_sigma_A(bundle: SensitivityBundle, Sigma: np.ndarray) -> float:
@@ -208,12 +211,13 @@ def trace_sigma_A(bundle: SensitivityBundle, Sigma: np.ndarray) -> float:
 def apply_V(
     bundle: SensitivityBundle, data: Dataset, vec: np.ndarray
 ) -> np.ndarray:
-    """V @ vec with V = D(I - X A X'D), without forming V."""
+    """V @ vec with V = D(I - X dbeta/dy), without forming V."""
     d = bundle.psi_prime_diag
     out = d * vec
     if bundle.p_hat:
-        XS = data.X[:, bundle.active_set]
-        out = out - d * (XS @ (bundle.A_hat @ (XS.T @ (d * vec))))
+        S = bundle.active_set
+        Z = _inlier_block(data.X, S, d, bundle.with_intercept)
+        out -= d * (data.X[:, S] @ (bundle.A_hat @ (Z.T @ vec[d != 0])))
     return out
 
 
@@ -485,7 +489,7 @@ def run_derivative_checks(
     bundle = sensitivity_closed_form(data, loss, penalty, result)
 
     if fault == "corrupt-a-hat":
-        bundle = replace(bundle, A_hat=1.37 * bundle.A_hat)
+        bundle = replace(bundle, inverse=partial(np.multiply, 1.37, bundle.A_hat))
     elif fault is not None:
         raise ValueError(f"unknown fault: {fault!r}")
 

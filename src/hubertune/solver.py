@@ -101,19 +101,14 @@ def _kkt_score_gap(g: np.ndarray, beta: np.ndarray, penalty: ElasticNet) -> floa
     """Max distance of the score g = (1/n) X'psi(r) from the subdifferential.
 
     Active coordinates contribute |g_j - lam*sign(b_j) - tau*b_j|, inactive
-    ones max(0, |g_j| - lam).
+    ones max(0, |g_j| - lam); a NaN score anywhere gives NaN.
     """
-    active = beta != 0.0
-    worst = 0.0
-    if np.any(active):
-        worst = float(
-            np.abs(
-                g[active] - penalty.lam * np.sign(beta[active]) - penalty.tau * beta[active]
-            ).max()
-        )
-    if np.any(~active):
-        worst = max(worst, float(np.maximum(np.abs(g[~active]) - penalty.lam, 0.0).max()))
-    return worst
+    gap = np.where(
+        beta != 0.0,
+        np.abs(g - penalty.lam * np.sign(beta) - penalty.tau * beta),
+        np.maximum(np.abs(g) - penalty.lam, 0.0),
+    )
+    return float(gap.max(initial=0.0))
 
 
 def kkt_residual(

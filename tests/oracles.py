@@ -29,3 +29,23 @@ def intercept_psi_matrix(fit_result, loss):
             "all residuals have psi' = 0; the intercept correction is undefined"
         )
     return np.diag(d) - np.outer(d, d) / s
+
+
+def dense_system(data, fit_result, loss, tau_eff):
+    """(M, X_S, Psi') of the full-n, psi'-weighted sensitivity system.
+
+    M = X_S' Psi' X_S + n*tau_eff*I with Psi' = diag{psi'(r)}, or the
+    intercept's intercept_psi_matrix.
+    """
+    if fit_result.with_intercept:
+        psi = intercept_psi_matrix(fit_result, loss)
+    else:
+        psi = np.diag(loss.psi_prime(fit_result.residuals))
+    XS = data.X[:, fit_result.active_set]
+    return XS.T @ psi @ XS + data.n * tau_eff * np.eye(XS.shape[1]), XS, psi
+
+
+def dense_df(data, fit_result, loss, tau_eff):
+    """df = trace[X_S M^{-1} X_S' Psi'], solved densely with np.linalg.solve."""
+    M, XS, psi = dense_system(data, fit_result, loss, tau_eff)
+    return float(np.trace(XS @ np.linalg.solve(M, XS.T @ psi)))

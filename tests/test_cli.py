@@ -237,6 +237,26 @@ class TestFit:
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_dual_side_fit_keeps_the_factored_system_out_of_the_report(
+        self, tmp_path
+    ):
+        """p_hat > n_hat: the bundle says "dual", the report does not."""
+        design, response, X, y = make_regression_files(tmp_path, n=20, p=40)
+        argv = ["fit", str(design), str(response), "--loss", "square"]
+        argv += ["--lambda", "0.005", "--tau", "0.05"]
+        data, penalty = Dataset(X, y), ElasticNet(lam=0.005, tau=0.05)
+        result = fit(data, make_loss("square"), penalty, FitOptions())
+        bundle = sensitivity_closed_form(data, make_loss("square"), penalty, result)
+        assert bundle.system == "dual"
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert main(argv + ["--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        doc = read_json(outs[0])
+        validate(doc, "fit_report.schema.json")
+        assert set(doc["sensitivity"]) == {"df", "trace_v", "n_hat", "p_hat", "tau_eff"}
+        assert doc["sensitivity"]["df"] == pytest.approx(bundle.df, rel=1e-12)
+
     def test_beta_out_writes_one_column_csv(self, tmp_path):
         design, response, _, _ = make_regression_files(tmp_path, p=4)
         out = tmp_path / "report.json"

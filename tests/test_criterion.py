@@ -61,7 +61,6 @@ def synth_candidate(residuals, df, trace_v, n_hat=None, loss=None):
         objective=0.0,
     )
     bundle = SensitivityBundle(
-        A_hat=np.eye(1),
         df=float(df),
         trace_V=float(trace_v),
         n_hat=n_hat,
@@ -72,6 +71,9 @@ def synth_candidate(residuals, df, trace_v, n_hat=None, loss=None):
         tau_eff=1e-10,
         p=1,
         with_intercept=False,
+        system="primal",
+        system_size=1,
+        inverse=lambda: np.eye(1),
     )
     return (fit_result, bundle, loss)
 

@@ -3,27 +3,32 @@
 import numpy as np
 import pytest
 
+import hubertune.sensitivity
 from hubertune import (
     Dataset,
     DegenerateFit,
     ElasticNet,
     FitOptions,
+    FitResult,
+    GridCell,
     HuberLoss,
     SquareLoss,
     a_hat_full,
     apply_V,
     contraction_check,
+    evaluate_grid,
     fit,
     jacobian_x_entry,
     jacobian_y,
     lasso,
     ridge,
     run_derivative_checks,
+    select,
     sensitivity_closed_form,
     trace_sigma_A,
 )
-from hubertune.sensitivity import TAU_FLOOR, sensitivity_fd_oracle
-from oracles import fit_with_intercept, intercept_psi_matrix
+from hubertune.sensitivity import TAU_FLOOR, _fd_safe_fixture, sensitivity_fd_oracle
+from oracles import dense_df, dense_system, fit_with_intercept, intercept_psi_matrix
 
 TIGHT = FitOptions(kkt_tolerance=1e-11)
 
@@ -214,6 +219,7 @@ class TestEmptyActiveSet:
     def test_bundle_shape_and_values(self):
         b = self.bundle
         assert b.p_hat == 0
+        assert (b.system, b.system_size) == ("none", 0)
         assert b.A_hat.shape == (0, 0)
         assert b.df == 0.0
         assert b.trace_V == b.n_hat == 15.0  # all residuals tiny: psi' = 1
@@ -457,3 +463,149 @@ class TestRunDerivativeChecks:
                 n=10, p=4, loss=SquareLoss(),
                 penalty=ridge(0.1), seed=0, fault="no-such-fault",
             )
+
+
+def _side_case(wide, intercept, loss_name):
+    """A fit whose active set outnumbers its inliers (wide) or not.
+
+    Seed 5 gives p_hat/n_hat = 43/30 (square) and 32/23 (Huber) on the
+    30 x 60 design, 38/30 and 29/22 with an intercept, and between 14/43
+    and 18/60 on the 60 x 20 one.
+    """
+    n, p = (30, 60) if wide else (60, 20)
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((n, p))
+    y = X[:, :5] @ np.ones(5) + rng.standard_t(3, n) + (0.5 if intercept else 0.0)
+    data = Dataset(X=X, y=y)
+    if loss_name == "square":
+        loss = SquareLoss()
+    else:
+        loss = HuberLoss(scale=0.2 if wide else 0.8)
+    penalty = ElasticNet(lam=0.02, tau=0.05)
+    opts = FitOptions(kkt_tolerance=1e-11, intercept=intercept)
+    result = fit(data, loss, penalty, opts)
+    return data, loss, result, sensitivity_closed_form(data, loss, penalty, result)
+
+
+def _dense_inverse(data, loss, result, bundle):
+    """(M^{-1}, X_S' Psi') from the full-n system, M fully inverted."""
+    M, XS, psi = dense_system(data, result, loss, bundle.tau_eff)
+    return np.linalg.inv(M), XS.T @ psi
+
+
+@pytest.fixture
+def cho_shapes(monkeypatch):
+    """Record the shape of every matrix sensitivity hands to cho_factor."""
+    shapes = []
+    original = hubertune.sensitivity.cho_factor
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(hubertune.sensitivity, "cho_factor", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("loss_name", ["square", "huber"])
+@pytest.mark.parametrize("intercept", [False, True], ids=["plain", "intercept"])
+@pytest.mark.parametrize("wide", [True, False], ids=["dual", "primal"])
+class TestSmallerSide:
+    """df from the smaller system; A_hat formed only when read."""
+
+    def test_df_matches_dense_oracle(self, wide, intercept, loss_name):
+        data, loss, result, bundle = _side_case(wide, intercept, loss_name)
+        assert (bundle.p_hat > bundle.n_hat) == wide
+        assert bundle.system == ("dual" if wide else "primal")
+        assert bundle.system_size == min(bundle.p_hat, bundle.n_hat)
+        ref = dense_df(data, result, loss, bundle.tau_eff)
+        assert bundle.df == pytest.approx(ref, rel=1e-10)
+        assert bundle.trace_V == pytest.approx(bundle.n_hat - ref, rel=1e-10)
+
+    def test_factors_one_matrix_of_the_smaller_order(
+        self, wide, intercept, loss_name, cho_shapes
+    ):
+        data, loss, result, bundle = _side_case(wide, intercept, loss_name)
+        m = int(min(bundle.p_hat, bundle.n_hat))
+        assert cho_shapes == [(m, m)]
+        assert "A_hat" not in vars(bundle)  # not formed yet
+        assert bundle.A_hat is bundle.A_hat  # formed on first access, then cached
+        assert cho_shapes == [(m, m)] + ([(bundle.p_hat,) * 2] if wide else [])
+
+    def test_lazy_a_hat_matches_full_inverse(self, wide, intercept, loss_name):
+        data, loss, result, bundle = _side_case(wide, intercept, loss_name)
+        inv, inner = _dense_inverse(data, loss, result, bundle)
+        Sigma = np.cov(np.random.default_rng(1).standard_normal((3 * data.p, data.p)).T)
+        S = bundle.active_set
+        assert trace_sigma_A(bundle, Sigma) == pytest.approx(
+            float(np.sum(Sigma[np.ix_(S, S)] * inv)), rel=1e-12
+        )
+        J = jacobian_y(bundle, data, result)
+        J_dense = inv @ inner
+        assert np.linalg.norm(J[S] - J_dense) <= 1e-12 * np.linalg.norm(J_dense)
+        assert not np.any(np.delete(J, S, axis=0))
+
+    def test_apply_v_matches_dense_v(self, wide, intercept, loss_name):
+        """V = D(I - X dbeta/dy), whose trace is trace_V, intercept or not."""
+        data, loss, result, bundle = _side_case(wide, intercept, loss_name)
+        inv, inner = _dense_inverse(data, loss, result, bundle)
+        XS = data.X[:, bundle.active_set]
+        V = np.diag(bundle.psi_prime_diag) @ (np.eye(data.n) - XS @ inv @ inner)
+        assert bundle.trace_V == pytest.approx(float(np.trace(V)), rel=1e-10)
+        v = np.random.default_rng(2).normal(size=data.n)
+        np.testing.assert_allclose(apply_V(bundle, data, v), V @ v, atol=1e-12)
+
+
+class TestWorkGates:
+    def test_grid_selection_never_forms_a_hat(self, cho_shapes):
+        data, *_ = _side_case(True, False, "huber")
+        cho_shapes.clear()
+        cells = [GridCell(huber_scale=0.2, lam=lam, tau=0.05) for lam in (0.02, 0.05)]
+        candidates = evaluate_grid(data, cells, FitOptions(kkt_tolerance=1e-11))
+        select(candidates)
+        bundles = [cand.bundle for cand in candidates]
+        assert [b.system for b in bundles] == ["dual", "dual"]
+        assert cho_shapes == [(b.n_hat, b.n_hat) for b in bundles]
+        assert not any("A_hat" in vars(b) for b in bundles)
+
+    def test_all_outliers_with_intercept_is_degenerate(self):
+        """n_hat = 0 leaves the intercept's centring undefined."""
+        X = np.random.default_rng(71).normal(size=(4, 2))
+        result = FitResult(
+            beta_hat=np.array([0.5, 0.0]),
+            intercept_hat=0.0,
+            residuals=np.array([5.0, -5.0, 6.0, -6.0]),
+            active_set=np.array([0]),
+            iterations=1,
+            kkt_residual=0.0,
+            converged=True,
+            with_intercept=True,
+            objective=0.0,
+        )
+        with pytest.raises(DegenerateFit):
+            sensitivity_closed_form(
+                Dataset(X=X, y=np.zeros(4)), HuberLoss(scale=1.0), ridge(0.1), result
+            )
+
+
+class TestDualSideDerivativeChecks:
+    """The finite-difference oracles on p > n fixtures (n = 8, p = 12)."""
+
+    @pytest.mark.parametrize(
+        "loss", [SquareLoss(), HuberLoss(scale=1.0)], ids=["square", "huber"]
+    )
+    def test_fixture_takes_the_dual_side_and_passes(self, loss):
+        penalty = ElasticNet(lam=0.02, tau=0.05)
+        data, _, result = _fd_safe_fixture(8, 12, loss, penalty, 0, TIGHT)
+        bundle = sensitivity_closed_form(data, loss, penalty, result)
+        assert bundle.system == "dual" and bundle.p_hat > bundle.n_hat
+        report = run_derivative_checks(8, 12, loss, penalty, seed=0)
+        assert report.passed, report.failures
+
+    def test_fault_injection_fails_on_the_dual_side(self):
+        report = run_derivative_checks(
+            8, 12, HuberLoss(scale=1.0), ElasticNet(lam=0.02, tau=0.05),
+            seed=0, fault="corrupt-a-hat",
+        )
+        assert "jacobian_y" in report.failures
+        assert any(name.startswith("contraction") for name in report.failures)

@@ -18,6 +18,7 @@ from hubertune import (
     objective_value,
     ridge,
 )
+from hubertune.solver import _kkt_score_gap
 
 from oracles import fit_with_intercept
 
@@ -382,6 +383,15 @@ class TestKktResidual:
         base = kkt_residual(data, loss, penalty, np.zeros(1), intercept=None)
         with_b0 = kkt_residual(data, loss, penalty, np.zeros(1), intercept=-5.0)
         assert with_b0 > base
+
+    @pytest.mark.parametrize(
+        "beta", [np.zeros(2), np.array([1.0, 0.0])], ids=["inactive", "active"]
+    )
+    def test_nan_score_is_never_stationary(self, beta):
+        """A NaN score on any coordinate, active or not, gives NaN."""
+        gap = _kkt_score_gap(np.array([np.nan, 0.1]), beta, ElasticNet(0.5, 0.0))
+        assert np.isnan(gap)
+        assert not gap <= 1e-8  # so no stopping rule can accept it
 
 
 class TestFailureModes:
