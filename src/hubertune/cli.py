@@ -46,7 +46,7 @@ from .errors import (
 from .formatting import write_csv
 from .losses import HuberLoss, make_loss
 from .penalties import ElasticNet
-from .sensitivity import run_derivative_checks
+from .sensitivity import CHECK_TOLERANCES, run_derivative_checks
 from .simulate import (
     GRID_METRICS,
     load_sim_config,
@@ -394,13 +394,6 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK if result.converged else EXIT_NUMERICAL
 
 
-CHECK_TOLERANCES = {
-    "jacobian_rel": 1e-3,
-    "trace_abs": 1e-3,
-    "contraction_abs": 1e-3,
-}
-
-
 def cmd_check_derivatives(args) -> int:
     if not 1 <= args.n <= 100:
         raise InputError("--n must be between 1 and 100")
@@ -409,15 +402,7 @@ def cmd_check_derivatives(args) -> int:
     loss = _loss_from_args(args)
     penalty = _penalty_from_args(args)
     report = run_derivative_checks(
-        args.n,
-        args.p,
-        loss,
-        penalty,
-        args.seed,
-        jacobian_tolerance=CHECK_TOLERANCES["jacobian_rel"],
-        trace_tolerance=CHECK_TOLERANCES["trace_abs"],
-        contraction_tolerance=CHECK_TOLERANCES["contraction_abs"],
-        fault=args.fault,
+        args.n, args.p, loss, penalty, args.seed, fault=args.fault
     )
 
     lines = [
@@ -554,8 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallel workers; each runs one BLAS thread unless "
         "OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is set",
     )
-    sim_p.add_argument("--max-iterations", type=int, default=50_000)
-    sim_p.add_argument("--kkt-tolerance", type=float, default=1e-8)
+    _add_solver_flags(sim_p, with_intercept=False)
 
     diag_p = sub.add_parser(
         "diagnose", help="debiased-residual normality diagnostics for one fit"

@@ -464,17 +464,24 @@ def _fd_safe_fixture(
     )
 
 
+# Pass thresholds of run_derivative_checks: relative error of the response
+# Jacobian, absolute error of df and trace V, and each contraction residual.
+CHECK_TOLERANCES = {
+    "jacobian_rel": 1e-3,
+    "trace_abs": 1e-3,
+    "contraction_abs": 1e-3,
+}
+# Finite-difference step of the response-Jacobian oracle.
+FD_STEP = 1e-6
+
+
 def run_derivative_checks(
     n: int,
     p: int,
     loss: Loss,
     penalty: ElasticNet,
     seed: int,
-    fd_step: float = 1e-6,
     contraction_steps=(1e-3, 1e-4),
-    jacobian_tolerance: float = 1e-3,
-    trace_tolerance: float = 1e-3,
-    contraction_tolerance: float = 1e-3,
     fault: Optional[str] = None,
 ) -> DerivativeCheckReport:
     """Compare every closed-form derivative against finite differences.
@@ -495,7 +502,7 @@ def run_derivative_checks(
 
     J_closed = jacobian_y(bundle, data, result)
     J_fd, df_fd, trace_v_fd = sensitivity_fd_oracle(
-        data, loss, penalty, options, step=fd_step
+        data, loss, penalty, options, step=FD_STEP
     )
     scale = max(float(np.linalg.norm(J_fd)), 1e-30)
     jacobian_rel_error = float(np.linalg.norm(J_closed - J_fd)) / scale
@@ -510,15 +517,15 @@ def run_derivative_checks(
     )
 
     failures = []
-    if not jacobian_rel_error <= jacobian_tolerance:
+    if not jacobian_rel_error <= CHECK_TOLERANCES["jacobian_rel"]:
         failures.append("jacobian_y")
-    if not df_abs_error <= trace_tolerance:
+    if not df_abs_error <= CHECK_TOLERANCES["trace_abs"]:
         failures.append("df")
-    if not trace_v_abs_error <= trace_tolerance:
+    if not trace_v_abs_error <= CHECK_TOLERANCES["trace_abs"]:
         failures.append("trace_V")
     for report in contraction_reports:
         for k in range(5):
-            if not report.residuals[k] <= contraction_tolerance:
+            if not report.residuals[k] <= CHECK_TOLERANCES["contraction_abs"]:
                 failures.append(f"contraction-{k + 1}@step={report.step:g}")
 
     return DerivativeCheckReport(

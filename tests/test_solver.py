@@ -283,20 +283,19 @@ class TestNewtonPolish:
         assert result.iterations < 5_000
         assert result.newton_attempts >= 1
 
-    def test_h2_fails_with_few_attempts(self):
-        """Still non-converged at the cap; the flop budget bounds the attempts."""
+    def test_h2_converges(self):
+        """Certified well inside the cap; the flop budget bounds the attempts."""
         data = heavy_tail_lasso_data(100, 300)
         loss, penalty, cap = HuberLoss(scale=0.5), lasso(0.002), 20_000
-        with pytest.raises(NonConvergence) as excinfo:
-            fit(data, loss, penalty, FitOptions(max_iterations=cap))
-        partial = excinfo.value.result
-        assert not partial.converged
-        assert partial.iterations <= cap
-        assert partial.kkt_residual > 1e-8
-        assert kkt_residual(data, loss, penalty, partial.beta_hat) == pytest.approx(
-            partial.kkt_residual, rel=1e-12
+        result = fit(data, loss, penalty, FitOptions(max_iterations=cap))
+        assert result.converged
+        assert result.kkt_residual <= 1e-8
+        assert kkt_residual(data, loss, penalty, result.beta_hat) == pytest.approx(
+            result.kkt_residual, rel=1e-12
         )
-        assert partial.newton_attempts <= 2 + np.log2(cap)
+        assert result.iterations <= 5_000
+        assert result.newton_attempts <= 2 + np.log2(cap)
+        assert result.active_set.size <= data.n
 
     @pytest.mark.parametrize("intercept", [False, True])
     @pytest.mark.parametrize("loss", [SquareLoss(), HuberLoss(scale=1.0)], ids=["square", "huber"])
@@ -331,11 +330,12 @@ class TestNewtonPolish:
         assert runs[0].beta_hat.tobytes() == runs[1].beta_hat.tobytes()
 
     def test_iteration_count_gate(self):
-        """A fixed p > n Huber grid needs under half the FISTA-only iterations.
+        """A fixed p > n Huber grid needs under half its earlier iterations.
 
-        Measured at the commit before the polish, single-threaded BLAS: the
-        8 fits took 66,244 iterations (110, 726, 1,241, 1,221, 29,532,
-        11,890, 11,703 and 9,821); with the polish they take 9,925.
+        Measured with single-threaded BLAS over the 8 fits: FISTA alone took
+        66,244 iterations, and 9,925 with a plain-step stagnation fallback
+        beside the polish. With the polish as the only terminal phase they
+        take 2,066 (38, 31, 67, 48, 671, 181, 619 and 411).
         """
         rng = np.random.default_rng(7)
         X = rng.standard_normal((60, 120))
@@ -346,7 +346,7 @@ class TestNewtonPolish:
             for lam in (0.08, 0.04, 0.02, 0.01)
             for tau in (0.0, 1e-3)
         )
-        assert total <= 66_244 // 2
+        assert total <= 9_925 // 2
 
 
 class TestKktResidual:
