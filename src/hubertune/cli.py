@@ -297,7 +297,7 @@ def cmd_select(args) -> int:
     options = _options_from_args(args)
     candidates = evaluate_grid(data, _load_grid(args.grid), options, eta=args.eta)
     try:
-        sel = select(candidates, eta=args.eta)
+        sel = select(candidates)
         selected, ranking = sel.selected_index, list(sel.ranking)
     except NoFeasibleCandidate:
         selected, ranking = None, []
@@ -358,7 +358,7 @@ def cmd_diagnose(args) -> int:
         t_hat = cand.report.ratio
         source = "adaptive"
 
-    rep = residual_representation_check(result, bundle, loss, t_hat=t_hat)
+    rep = residual_representation_check(result, loss, t_hat)
     u = result.residuals + t_hat * loss.psi(result.residuals)
     moments = normal_summary(u)
     if moments.variance <= 0:

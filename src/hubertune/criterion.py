@@ -12,7 +12,7 @@ raising them; evaluate_grid() does so for every cell of a grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import NoFeasibleCandidate, NonConvergence, SingularSystem
 from .losses import Loss
 from .penalties import ElasticNet
 from .sensitivity import SensitivityBundle, sensitivity_closed_form, trace_sigma_A
-from .solver import FitOptions, FitResult, fit, largest_singular_value
+from .solver import FitOptions, FitResult, fit
 
 DEFAULT_ETA = 0.05
 
@@ -179,64 +179,30 @@ def evaluate_grid(
 ) -> list:
     """evaluate() every cell (anything with loss() and penalty()) on one design.
 
-    The solver's step-size bound is computed once for the design, including
-    the unit column when an intercept is fitted, and shared by every cell;
-    each fit then runs exactly as it would alone. A zero design gets no
-    bound, so fit() takes its own zero-design path.
+    Each fit runs exactly as it would alone; the design's step bound is
+    computed by the first fit and kept on the Dataset for the rest.
     """
-    if options is None:
-        options = FitOptions()
-    if options.lipschitz_bound is None:
-        design = data.X
-        if options.intercept:
-            design = np.hstack([np.ones((data.n, 1)), data.X])
-        sig = largest_singular_value(design)
-        if sig > 0.0:
-            options = replace(options, lipschitz_bound=sig * sig / data.n)
     return [evaluate(data, cell.loss(), cell.penalty(), options, eta) for cell in cells]
 
 
 @dataclass(frozen=True)
 class SelectionReport:
     selected_index: int
-    reports: tuple  # None where the sensitivity system was singular
-    feasible: tuple
     ranking: tuple  # feasible indices sorted by criterion, then by index
 
 
-def select(
-    candidates: Sequence,
-    eta: float = DEFAULT_ETA,
-) -> SelectionReport:
+def select(candidates: Sequence) -> SelectionReport:
     """Pick the feasible candidate minimizing the adaptive criterion.
 
-    ``candidates`` holds Candidate objects from evaluate() or evaluate_grid()
-    (scored again only if they were scored at another eta), or
-    (FitResult, SensitivityBundle, Loss) triples. Infeasible candidates stay
-    in the report (never silently dropped). Ties break to the smallest
+    ``candidates`` holds Candidate objects from evaluate() or evaluate_grid(),
+    each already scored at its own eta. Infeasible candidates are left out
+    of the ranking but stay in the caller's list. Ties break to the smallest
     index. Raises NoFeasibleCandidate when nothing is feasible.
     """
     if len(candidates) == 0:
         raise ValueError("candidate list is empty")
-    reports = []
-    for cand in candidates:
-        if not isinstance(cand, Candidate):
-            rep = crit_adaptive(*cand, eta=eta)
-        elif cand.report is not None and cand.report.eta != eta:
-            rep = crit_adaptive(cand.result, cand.bundle, cand.loss, eta=eta)
-        else:
-            rep = cand.report
-        reports.append(rep)
-    feasible = [rep is not None and rep.feasible for rep in reports]
-    idx_feasible = [i for i, ok in enumerate(feasible) if ok]
-    if not idx_feasible:
-        raise NoFeasibleCandidate(
-            f"no candidate meets the feasibility constraint (eta={eta})"
-        )
-    ranking = sorted(idx_feasible, key=lambda i: (reports[i].crit_adaptive, i))
-    return SelectionReport(
-        selected_index=ranking[0],
-        reports=tuple(reports),
-        feasible=tuple(feasible),
-        ranking=tuple(ranking),
-    )
+    feasible = [i for i, cand in enumerate(candidates) if cand.feasible]
+    if not feasible:
+        raise NoFeasibleCandidate("no candidate meets the feasibility constraint")
+    ranking = sorted(feasible, key=lambda i: (candidates[i].report.crit_adaptive, i))
+    return SelectionReport(selected_index=ranking[0], ranking=tuple(ranking))

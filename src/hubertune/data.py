@@ -3,8 +3,28 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+
+def largest_singular_value(X: np.ndarray) -> float:
+    """Deterministic power iteration for the top singular value of X."""
+    p = X.shape[1]
+    v = np.full(p, 1.0 / np.sqrt(p))
+    s = 0.0
+    for _ in range(200):
+        w = X.T @ (X @ v)
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0
+        v_new = w / nw
+        s_new = np.sqrt(nw)
+        if abs(s_new - s) <= 1e-12 * max(s_new, 1.0):
+            s = s_new
+            break
+        v, s = v_new, s_new
+    return s
 
 
 @dataclass(frozen=True)
@@ -12,7 +32,11 @@ class Dataset:
     """Immutable (by convention) design/response pair.
 
     Validates shape and finiteness on construction; arrays are converted to
-    float64 C-contiguous copies so later code can rely on dtype and layout.
+    float64 C-contiguous form (copied only when they are not already) so
+    later code can rely on dtype and layout. The top singular values of X
+    and of [1 X], which set the solver's step size, are computed on first
+    read and kept, so every fit on one dataset shares them; X must therefore
+    not be modified in place after the first fit.
     """
 
     X: np.ndarray
@@ -44,3 +68,11 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.X.shape[1]
+
+    @cached_property
+    def sigma_max(self) -> float:
+        return largest_singular_value(self.X)
+
+    @cached_property
+    def sigma_max_with_intercept(self) -> float:
+        return largest_singular_value(np.hstack([np.ones((self.n, 1)), self.X]))

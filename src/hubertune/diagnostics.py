@@ -17,12 +17,12 @@ suite as tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import DegenerateDenominator
+from .formatting import write_csv
 from .losses import Loss
 from .sensitivity import SensitivityBundle, trace_sigma_A
 from .solver import FitResult
@@ -129,24 +129,15 @@ class ProxRepresentationReport:
 
 
 def residual_representation_check(
-    fit_result: FitResult,
-    bundle: SensitivityBundle,
-    loss: Loss,
-    Sigma: Optional[np.ndarray] = None,
-    t_hat: Optional[float] = None,
+    fit_result: FitResult, loss: Loss, t_hat: float
 ) -> ProxRepresentationReport:
     """gap_i = |r_i - prox[t rho](r_i + t psi(r_i))| — exactly zero in exact
     arithmetic for any t > 0, so the gaps certify numerical assembly.
 
-    t comes from trace[Sigma A] when the covariance is supplied, otherwise
-    from the explicit ``t_hat`` (e.g. the adaptive plug-in df/trace V).
+    ``t_hat`` is the debiasing factor: trace[Sigma A] (trace_sigma_A) when
+    the covariance is known, or the adaptive plug-in df/trace V.
     """
-    if Sigma is not None:
-        t = trace_sigma_A(bundle, Sigma)
-    elif t_hat is not None:
-        t = float(t_hat)
-    else:
-        raise ValueError("provide either Sigma or t_hat")
+    t = float(t_hat)
     r = fit_result.residuals
     if t <= 0.0:
         # prox with step 0 is the identity; the gap is exactly zero.
@@ -155,7 +146,7 @@ def residual_representation_check(
         )
     u = r + t * loss.psi(r)
     gaps = np.abs(r - loss.prox(u, t))
-    return ProxRepresentationReport(gaps=gaps, effective_obs=u, t_hat=float(t))
+    return ProxRepresentationReport(gaps=gaps, effective_obs=u, t_hat=t)
 
 
 @dataclass(frozen=True)
@@ -210,14 +201,10 @@ def histogram_table(values, bins: int = 30) -> np.ndarray:
 
 
 def write_qq_csv(values, path) -> None:
-    from .formatting import write_csv
-
     write_csv(path, ["theoretical", "empirical"], qq_table(values))
 
 
 def write_histogram_csv(values, path, bins: int = 30) -> None:
-    from .formatting import write_csv
-
     rows = [
         (float(a), float(b), int(c)) for a, b, c in histogram_table(values, bins)
     ]

@@ -30,7 +30,7 @@ import numpy as np
 from .blas import get_threads, set_threads
 from .criterion import crit_oracle_sigma, evaluate_grid, out_of_sample_error
 from .data import Dataset
-from .errors import InputError
+from .errors import InputError, SingularSystem
 from .formatting import format_value, write_csv
 from .losses import HuberLoss, Loss, SquareLoss
 from .penalties import ElasticNet
@@ -355,18 +355,23 @@ def _replication_records(config: SimConfig, options: FitOptions, rep: int):
             newton_attempts=result.newton_attempts,
         )
         if bundle is not None:
-            record = replace(
-                record,
-                df=bundle.df,
-                trace_v=bundle.trace_V,
-                n_hat=bundle.n_hat,
-                p_hat=bundle.p_hat,
-                trace_sigma_a=trace_sigma_A(bundle, Sigma),
-                crit_adaptive=cand.report.crit_adaptive,
-                crit_oracle=crit_oracle_sigma(result, bundle, Sigma, cand.loss),
-                constraint_value=cand.report.constraint_value,
-                failed=not result.converged,
-            )
+            # After a dual solve A_hat is first formed here, and its primal
+            # factor can still be singular: the record then stays failed.
+            try:
+                record = replace(
+                    record,
+                    df=bundle.df,
+                    trace_v=bundle.trace_V,
+                    n_hat=bundle.n_hat,
+                    p_hat=bundle.p_hat,
+                    trace_sigma_a=trace_sigma_A(bundle, Sigma),
+                    crit_adaptive=cand.report.crit_adaptive,
+                    crit_oracle=crit_oracle_sigma(result, bundle, Sigma, cand.loss),
+                    constraint_value=cand.report.constraint_value,
+                    failed=not result.converged,
+                )
+            except SingularSystem:
+                pass
         out.append(record)
     return out
 

@@ -43,7 +43,8 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .data import Dataset
+# largest_singular_value is re-exported: the solver's step bound comes from it.
+from .data import Dataset, largest_singular_value
 from .errors import IllPosed, NonConvergence
 from .losses import Loss
 from .penalties import ElasticNet
@@ -56,18 +57,14 @@ PATTERN_CHECKS = 3
 class FitOptions:
     """Solver knobs.
 
-    lipschitz_bound is an optional performance hint: sigma_max^2 / n of the
-    matrix the solver iterates on, which is [1 X] when an intercept is
-    fitted and X otherwise (an upper bound of the loss-gradient Lipschitz
-    constant). Callers fitting many models on one design can compute it
-    once; it must not underestimate the true value.
+    The step size is not among them: it comes from the dataset's cached top
+    singular value (of [1 X] when an intercept is fitted, of X otherwise).
     """
 
     max_iterations: int = 50_000
     kkt_tolerance: float = 1e-8
     intercept: bool = False
     initial_point: Optional[np.ndarray] = None
-    lipschitz_bound: Optional[float] = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -135,25 +132,6 @@ def kkt_residual(
     if intercept is not None:
         worst = max(worst, abs(float(np.sum(ps))) / data.n)
     return worst
-
-
-def largest_singular_value(X: np.ndarray) -> float:
-    """Deterministic power iteration for the top singular value of X."""
-    p = X.shape[1]
-    v = np.full(p, 1.0 / np.sqrt(p))
-    s = 0.0
-    for _ in range(200):
-        w = X.T @ (X @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v_new = w / nw
-        s_new = np.sqrt(nw)
-        if abs(s_new - s) <= 1e-12 * max(s_new, 1.0):
-            s = s_new
-            break
-        v, s = v_new, s_new
-    return s
 
 
 def fit(
@@ -253,21 +231,17 @@ def fit(
             return w_new, r_new, kkt_new
         return None
 
-    if options.lipschitz_bound is not None:
-        lip_raw = options.lipschitz_bound
-    else:
-        sigma_max = largest_singular_value(Xa)
-        if sigma_max == 0.0:
-            # Zero design: the penalty is minimized at zero and the loss
-            # term is constant in b, so b = 0 is optimal (this branch has no
-            # intercept column because an intercept model always carries the
-            # unit column).
-            r = y.copy()
-            kkt = kkt_residual(data, loss, penalty, w[off:], None)
-            return build_result(w, r, 0, kkt, True)
-        lip_raw = sigma_max * sigma_max / n
+    sigma_max = data.sigma_max_with_intercept if use_icpt else data.sigma_max
+    if sigma_max == 0.0:
+        # Zero design: the penalty is minimized at zero and the loss term is
+        # constant in b, so b = 0 is optimal (this branch has no intercept
+        # column because an intercept model always carries the unit column).
+        r = y.copy()
+        kkt = kkt_residual(data, loss, penalty, w[off:], None)
+        return build_result(w, r, 0, kkt, True)
 
-    lip = 1.02 * lip_raw  # small cushion over the power-iteration estimate
+    # Small cushion over the power-iteration estimate.
+    lip = 1.02 * (sigma_max * sigma_max / n)
     step0 = 1.0 / lip
     step_cap = 1e4 * step0
 

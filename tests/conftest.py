@@ -6,6 +6,7 @@ unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is set.
 
 import pytest
 
+import hubertune.data
 from hubertune.blas import thread_policy
 
 
@@ -13,3 +14,17 @@ from hubertune.blas import thread_policy
 def _one_blas_thread():
     with thread_policy():
         yield
+
+
+@pytest.fixture
+def power_iterations(monkeypatch):
+    """Record the shape of every matrix the step-bound power iteration sees."""
+    shapes = []
+    original = hubertune.data.largest_singular_value
+
+    def recording(X):
+        shapes.append(X.shape)
+        return original(X)
+
+    monkeypatch.setattr(hubertune.data, "largest_singular_value", recording)
+    return shapes

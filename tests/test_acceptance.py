@@ -316,7 +316,7 @@ class TestProxIdentity:
             if bundle.trace_V > 0:
                 factors.append(bundle.df / bundle.trace_V)
             for t in factors:
-                report = residual_representation_check(result, bundle, loss, t_hat=t)
+                report = residual_representation_check(result, loss, t_hat=t)
                 assert float(np.max(report.gaps)) <= 1e-10, (seed, t)
 
 

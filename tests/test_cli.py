@@ -21,6 +21,7 @@ from hubertune import (
     FitOptions,
     SingularSystem,
     crit_adaptive,
+    evaluate,
     fit,
     make_loss,
     select,
@@ -405,45 +406,35 @@ class TestSelect:
         validate(doc, "select_report.schema.json")
 
         data = Dataset(X, y)
-        triples = []
+        candidates = []
         for cell in GRID_3:
             loss = make_loss("huber", huber_scale=cell["huber_scale"])
             penalty = ElasticNet(lam=cell["lambda"], tau=cell["tau"])
-            result = fit(data, loss, penalty, FitOptions())
-            bundle = sensitivity_closed_form(data, loss, penalty, result)
-            triples.append((result, bundle, loss))
-        sel = select(triples)
+            candidates.append(evaluate(data, loss, penalty, FitOptions()))
+        sel = select(candidates)
 
         assert doc["selected_index"] == sel.selected_index
         assert doc["ranking"] == list(sel.ranking)
         assert len(doc["candidates"]) == len(GRID_3)
-        for entry, report in zip(doc["candidates"], sel.reports):
+        for entry, cand in zip(doc["candidates"], candidates):
             assert entry["crit_adaptive"] == pytest.approx(
-                report.crit_adaptive, rel=1e-12
+                cand.report.crit_adaptive, rel=1e-12
             )
-            assert entry["feasible"] == (report.constraint_ok and report.crit_defined)
+            assert entry["feasible"] == (
+                cand.report.constraint_ok and cand.report.crit_defined
+            )
 
     @pytest.mark.parametrize("intercept", [False, True])
-    def test_grid_shares_one_power_iteration(self, tmp_path, monkeypatch, intercept):
-        import hubertune.criterion
-        import hubertune.solver
-
-        calls = []
-        original = hubertune.solver.largest_singular_value
-
-        def counted(X):
-            calls.append(X.shape)
-            return original(X)
-
-        monkeypatch.setattr(hubertune.criterion, "largest_singular_value", counted)
-        monkeypatch.setattr(hubertune.solver, "largest_singular_value", counted)
+    def test_grid_shares_one_power_iteration(
+        self, tmp_path, monkeypatch, power_iterations, intercept
+    ):
         design, response, X, y = make_regression_files(tmp_path, n=40, p=6, seed=3)
         grid = write_grid(tmp_path)
         out = tmp_path / "selection.json"
         argv = ["select", str(design), str(response), str(grid), "--out", str(out)]
         assert main(argv + (["--intercept"] if intercept else [])) == 0
         # One bound per grid, of [1 X] when an intercept is fitted.
-        assert calls == [(40, 7 if intercept else 6)]
+        assert power_iterations == [(40, 7 if intercept else 6)]
 
         # The shared bound equals the one each fit computes alone, so the
         # iterates, and hence the iteration counts, are the same.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hubertune import (
+    Candidate,
     Dataset,
     ElasticNet,
     FitOptions,
@@ -44,7 +45,7 @@ def _fit_case(seed=0, n=30, p=6, loss=None, penalty=None):
 
 
 def synth_candidate(residuals, df, trace_v, n_hat=None, loss=None):
-    """Bare (FitResult, SensitivityBundle, Loss) triple with chosen fields."""
+    """Candidate scored from a synthetic fit and bundle with chosen fields."""
     r = np.asarray(residuals, dtype=float)
     n = r.size
     n_hat = float(n if n_hat is None else n_hat)
@@ -75,7 +76,8 @@ def synth_candidate(residuals, df, trace_v, n_hat=None, loss=None):
         system_size=1,
         inverse=lambda: np.eye(1),
     )
-    return (fit_result, bundle, loss)
+    report = crit_adaptive(fit_result, bundle, loss)
+    return Candidate(loss, lasso(0.0), fit_result, bundle, report)
 
 
 class TestCritAdaptive:
@@ -121,8 +123,8 @@ class TestCritAdaptive:
         assert rep.eta == 0.25
 
     def test_flagged_when_trace_v_vanishes(self):
-        fr, bundle, loss = synth_candidate([1.0, 2.0], df=1.0, trace_v=0.0)
-        rep = crit_adaptive(fr, bundle, loss)
+        cand = synth_candidate([1.0, 2.0], df=1.0, trace_v=0.0)
+        rep = crit_adaptive(cand.result, cand.bundle, cand.loss)
         assert not rep.crit_defined
         assert math.isnan(rep.crit_adaptive)
         assert math.isnan(rep.ratio)
@@ -182,8 +184,8 @@ class TestSelect:
         report = select(cands)
         assert report.selected_index == 1
         assert report.ranking == (1, 2, 0)
-        assert report.feasible == (True, True, True)
-        crits = [r.crit_adaptive for r in report.reports]
+        assert [c.feasible for c in cands] == [True, True, True]
+        crits = [c.report.crit_adaptive for c in cands]
         assert crits == pytest.approx([5.0, 3.0, 4.0])
 
     def test_tie_breaks_to_smallest_index(self):
@@ -197,17 +199,17 @@ class TestSelect:
         """The lowest criterion loses when its constraint fails."""
         winner_by_crit = synth_candidate([0.5], df=0.0, trace_v=1.0, n_hat=0.01)
         runner_up = synth_candidate([2.0], df=0.0, trace_v=1.0)
-        report = select([winner_by_crit, runner_up], eta=0.05)
+        report = select([winner_by_crit, runner_up])
         assert report.selected_index == 1
-        assert report.feasible == (False, True)
-        assert len(report.reports) == 2  # nothing silently dropped
+        assert report.ranking == (1,)
+        assert (winner_by_crit.feasible, runner_up.feasible) == (False, True)
 
     def test_undefined_criterion_skipped(self):
         broken = synth_candidate([0.1], df=1.0, trace_v=0.0)
         fine = synth_candidate([3.0], df=0.0, trace_v=1.0)
         report = select([broken, fine])
         assert report.selected_index == 1
-        assert report.feasible == (False, True)
+        assert (broken.feasible, fine.feasible) == (False, True)
 
     def test_all_infeasible_raises(self):
         cands = [
@@ -229,21 +231,22 @@ class TestSelect:
             synth_candidate([3.0, 0.1], df=0.0, trace_v=2.0),
         ]
         scaled = [
-            synth_candidate(7.0 * np.asarray(c[0].residuals), df=0.0, trace_v=2.0)
+            synth_candidate(7.0 * c.result.residuals, df=0.0, trace_v=2.0)
             for c in base
         ]
         assert select(base).ranking == select(scaled).ranking
 
     def test_recomputation_identical(self):
-        cands = [
-            synth_candidate([1.3, -0.2], df=0.5, trace_v=1.5),
-            synth_candidate([0.9, 0.4], df=0.25, trace_v=1.75),
-        ]
-        a, b = select(cands), select(cands)
-        assert a.selected_index == b.selected_index
-        assert a.ranking == b.ranking
-        for ra, rb in zip(a.reports, b.reports):
-            assert ra == rb  # dataclass equality: bit-identical floats
+        def build():
+            return [
+                synth_candidate([1.3, -0.2], df=0.5, trace_v=1.5),
+                synth_candidate([0.9, 0.4], df=0.25, trace_v=1.75),
+            ]
+
+        cands_a, cands_b = build(), build()
+        assert select(cands_a) == select(cands_b)
+        for ca, cb in zip(cands_a, cands_b):
+            assert ca.report == cb.report  # dataclass equality: bit-identical floats
 
 
 class TestEvaluate:
@@ -290,15 +293,7 @@ class TestEvaluate:
         options = FitOptions(intercept=intercept)
         grid = evaluate_grid(data, cells, options)
         for cell, cand in zip(cells, grid):
-            alone = fit(data, cell.loss(), cell.penalty(), options)
+            fresh = Dataset(data.X, data.y)
+            alone = fit(fresh, cell.loss(), cell.penalty(), options)
             assert cand.result.iterations == alone.iterations
             assert np.array_equal(cand.result.beta_hat, alone.beta_hat)
-
-    def test_select_rescored_at_its_own_eta(self):
-        data, loss, penalty, _, _ = _fit_case(11, loss=HuberLoss(scale=0.3))
-        cand = evaluate(data, loss, penalty, eta=0.05)
-        value = cand.report.constraint_value
-        assert select([cand], eta=0.05).feasible == (True,)
-        with pytest.raises(NoFeasibleCandidate):
-            select([cand], eta=value + 0.01)
-

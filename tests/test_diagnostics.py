@@ -106,35 +106,20 @@ class TestNormalSummary:
 
 
 class TestResidualRepresentation:
-    def test_gaps_tiny_with_covariance(self):
-        data, result, bundle = _fit_bundle(
-            1, HuberLoss(scale=1.0), ElasticNet(lam=0.05, tau=0.1)
-        )
-        rng = np.random.default_rng(0)
-        W = rng.normal(size=(2 * data.p, data.p))
-        Sigma = W.T @ W / (2 * data.p)
-        rep = residual_representation_check(
-            result, bundle, HuberLoss(scale=1.0), Sigma=Sigma
-        )
-        assert rep.t_hat == pytest.approx(trace_sigma_A(bundle, Sigma), abs=0)
-        assert np.max(rep.gaps) <= 1e-10
-
     @pytest.mark.parametrize("t", [1e-6, 0.17, 1.0, 42.0])
     def test_gaps_tiny_for_any_positive_step(self, t):
         """The prox identity r = prox[t*rho](r + t*psi(r)) holds for all t."""
         data, result, bundle = _fit_bundle(
             2, HuberLoss(scale=0.8), ElasticNet(lam=0.04, tau=0.06)
         )
-        rep = residual_representation_check(
-            result, bundle, HuberLoss(scale=0.8), t_hat=t
-        )
+        rep = residual_representation_check(result, HuberLoss(scale=0.8), t_hat=t)
         assert np.max(rep.gaps) <= 1e-10
 
     def test_square_loss_effective_obs(self):
         """Square loss: u = (1 + t) r exactly."""
         data, result, bundle = _fit_bundle(3, SquareLoss(), ridge(0.2))
         t = 0.37
-        rep = residual_representation_check(result, bundle, SquareLoss(), t_hat=t)
+        rep = residual_representation_check(result, SquareLoss(), t_hat=t)
         np.testing.assert_allclose(
             rep.effective_obs, (1 + t) * result.residuals, rtol=1e-15
         )
@@ -146,7 +131,7 @@ class TestResidualRepresentation:
         saturated = np.abs(result.residuals) > loss.scale
         assert np.any(saturated)
         t = 0.8
-        rep = residual_representation_check(result, bundle, loss, t_hat=t)
+        rep = residual_representation_check(result, loss, t_hat=t)
         r_sat = result.residuals[saturated]
         np.testing.assert_allclose(
             rep.effective_obs[saturated],
@@ -156,14 +141,9 @@ class TestResidualRepresentation:
 
     def test_nonpositive_step_returns_identity(self):
         data, result, bundle = _fit_bundle(5, SquareLoss(), ridge(0.2))
-        rep = residual_representation_check(result, bundle, SquareLoss(), t_hat=0.0)
+        rep = residual_representation_check(result, SquareLoss(), t_hat=0.0)
         np.testing.assert_array_equal(rep.gaps, np.zeros(data.n))
         np.testing.assert_array_equal(rep.effective_obs, result.residuals)
-
-    def test_requires_sigma_or_t(self):
-        data, result, bundle = _fit_bundle(6, SquareLoss(), ridge(0.2))
-        with pytest.raises(ValueError):
-            residual_representation_check(result, bundle, SquareLoss())
 
 
 class TestZetaStatistics:

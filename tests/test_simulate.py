@@ -9,6 +9,7 @@ import pytest
 from hubertune import (
     FitOptions,
     InputError,
+    SingularSystem,
     aggregate,
     generate,
     load_sim_config,
@@ -364,6 +365,39 @@ class TestRunGrid:
         assert all(rec.failed for rec in result.records)
         for rec in result.records:  # best-iterate metrics still present
             assert np.isfinite(rec.oos_error)
+
+    def test_singular_a_hat_read_is_a_failed_record(self, monkeypatch):
+        """A_hat raising SingularSystem on first read fails that record only,
+        exactly as a singular sensitivity factor does."""
+        import hubertune.criterion
+        import hubertune.simulate
+
+        def raise_on_call(module, name, k):
+            original, calls = getattr(module, name), []
+
+            def patched(*args):
+                calls.append(None)
+                if len(calls) == k:
+                    raise SingularSystem("injected")
+                return original(*args)
+
+            monkeypatch.setattr(module, name, patched)
+
+        cfg = self.small_config(replications=2)
+        clean = run_grid(cfg).records
+        # Call 5 of each is replication 1, cell 1: every clean cell has a bundle.
+        raise_on_call(hubertune.criterion, "sensitivity_closed_form", 5)
+        singular_factor = run_grid(cfg).records
+        monkeypatch.undo()
+        raise_on_call(hubertune.simulate, "trace_sigma_A", 5)
+        singular_a_hat = run_grid(cfg).records
+
+        assert not any(rec.failed for rec in clean)
+        assert singular_a_hat[4].failed and math.isnan(singular_a_hat[4].df)
+        assert repr(singular_a_hat[4].row()) == repr(singular_factor[4].row())
+        for i, rec in enumerate(singular_a_hat):
+            if i != 4:
+                assert rec.row() == clean[i].row()
 
     def test_metric_extraction(self):
         result = run_grid(self.small_config())

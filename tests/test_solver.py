@@ -236,18 +236,29 @@ class TestInvariants:
         assert again.iterations == 0
         np.testing.assert_array_equal(again.beta_hat, first.beta_hat)
 
-    def test_lipschitz_hint_gives_same_answer(self):
+    def test_fits_on_one_dataset_share_one_power_iteration(self, power_iterations):
+        """Each intercept flag runs one power iteration per Dataset, and the
+        cached value gives fits bit-identical to those on a fresh Dataset."""
         data = self._random_instance(43)
-        loss = HuberLoss(scale=1.1)
-        penalty = ElasticNet(lam=0.05, tau=0.02)
-        opts = FitOptions(kkt_tolerance=1e-11)
-        base = fit(data, loss, penalty, opts)
-        s = largest_singular_value(data.X)
-        hinted = fit(
-            data, loss, penalty,
-            FitOptions(kkt_tolerance=1e-11, lipschitz_bound=s * s / data.n),
-        )
-        np.testing.assert_allclose(hinted.beta_hat, base.beta_hat, atol=1e-8)
+        cases = [
+            (loss, penalty, intercept)
+            for loss, penalty in [
+                (HuberLoss(scale=1.1), ElasticNet(lam=0.05, tau=0.02)),
+                (SquareLoss(), lasso(0.1)),
+            ]
+            for intercept in (False, True)
+        ]
+        shared = [
+            fit(data, loss, penalty, FitOptions(intercept=intercept))
+            for loss, penalty, intercept in cases
+        ]
+        assert power_iterations == [(data.n, data.p), (data.n, data.p + 1)]
+        for (loss, penalty, intercept), got in zip(cases, shared):
+            fresh = Dataset(data.X, data.y)
+            alone = fit(fresh, loss, penalty, FitOptions(intercept=intercept))
+            assert got.iterations == alone.iterations
+            np.testing.assert_array_equal(got.beta_hat, alone.beta_hat)
+            assert got.intercept_hat == alone.intercept_hat
 
     def test_largest_singular_value_matches_svd(self):
         """Power iteration tracks the SVD top value closely, never above it.
