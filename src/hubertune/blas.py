@@ -1,10 +1,12 @@
 """OpenBLAS thread control.
 
-numpy and scipy each bundle their own OpenBLAS, and both libraries are
-loaded as soon as ``hubertune`` is imported: from then on the
-``OPENBLAS_NUM_THREADS`` environment variable is no longer read. The thread
-count is therefore read and set through each loaded library's own
-``*_get_num_threads*`` and ``*_set_num_threads*`` symbols with ctypes.
+``hubertune`` runs on numpy alone, so the CLI loads one OpenBLAS, numpy's,
+as soon as the package is imported: from then on the
+``OPENBLAS_NUM_THREADS`` environment variable is no longer read. scipy
+bundles a second one, loaded only when a library caller imports scipy. The
+thread count is therefore read and set through each loaded library's own
+``*_get_num_threads*`` and ``*_set_num_threads*`` symbols with ctypes, which
+covers scipy's too when it is there.
 Where no OpenBLAS is found (another BLAS, or no ``/proc/self/maps``), every
 function here does nothing.
 """
@@ -20,6 +22,9 @@ from typing import Optional
 # then leaves every library as it is.
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+# numpy's wheels ship OpenBLAS built as "scipy-openblas", whose symbols
+# carry that prefix (64_ in the ILP64 build numpy uses); plain OpenBLAS
+# builds export the unprefixed names.
 _GET_THREADS = (
     "scipy_openblas_get_num_threads64_",
     "scipy_openblas_get_num_threads",

@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -84,9 +85,26 @@ def _read_text(path) -> str:
 
 
 def read_matrix_csv(path, header: bool = False) -> np.ndarray:
-    """Parse a numeric CSV; errors carry the offending line and column."""
+    """Parse a numeric CSV; errors carry the offending line and column.
+
+    numpy's parser reads well-formed files. Anything it refuses or warns
+    about (a ragged row, a bad field, a whitespace-only line, no data at
+    all) goes to _parse_fields, which accepts what float() accepts and
+    words every error.
+    """
     lines = _read_text(path).splitlines()
     start = 1 if header else 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # loadtxt's "no data" warning
+        try:
+            return np.loadtxt(lines[start:], delimiter=",", ndmin=2, comments=None)
+        except (ValueError, UserWarning):
+            pass
+    return _parse_fields(path, lines, start)
+
+
+def _parse_fields(path, lines, start: int) -> np.ndarray:
+    """The rows lines[start:] field by field with float(); blank lines skip."""
     rows = []
     width = None
     for lineno in range(start, len(lines)):

@@ -21,7 +21,7 @@ from .data import Dataset
 from .errors import NoFeasibleCandidate, NonConvergence, SingularSystem
 from .losses import Loss
 from .penalties import ElasticNet
-from .sensitivity import SensitivityBundle, sensitivity_closed_form, trace_sigma_A
+from .sensitivity import SensitivityBundle, sensitivity_closed_form
 from .solver import FitOptions, FitResult, fit
 
 DEFAULT_ETA = 0.05
@@ -92,14 +92,11 @@ def crit_adaptive(
     )
 
 
-def crit_oracle_sigma(
-    fit_result: FitResult,
-    bundle: SensitivityBundle,
-    Sigma: np.ndarray,
-    loss: Loss,
-) -> float:
-    """||r + trace[Sigma A] psi(r)||^2 (unnormalized; divide by n as needed)."""
-    t_hat = trace_sigma_A(bundle, Sigma)
+def crit_oracle_sigma(fit_result: FitResult, loss: Loss, t_hat: float) -> float:
+    """||r + t_hat psi(r)||^2 (unnormalized; divide by n as needed).
+
+    ``t_hat`` is trace[Sigma A] (trace_sigma_A) for the known covariance.
+    """
     r = fit_result.residuals
     combined = r + t_hat * loss.psi(r)
     return float(combined @ combined)

@@ -16,10 +16,11 @@ suite as tolerances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DegenerateDenominator
 from .formatting import write_csv
@@ -34,7 +35,7 @@ def ks_normal(values) -> float:
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty sample")
-    cdf = ndtr(x)
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.tolist()])
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))
@@ -190,7 +191,8 @@ def qq_table(values) -> np.ndarray:
     positions (i - 1/2)/n against the sorted sample."""
     x = np.sort(np.asarray(values, dtype=float))
     n = x.shape[0]
-    theo = ndtri((np.arange(1, n + 1) - 0.5) / n)
+    inv_cdf = NormalDist().inv_cdf
+    theo = np.array([inv_cdf((i - 0.5) / n) for i in range(1, n + 1)])
     return np.column_stack([theo, x])
 
 

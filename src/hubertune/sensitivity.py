@@ -39,14 +39,12 @@ from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dtrtri
 
 from .data import Dataset
 from .errors import DegenerateFit, NonConvergence, SingularSystem
 from .losses import HuberLoss, Loss
 from .penalties import ElasticNet
-from .solver import FitOptions, FitResult, fit
+from .solver import TRIANGULAR_BASE, FitOptions, FitResult, cholesky, fit
 
 TAU_FLOOR = 1e-10
 
@@ -94,16 +92,33 @@ def _inlier_block(X, S, d, with_intercept):
     return Z
 
 
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """L^{-1} for lower triangular L, by 2 x 2 blocks.
+
+    [[A, 0], [B, C]]^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]], with
+    LAPACK's general inverse at and below order TRIANGULAR_BASE.
+    """
+    m = L.shape[0]
+    if m <= TRIANGULAR_BASE:
+        return np.tril(np.linalg.inv(L))
+    h = m // 2
+    out = np.zeros_like(L)
+    out[:h, :h] = _lower_inverse(L[:h, :h])
+    out[h:, h:] = _lower_inverse(L[h:, h:])
+    out[h:, :h] = -(out[h:, h:] @ (L[h:, :h] @ out[:h, :h]))
+    return out
+
+
 def _inverse_factor(G: np.ndarray, c: float) -> np.ndarray:
     """L^{-1} for the Cholesky factor L of G + cI (G is overwritten)."""
     G[np.diag_indices_from(G)] += c
     try:
-        L = cho_factor(G, lower=True, overwrite_a=True)[0]
+        L = cholesky(G)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(
             f"sensitivity system singular at order {G.shape[0]}, n*tau_eff={c:g}"
         ) from exc
-    return np.tril(dtrtri(L, lower=1, overwrite_c=1)[0])
+    return _lower_inverse(L)
 
 
 def _primal_inverse(X, S, d, with_intercept, c) -> np.ndarray:
@@ -247,8 +262,8 @@ def sensitivity_fd_oracle(
         y_plus[i] += delta
         y_minus = data.y.copy()
         y_minus[i] -= delta
-        fit_plus = fit(Dataset(data.X, y_plus), loss, penalty, warm)
-        fit_minus = fit(Dataset(data.X, y_minus), loss, penalty, warm)
+        fit_plus = fit(data.with_response(y_plus), loss, penalty, warm)
+        fit_minus = fit(data.with_response(y_minus), loss, penalty, warm)
         J[:, i] = (fit_plus.beta_hat - fit_minus.beta_hat) / (2.0 * delta)
 
     d = loss.psi_prime(base.residuals)

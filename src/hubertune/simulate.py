@@ -358,15 +358,16 @@ def _replication_records(config: SimConfig, options: FitOptions, rep: int):
             # After a dual solve A_hat is first formed here, and its primal
             # factor can still be singular: the record then stays failed.
             try:
+                t_hat = trace_sigma_A(bundle, Sigma)
                 record = replace(
                     record,
                     df=bundle.df,
                     trace_v=bundle.trace_V,
                     n_hat=bundle.n_hat,
                     p_hat=bundle.p_hat,
-                    trace_sigma_a=trace_sigma_A(bundle, Sigma),
+                    trace_sigma_a=t_hat,
                     crit_adaptive=cand.report.crit_adaptive,
-                    crit_oracle=crit_oracle_sigma(result, bundle, Sigma, cand.loss),
+                    crit_oracle=crit_oracle_sigma(result, cand.loss, t_hat),
                     constraint_value=cand.report.constraint_value,
                     failed=not result.converged,
                 )

@@ -25,14 +25,15 @@ one linear system with the sensitivity matrix,
 where D = diag{psi'(r)}, S is the active set, and an intercept joins S as an
 unpenalized unit column. When the pattern has stayed the same over
 PATTERN_CHECKS consecutive KKT checks, the solver factors that matrix once
-(Cholesky) and solves for b_S. The solved point is accepted only if its own
-KKT residual is within the tolerance, the same certificate a FISTA iterate
-must meet; otherwise FISTA carries on from its own iterate. A deterministic
-flop budget gates the attempts, so results never depend on timing: with a
-FISTA iteration costed at 6 n p and an attempt at n p_hat^2 + p_hat^3 / 3,
-attempt k (from 0) waits until the iterations so far cost at least 2^k
-attempts. All attempts together thus cost at most twice the FISTA work they
-interrupt, and large active sets are rarely polished.
+(Cholesky) and solves for b_S by a forward and a back substitution. The
+solved point is accepted only if its own KKT residual is within the
+tolerance, the same certificate a FISTA iterate must meet; otherwise FISTA
+carries on from its own iterate. A deterministic flop budget gates the
+attempts, so results never depend on timing: with a FISTA iteration costed
+at 6 n p and an attempt at n p_hat^2 + p_hat^3 / 3, attempt k (from 0)
+waits until the iterations so far cost at least 2^k attempts. All attempts
+together thus cost at most twice the FISTA work they interrupt, and large
+active sets are rarely polished.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 # largest_singular_value is re-exported: the solver's step bound comes from it.
 from .data import Dataset, largest_singular_value
@@ -51,6 +51,41 @@ from .penalties import ElasticNet
 
 # Consecutive KKT checks with an unchanged pattern before a Newton attempt.
 PATTERN_CHECKS = 3
+
+# Order at or below which the blocked triangular routines (here and in
+# sensitivity.py) hand a diagonal block to LAPACK whole.
+TRIANGULAR_BASE = 64
+
+
+def cholesky(G: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of G = L L'.
+
+    Raises numpy.linalg.LinAlgError when G is not positive definite. Every
+    factorization in the package goes through here.
+    """
+    return np.linalg.cholesky(G)
+
+
+def solve_triangular(T: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """T^{-1} b for a lower or upper triangular T, by 2 x 2 blocks.
+
+    Above order TRIANGULAR_BASE one half is solved, its contribution
+    subtracted from the other half's right side with one matmul, and the
+    other half solved; LAPACK's general solve takes the diagonal blocks at
+    and below it.
+    """
+    m = T.shape[0]
+    if m <= TRIANGULAR_BASE:
+        return np.linalg.solve(T, b)
+    h = m // 2
+    x = np.empty(b.shape)
+    if lower:
+        x[:h] = solve_triangular(T[:h, :h], b[:h], True)
+        x[h:] = solve_triangular(T[h:, h:], b[h:] - T[h:, :h] @ x[:h], True)
+    else:
+        x[h:] = solve_triangular(T[h:, h:], b[h:], False)
+        x[:h] = solve_triangular(T[:h, :h], b[:h] - T[:h, h:] @ x[h:], False)
+    return x
 
 
 @dataclass(frozen=True)
@@ -220,11 +255,11 @@ def fit(
         sign_S[:off] = 0.0
         rhs = XS.T @ (d * y + psi_r - d * resid) - n * penalty.lam * sign_S
         try:
-            factor = cho_factor(G, lower=True)
+            L = cholesky(G)
         except np.linalg.LinAlgError:
             return None
         w_new = np.zeros_like(wvec)
-        w_new[S] = cho_solve(factor, rhs)
+        w_new[S] = solve_triangular(L.T, solve_triangular(L, rhs, True), False)
         r_new = y - Xa @ w_new
         kkt_new = kkt_from_gradient(Xa.T @ loss.psi(r_new) / n, w_new)
         if kkt_new <= options.kkt_tolerance:

@@ -285,7 +285,7 @@ class TestSelectionQuality:
             margins.append(selected.oos_error - min(r.oos_error for r in recs))
 
         within = sum(1 for m in margins if m <= 0.1)
-        assert within >= 45  # measured 50/50, worst margin 0.092
+        assert within >= 45  # measured 50/50, worst margin 0.091
 
 
 class TestProxIdentity:

@@ -27,7 +27,8 @@ from hubertune import (
     select,
     sensitivity_closed_form,
 )
-from hubertune.cli import main
+import hubertune.cli
+from hubertune.cli import _parse_fields, main, read_matrix_csv
 from hubertune.simulate import GRID_METRICS
 
 # ---------------------------------------------------------------------------
@@ -393,6 +394,53 @@ class TestFit:
 # ---------------------------------------------------------------------------
 # select
 # ---------------------------------------------------------------------------
+
+
+class TestCsvReader:
+    """numpy's parser and the per-field loop read the same arrays, bit for bit."""
+
+    @staticmethod
+    def loop(path, header=False):
+        return _parse_fields(path, path.read_text().splitlines(), 1 if header else 0)
+
+    @staticmethod
+    def same(a, b):
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_full_precision_values_take_the_numpy_parser(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(-30, 30, size=(40, 7))
+        X[0, :2] = [0.0, -0.0]
+        path = tmp_path / "x.csv"
+        path.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in X))
+        expected = self.loop(path)
+        assert self.same(expected, X)
+
+        def refuse(*args):
+            raise AssertionError("fell back to the per-field loop")
+
+        monkeypatch.setattr(hubertune.cli, "_parse_fields", refuse)
+        assert self.same(read_matrix_csv(path), expected)
+
+    @pytest.mark.parametrize(
+        "text, header, expected",
+        [
+            ("a,b\n1,2\n3,4\n", True, [[1.0, 2.0], [3.0, 4.0]]),
+            ("1,2\n\n3,4\n", False, [[1.0, 2.0], [3.0, 4.0]]),
+            ("1,2\n  \n3,4\n", False, [[1.0, 2.0], [3.0, 4.0]]),
+            ("1\n \t\n2\n", False, [[1.0], [2.0]]),
+            ("+1, 2 \n", False, [[1.0, 2.0]]),
+            ("inf,-inf\n", False, [[math.inf, -math.inf]]),
+            ("1_0,2\n", False, [[10.0, 2.0]]),
+        ],
+        ids=["header", "blank", "whitespace", "whitespace-1col", "plus", "inf", "underscore"],
+    )
+    def test_edge_inputs_match_the_loop(self, tmp_path, text, header, expected):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        got = read_matrix_csv(path, header)
+        assert self.same(got, self.loop(path, header))
+        assert self.same(got, np.array(expected))
 
 
 class TestSelect:
@@ -827,6 +875,15 @@ class TestCheckDerivatives:
         validate(doc, "check_derivatives_report.schema.json")
         assert doc["passed"] is False
         assert any("jacobian_y" in failure for failure in doc["failures"])
+
+    def test_response_refits_run_no_power_iteration(self, tmp_path, power_iterations):
+        """One power iteration per fixture draw and per contraction refit
+        (2 n p at each of two steps); the 2 n response refits of the FD
+        oracle share the base dataset's."""
+        n, p = 8, 3
+        argv = ["check-derivatives", "--n", str(n), "--p", str(p)]
+        assert main(argv + ["--out", str(tmp_path / "check.json")]) == 0
+        assert len(power_iterations) == 1 + 2 * (2 * n * p)
 
     def test_unknown_fault_is_a_parse_error(self):
         with pytest.raises(SystemExit) as excinfo:

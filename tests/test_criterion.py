@@ -138,8 +138,8 @@ class TestCritOracle:
         rng = np.random.default_rng(0)
         W = rng.normal(size=(2 * data.p, data.p))
         Sigma = W.T @ W / (2 * data.p)
-        value = crit_oracle_sigma(result, bundle, Sigma, loss)
         tsa = trace_sigma_A(bundle, Sigma)
+        value = crit_oracle_sigma(result, loss, tsa)
         r2 = float(result.residuals @ result.residuals)
         assert value == pytest.approx((1 + tsa) ** 2 * r2, rel=1e-12)
 

@@ -3,7 +3,7 @@ identities, and the standardized square-loss residual statistics."""
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from hubertune import (
     Dataset,
@@ -228,6 +228,13 @@ class TestTables:
         np.testing.assert_array_equal(table[:, 1], np.sort(x))
         # Median plotting position maps to the exact normal median.
         assert table[50, 0] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 101, 5000])
+    def test_qq_quantiles_match_ndtri(self, n):
+        """The theoretical column against scipy's normal quantile function."""
+        table = qq_table(np.zeros(n))
+        expected = ndtri((np.arange(1, n + 1) - 0.5) / n)
+        np.testing.assert_allclose(table[:, 0], expected, rtol=0, atol=1e-14)
 
     def test_histogram_table(self):
         rng = np.random.default_rng(12)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import hubertune.sensitivity
 from hubertune import (
@@ -12,6 +13,7 @@ from hubertune import (
     FitResult,
     GridCell,
     HuberLoss,
+    SingularSystem,
     SquareLoss,
     a_hat_full,
     apply_V,
@@ -27,7 +29,14 @@ from hubertune import (
     sensitivity_closed_form,
     trace_sigma_A,
 )
-from hubertune.sensitivity import TAU_FLOOR, _fd_safe_fixture, sensitivity_fd_oracle
+from hubertune.sensitivity import (
+    TAU_FLOOR,
+    _fd_safe_fixture,
+    _inverse_factor,
+    _lower_inverse,
+    sensitivity_fd_oracle,
+)
+from hubertune.solver import cholesky
 from oracles import dense_df, dense_system, fit_with_intercept, intercept_psi_matrix
 
 TIGHT = FitOptions(kkt_tolerance=1e-11)
@@ -495,15 +504,15 @@ def _dense_inverse(data, loss, result, bundle):
 
 @pytest.fixture
 def cho_shapes(monkeypatch):
-    """Record the shape of every matrix sensitivity hands to cho_factor."""
+    """Record the shape of every matrix sensitivity hands to cholesky."""
     shapes = []
-    original = hubertune.sensitivity.cho_factor
+    original = hubertune.sensitivity.cholesky
 
     def recording(a, *args, **kwargs):
         shapes.append(a.shape)
         return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(hubertune.sensitivity, "cho_factor", recording)
+    monkeypatch.setattr(hubertune.sensitivity, "cholesky", recording)
     return shapes
 
 
@@ -586,6 +595,45 @@ class TestWorkGates:
             sensitivity_closed_form(
                 Dataset(X=X, y=np.zeros(4)), HuberLoss(scale=1.0), ridge(0.1), result
             )
+
+
+class TestInverseFactor:
+    """L^{-1} by 2 x 2 blocks, on both sides of the base case, against LAPACK's
+    triangular inverse."""
+
+    @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 129, 500])
+    def test_matches_lapack_triangular_inverse(self, m):
+        A = np.random.default_rng(m).normal(size=(m + 5, m))
+        L = cholesky(A.T @ A + np.eye(m))
+        expected = np.tril(scipy.linalg.lapack.dtrtri(L, lower=1)[0])
+        got = _lower_inverse(L)
+        np.testing.assert_array_equal(got, np.tril(got))
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_inverse_factor_adds_the_shift(self):
+        A = np.random.default_rng(3).normal(size=(90, 80))
+        G = A.T @ A
+        Linv = _inverse_factor(G.copy(), 0.5)
+        np.testing.assert_allclose(
+            Linv.T @ Linv, np.linalg.inv(G + 0.5 * np.eye(80)), rtol=1e-10, atol=1e-12
+        )
+
+    def test_indefinite_system_is_singular(self):
+        G = np.diag([1.0, -2.0, 3.0])
+        with pytest.raises(SingularSystem):
+            _inverse_factor(G, 1.0)
+
+
+class TestFdOracleWork:
+    def test_refits_share_the_design_power_iteration(self, power_iterations):
+        """The 2n response refits reuse the base dataset's singular value."""
+        rng = np.random.default_rng(8)
+        data = Dataset(rng.normal(size=(12, 4)), rng.normal(size=12))
+        J, _, _ = sensitivity_fd_oracle(
+            data, HuberLoss(scale=1.0), ElasticNet(lam=0.02, tau=0.05), TIGHT, 1e-6
+        )
+        assert power_iterations == [(12, 4)]  # the base fit's, none per refit
+        assert np.all(np.isfinite(J))
 
 
 class TestDualSideDerivativeChecks:

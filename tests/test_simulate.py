@@ -292,6 +292,32 @@ class TestRunGrid:
             }
         )
 
+    def test_one_trace_sigma_a_per_record(self, monkeypatch):
+        """trace[Sigma A] is computed once per record and handed on to the
+        oracle criterion."""
+        import hubertune.criterion
+        import hubertune.diagnostics
+        import hubertune.sensitivity
+        import hubertune.simulate
+
+        calls = []
+        original = hubertune.sensitivity.trace_sigma_A
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        for module in (
+            hubertune.sensitivity,
+            hubertune.criterion,
+            hubertune.diagnostics,
+            hubertune.simulate,
+        ):
+            monkeypatch.setattr(module, "trace_sigma_A", counting, raising=False)
+        records = run_grid(self.small_config(replications=1)).records
+        assert len(records) == 3 and not any(rec.failed for rec in records)
+        assert len(calls) == 3
+
     def test_record_layout(self):
         cfg = self.small_config()
         result = run_grid(cfg)

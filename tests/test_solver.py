@@ -18,7 +18,7 @@ from hubertune import (
     objective_value,
     ridge,
 )
-from hubertune.solver import _kkt_score_gap
+from hubertune.solver import TRIANGULAR_BASE, _kkt_score_gap, cholesky, solve_triangular
 
 from oracles import fit_with_intercept
 
@@ -236,6 +236,24 @@ class TestInvariants:
         assert again.iterations == 0
         np.testing.assert_array_equal(again.beta_hat, first.beta_hat)
 
+    def test_with_response_shares_the_computed_singular_values(self, power_iterations):
+        """A new response keeps the values already computed for X, and only
+        those; the fits then match a fresh Dataset bit for bit."""
+        data = self._random_instance(44)
+        y_new = data.y[::-1].copy()
+        assert data.sigma_max > 0  # computed here, before the copy
+        shared = data.with_response(y_new)
+        np.testing.assert_array_equal(shared.y, y_new)
+        assert shared.X is data.X
+        assert "sigma_max_with_intercept" not in vars(shared)
+        got = fit(shared, SquareLoss(), ridge(0.1))
+        assert power_iterations == [(data.n, data.p)]
+        alone = fit(Dataset(data.X, y_new), SquareLoss(), ridge(0.1))
+        assert got.iterations == alone.iterations
+        np.testing.assert_array_equal(got.beta_hat, alone.beta_hat)
+        with pytest.raises(ValueError):
+            data.with_response(np.zeros(data.n + 1))
+
     def test_fits_on_one_dataset_share_one_power_iteration(self, power_iterations):
         """Each intercept flag runs one power iteration per Dataset, and the
         cached value gives fits bit-identical to those on a fresh Dataset."""
@@ -358,6 +376,48 @@ class TestNewtonPolish:
             for tau in (0.0, 1e-3)
         )
         assert total <= 9_925 // 2
+
+
+# Orders on both sides of the blocked routines' base case.
+FACTOR_ORDERS = [1, 2, 63, 64, 65, 129, 500]
+
+
+def spd_matrix(m, seed):
+    A = np.random.default_rng(seed).normal(size=(m + 5, m))
+    return A.T @ A + np.eye(m)
+
+
+class TestFactorHelpers:
+    def test_orders_straddle_the_base_case(self):
+        assert {TRIANGULAR_BASE, TRIANGULAR_BASE + 1} <= set(FACTOR_ORDERS)
+
+    @pytest.mark.parametrize("m", FACTOR_ORDERS)
+    def test_cholesky_is_a_lower_factor(self, m):
+        G = spd_matrix(m, m)
+        L = cholesky(G)
+        np.testing.assert_array_equal(L, np.tril(L))
+        assert np.all(np.diag(L) > 0)
+        assert np.linalg.norm(L @ L.T - G) <= 1e-13 * np.linalg.norm(G)
+
+    @pytest.mark.parametrize("m", FACTOR_ORDERS)
+    def test_not_positive_definite_raises(self, m):
+        G = spd_matrix(m, m)
+        G[-1, -1] = -1.0  # e_m' G e_m < 0
+        with pytest.raises(np.linalg.LinAlgError):
+            cholesky(G)
+
+    @pytest.mark.parametrize("m", FACTOR_ORDERS)
+    @pytest.mark.parametrize("lower", [True, False], ids=["forward", "back"])
+    @pytest.mark.parametrize("columns", [None, 3], ids=["vector", "matrix"])
+    def test_blocked_solve_matches_dense_solve(self, m, lower, columns):
+        L = cholesky(spd_matrix(m, m))
+        T = L if lower else L.T
+        shape = (m,) if columns is None else (m, columns)
+        b = np.random.default_rng(m + 1).normal(size=shape)
+        expected = np.linalg.solve(T, b)
+        got = solve_triangular(T, b, lower)
+        assert got.shape == expected.shape
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestKktResidual:
