@@ -9,22 +9,10 @@ import numpy as np
 
 
 def largest_singular_value(X: np.ndarray) -> float:
-    """Deterministic power iteration for the top singular value of X."""
-    p = X.shape[1]
-    v = np.full(p, 1.0 / np.sqrt(p))
-    s = 0.0
-    for _ in range(200):
-        w = X.T @ (X @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v_new = w / nw
-        s_new = np.sqrt(nw)
-        if abs(s_new - s) <= 1e-12 * max(s_new, 1.0):
-            s = s_new
-            break
-        v, s = v_new, s_new
-    return s
+    """Top singular value of X, from the top eigenvalue of its smaller Gram
+    matrix (X X' when n < p, X'X otherwise)."""
+    G = X @ X.T if X.shape[0] < X.shape[1] else X.T @ X
+    return float(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from .data import Dataset
 from .errors import DegenerateFit, NonConvergence, SingularSystem
 from .losses import HuberLoss, Loss
 from .penalties import ElasticNet
-from .solver import TRIANGULAR_BASE, FitOptions, FitResult, cholesky, fit
+from .solver import FitOptions, FitResult, fit
 
 TAU_FLOOR = 1e-10
 
@@ -92,6 +92,11 @@ def _inlier_block(X, S, d, with_intercept):
     return Z
 
 
+# Order at or below which _lower_inverse hands a diagonal block to LAPACK
+# whole.
+TRIANGULAR_BASE = 64
+
+
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
     """L^{-1} for lower triangular L, by 2 x 2 blocks.
 
@@ -113,7 +118,7 @@ def _inverse_factor(G: np.ndarray, c: float) -> np.ndarray:
     """L^{-1} for the Cholesky factor L of G + cI (G is overwritten)."""
     G[np.diag_indices_from(G)] += c
     try:
-        L = cholesky(G)
+        L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(
             f"sensitivity system singular at order {G.shape[0]}, n*tau_eff={c:g}"

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -94,6 +95,8 @@ class SimConfig:
             raise InputError("n and p must be >= 1")
         if self.replications < 1:
             raise InputError("replications must be >= 1")
+        if self.sigma_seed < 0 or self.base_seed < 0:
+            raise InputError("sigma_seed and base_seed must be >= 0")
         if len(self.grid) == 0:
             raise InputError("grid must be nonempty")
         if self.design_kind not in ("gaussian", "rademacher"):
@@ -123,16 +126,37 @@ def _require_keys(obj: dict, required: set, optional: set, where: str):
         raise InputError(f"missing field(s) in {where}: {sorted(missing)}")
 
 
+def _number(value, what: str) -> float:
+    """value as a float; it must be a finite JSON number (not a bool)."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # Exact for ints too, so an integer literal beyond float range fails.
+    if not (is_number and abs(value) <= sys.float_info.max):
+        raise InputError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, what: str) -> int:
+    """value as an int; it must be a JSON integer (30.0 counts, not a bool)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_noise(obj, where: str) -> NoiseKind:
     if not isinstance(obj, dict):
         raise InputError(f"{where} must be an object with a 'kind' field")
     kind = obj.get("kind")
     if kind == "gaussian":
         _require_keys(obj, {"kind", "sigma"}, set(), where)
-        return GaussianNoise(sigma=float(obj["sigma"]))
+        sigma = _number(obj["sigma"], f"{where}: sigma")
+        if sigma < 0:
+            raise InputError(f"{where}: sigma must be nonnegative")
+        return GaussianNoise(sigma=sigma)
     if kind == "student_t":
         _require_keys(obj, {"kind", "dof"}, set(), where)
-        dof = float(obj["dof"])
+        dof = _number(obj["dof"], f"{where}: dof")
         if dof <= 0:
             raise InputError(f"{where}: dof must be positive")
         return StudentTNoise(dof=dof)
@@ -145,11 +169,11 @@ def _parse_cell(obj, where: str) -> GridCell:
     _require_keys(obj, {"huber_scale", "lambda", "tau"}, set(), where)
     hs = obj["huber_scale"]
     if hs is not None:
-        hs = float(hs)
+        hs = _number(hs, f"{where}: huber_scale")
         if hs <= 0:
             raise InputError(f"{where}: huber_scale must be positive or null")
-    lam = float(obj["lambda"])
-    tau = float(obj["tau"])
+    lam = _number(obj["lambda"], f"{where}: lambda")
+    tau = _number(obj["tau"], f"{where}: tau")
     if lam < 0 or tau < 0:
         raise InputError(f"{where}: lambda and tau must be nonnegative")
     return GridCell(huber_scale=hs, lam=lam, tau=tau)
@@ -185,23 +209,28 @@ def parse_sim_config(doc: dict) -> SimConfig:
     if isinstance(raw_signal, str):
         signal: Union[str, tuple] = raw_signal
     elif isinstance(raw_signal, (list, tuple)):
-        signal = tuple(float(v) for v in raw_signal)
+        signal = tuple(
+            _number(v, f"signal_kind[{k}]") for k, v in enumerate(raw_signal)
+        )
     else:
         raise InputError("signal_kind must be 'sparse' or an array of numbers")
     cells = parse_grid_cells(doc["grid"])
+    redraw = doc.get("redraw_sigma_per_replication", False)
+    if not isinstance(redraw, bool):
+        raise InputError(
+            f"redraw_sigma_per_replication must be true or false, got {redraw!r}"
+        )
     return SimConfig(
-        n=int(doc["n"]),
-        p=int(doc["p"]),
-        sigma_seed=int(doc["sigma_seed"]),
+        n=_integer(doc["n"], "n"),
+        p=_integer(doc["p"], "p"),
+        sigma_seed=_integer(doc["sigma_seed"], "sigma_seed"),
         noise_kind=noise,
         signal_kind=signal,
         grid=cells,
-        replications=int(doc["replications"]),
-        base_seed=int(doc["base_seed"]),
+        replications=_integer(doc["replications"], "replications"),
+        base_seed=_integer(doc["base_seed"], "base_seed"),
         design_kind=str(doc.get("design_kind", "gaussian")),
-        redraw_sigma_per_replication=bool(
-            doc.get("redraw_sigma_per_replication", False)
-        ),
+        redraw_sigma_per_replication=redraw,
     )
 
 

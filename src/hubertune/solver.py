@@ -24,16 +24,17 @@ one linear system with the sensitivity matrix,
 
 where D = diag{psi'(r)}, S is the active set, and an intercept joins S as an
 unpenalized unit column. When the pattern has stayed the same over
-PATTERN_CHECKS consecutive KKT checks, the solver factors that matrix once
-(Cholesky) and solves for b_S by a forward and a back substitution. The
-solved point is accepted only if its own KKT residual is within the
-tolerance, the same certificate a FISTA iterate must meet; otherwise FISTA
-carries on from its own iterate. A deterministic flop budget gates the
-attempts, so results never depend on timing: with a FISTA iteration costed
-at 6 n p and an attempt at n p_hat^2 + p_hat^3 / 3, attempt k (from 0)
-waits until the iterations so far cost at least 2^k attempts. All attempts
-together thus cost at most twice the FISTA work they interrupt, and large
-active sets are rarely polished.
+PATTERN_CHECKS consecutive KKT checks, the solver solves that system for
+b_S with one LU solve (LAPACK's gesv); an exactly singular system is a
+failed attempt. The solved point is accepted only if its own KKT residual
+is within the tolerance, the same certificate a FISTA iterate must meet;
+otherwise FISTA carries on from its own iterate. A deterministic flop
+budget gates the attempts, so results never depend on timing: with a FISTA
+iteration budgeted at 6 n p flops and an attempt at n p_hat^2 + p_hat^3 / 3
+(a budget, not a count of what LAPACK does), attempt k (from 0) waits
+until the iterations so far cost at least 2^k attempts. In these units all
+attempts together cost at most twice the FISTA work they interrupt, and
+large active sets are rarely polished.
 """
 
 from __future__ import annotations
@@ -51,41 +52,6 @@ from .penalties import ElasticNet
 
 # Consecutive KKT checks with an unchanged pattern before a Newton attempt.
 PATTERN_CHECKS = 3
-
-# Order at or below which the blocked triangular routines (here and in
-# sensitivity.py) hand a diagonal block to LAPACK whole.
-TRIANGULAR_BASE = 64
-
-
-def cholesky(G: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L of G = L L'.
-
-    Raises numpy.linalg.LinAlgError when G is not positive definite. Every
-    factorization in the package goes through here.
-    """
-    return np.linalg.cholesky(G)
-
-
-def solve_triangular(T: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
-    """T^{-1} b for a lower or upper triangular T, by 2 x 2 blocks.
-
-    Above order TRIANGULAR_BASE one half is solved, its contribution
-    subtracted from the other half's right side with one matmul, and the
-    other half solved; LAPACK's general solve takes the diagonal blocks at
-    and below it.
-    """
-    m = T.shape[0]
-    if m <= TRIANGULAR_BASE:
-        return np.linalg.solve(T, b)
-    h = m // 2
-    x = np.empty(b.shape)
-    if lower:
-        x[:h] = solve_triangular(T[:h, :h], b[:h], True)
-        x[h:] = solve_triangular(T[h:, h:], b[h:] - T[h:, :h] @ x[:h], True)
-    else:
-        x[h:] = solve_triangular(T[h:, h:], b[h:], False)
-        x[:h] = solve_triangular(T[:h, :h], b[:h] - T[:h, h:] @ x[h:], False)
-    return x
 
 
 @dataclass(frozen=True)
@@ -174,19 +140,21 @@ def fit(
 ) -> FitResult:
     """Solve the penalized M-estimation problem to KKT tolerance.
 
-    Raises IllPosed when lam = tau = 0 with p > n (no unique minimizer) and
+    Raises IllPosed when lam = tau = 0 with more coefficients than rows (p
+    > n, or p + 1 > n with an intercept: no unique minimizer) and
     NonConvergence (carrying the best iterate, flagged) when the iteration
     cap is hit first.
     """
     if options is None:
         options = FitOptions()
     n, p = data.n, data.p
-    if penalty.lam == 0.0 and penalty.tau == 0.0 and p > n:
+    use_icpt = options.intercept
+    if penalty.lam == 0.0 and penalty.tau == 0.0 and p + use_icpt > n:
+        width = f"p + 1 ({p + 1})" if use_icpt else f"p ({p})"
         raise IllPosed(
-            f"no penalty and p ({p}) > n ({n}): the minimizer is not unique"
+            f"no penalty and {width} > n ({n}): the minimizer is not unique"
         )
 
-    use_icpt = options.intercept
     if use_icpt:
         Xa = np.hstack([np.ones((n, 1)), data.X])
     else:
@@ -236,12 +204,11 @@ def fit(
             newton_attempts=attempts,
         )
 
-    def newton_point(wvec, resid, psi_r, d):
+    def newton_point(wvec, psi_r, d):
         """Minimizer of the quadratic piece of F holding the current pattern.
 
         Returns (w, r, kkt) at the solved point when its KKT residual meets
-        the tolerance, and None when it does not or the system cannot be
-        factored.
+        the tolerance, and None when it does not or the system is singular.
         """
         S = np.flatnonzero(wvec[off:]) + off
         if use_icpt:
@@ -253,13 +220,14 @@ def fit(
         G[penalized, penalized] += n * penalty.tau
         sign_S = np.sign(wvec[S])
         sign_S[:off] = 0.0
-        rhs = XS.T @ (d * y + psi_r - d * resid) - n * penalty.lam * sign_S
+        # psi(r) = r wherever psi' = 1, so D y + psi(r) - D r is y on the
+        # inliers and psi(r) elsewhere.
+        rhs = XS.T @ np.where(d != 0.0, y, psi_r) - n * penalty.lam * sign_S
+        w_new = np.zeros_like(wvec)
         try:
-            L = cholesky(G)
+            w_new[S] = np.linalg.solve(G, rhs)
         except np.linalg.LinAlgError:
             return None
-        w_new = np.zeros_like(wvec)
-        w_new[S] = solve_triangular(L.T, solve_triangular(L, rhs, True), False)
         r_new = y - Xa @ w_new
         kkt_new = kkt_from_gradient(Xa.T @ loss.psi(r_new) / n, w_new)
         if kkt_new <= options.kkt_tolerance:
@@ -275,7 +243,7 @@ def fit(
         kkt = kkt_residual(data, loss, penalty, w[off:], None)
         return build_result(w, r, 0, kkt, True)
 
-    # Small cushion over the power-iteration estimate.
+    # Small cushion over the exact value, for rounding only.
     lip = 1.02 * (sigma_max * sigma_max / n)
     step0 = 1.0 / lip
     step_cap = 1e4 * step0
@@ -378,11 +346,12 @@ def fit(
                 pattern, tried_pattern
             ):
                 p_hat = int(np.count_nonzero(w[off:])) + off
+                # The budget of an attempt (see the module docstring).
                 attempt_flops = n * p_hat * p_hat + p_hat**3 / 3.0
                 if iterations * iteration_flops >= 2**attempts * attempt_flops:
                     attempts += 1
                     tried_pattern = pattern
-                    polished = newton_point(w, r, ps, d)
+                    polished = newton_point(w, ps, d)
                     if polished is not None:
                         w, r, kkt = polished
                         converged = True

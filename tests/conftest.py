@@ -18,7 +18,8 @@ def _one_blas_thread():
 
 @pytest.fixture
 def power_iterations(monkeypatch):
-    """Record the shape of every matrix the step-bound power iteration sees."""
+    """Record the shape of every matrix whose step bound (top singular value)
+    is computed."""
     shapes = []
     original = hubertune.data.largest_singular_value
 

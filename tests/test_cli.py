@@ -23,6 +23,7 @@ from hubertune import (
     crit_adaptive,
     evaluate,
     fit,
+    kkt_residual,
     make_loss,
     select,
     sensitivity_closed_form,
@@ -107,6 +108,32 @@ def write_grid(tmp_path, cells=None, name="grid.json"):
     path = tmp_path / name
     path.write_text(json.dumps(GRID_3 if cells is None else cells))
     return path
+
+
+# Raw JSON text for a number field, each of which parsing must refuse.
+MALFORMED_NUMBERS = {
+    "string": '"0.1x"',
+    "null": "null",
+    "nan": "NaN",
+    "infinity": "-Infinity",
+    "overflow": "1e999",
+    "bool": "true",
+}
+
+
+def with_raw_value(doc, text) -> str:
+    """doc as JSON text with its one "@" placeholder replaced by raw text."""
+    dumped = json.dumps(doc)
+    assert dumped.count('"@"') == 1
+    return dumped.replace('"@"', text)
+
+
+def assert_input_error_names(capsys, *parts) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    for part in parts:
+        assert part in err
 
 
 @pytest.fixture
@@ -363,6 +390,33 @@ class TestFit:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unpenalized_fit_with_intercept_at_p_equal_n_is_ill_posed(
+        self, tmp_path, capsys
+    ):
+        design, response, _, _ = make_regression_files(tmp_path, n=5, p=5)
+        argv = ["fit", str(design), str(response), "--loss", "square"]
+        argv += ["--lambda", "0", "--tau", "0"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--intercept"]) == 1
+        assert_input_error_names(capsys, "p + 1 (6) > n (5)")
+
+    def test_rows_summing_to_zero_are_fitted(self, tmp_path, capsys):
+        """Rows (k, -k), y = 2k: once reported converged at beta = 0 with a
+        KKT residual of 14.9."""
+        k = np.arange(1.0, 5.0)
+        data = Dataset(np.column_stack([k, -k]), 2.0 * k)
+        design, response = tmp_path / "zx.csv", tmp_path / "zy.csv"
+        write_matrix(design, data.X)
+        write_matrix(response, data.y)
+        argv = ["fit", str(design), str(response), "--loss", "square"]
+        assert main(argv + ["--lambda", "0.1", "--tau", "0.1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["converged"] is True
+        beta = np.array(doc["beta_hat"])
+        penalty = ElasticNet(lam=0.1, tau=0.1)
+        assert kkt_residual(data, make_loss("square"), penalty, beta) <= 1e-8
+
     def test_nonconvergence_exits_numerical_with_partial_report(
         self, tmp_path, capsys
     ):
@@ -595,6 +649,26 @@ class TestSelect:
         assert main(["select", str(design), str(response), str(grid)]) == 1
         assert "gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            (kind, field)
+            for kind in sorted(MALFORMED_NUMBERS)
+            for field in ["huber_scale", "lambda", "tau"]
+            if (kind, field) != ("null", "huber_scale")  # null: square loss
+        ],
+    )
+    def test_malformed_grid_number_is_an_input_error(
+        self, tmp_path, capsys, kind, field
+    ):
+        design, response, _, _ = make_regression_files(tmp_path)
+        cells = [dict(GRID_3[0]), dict(GRID_3[1])]
+        cells[1][field] = "@"
+        grid = tmp_path / "grid.json"
+        grid.write_text(with_raw_value(cells, MALFORMED_NUMBERS[kind]))
+        assert main(["select", str(design), str(response), str(grid)]) == 1
+        assert_input_error_names(capsys, f"grid[1]: {field}")
+
 
 # ---------------------------------------------------------------------------
 # simulate
@@ -693,6 +767,65 @@ class TestSimulate:
         out = tmp_path / "records.csv"
         assert main(["simulate", str(config), "--out", str(out)]) == 1
         assert "replicates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "where, place",
+        [
+            ("noise_kind: sigma", lambda doc: doc["noise_kind"].update(sigma="@")),
+            (
+                "noise_kind: dof",
+                lambda doc: doc.update(noise_kind={"kind": "student_t", "dof": "@"}),
+            ),
+            ("grid[0]: lambda", lambda doc: doc["grid"][0].update({"lambda": "@"})),
+            (
+                "signal_kind[3]",
+                lambda doc: doc.update(signal_kind=[0.1] * 3 + ["@"] + [0.0] * 6),
+            ),
+        ],
+        ids=["sigma", "dof", "lambda", "signal"],
+    )
+    @pytest.mark.parametrize("kind", ["string", "null", "nan", "overflow"])
+    def test_malformed_config_number_is_an_input_error(
+        self, tmp_path, capsys, where, place, kind
+    ):
+        doc = sim_config_doc()
+        place(doc)
+        config = tmp_path / "config.json"
+        config.write_text(with_raw_value(doc, MALFORMED_NUMBERS[kind]))
+        out = tmp_path / "records.csv"
+        assert main(["simulate", str(config), "--out", str(out)]) == 1
+        assert_input_error_names(capsys, where)
+
+    @pytest.mark.parametrize("key", ["n", "sigma_seed", "replications"])
+    @pytest.mark.parametrize(
+        "text", ['"30x"', "null", "30.5", "true", "NaN"],
+        ids=["string", "null", "fraction", "bool", "nan"],
+    )
+    def test_malformed_config_integer_is_an_input_error(
+        self, tmp_path, capsys, key, text
+    ):
+        doc = sim_config_doc()
+        doc[key] = "@"
+        config = tmp_path / "config.json"
+        config.write_text(with_raw_value(doc, text))
+        out = tmp_path / "records.csv"
+        assert main(["simulate", str(config), "--out", str(out)]) == 1
+        assert_input_error_names(capsys, f"{key} must be an integer")
+
+    def test_string_redraw_flag_is_an_input_error(self, tmp_path, capsys):
+        """bool("false") is True: a string must not switch the redraw on."""
+        doc = sim_config_doc()
+        doc["redraw_sigma_per_replication"] = "false"
+        config, out = write_sim_config(tmp_path, doc), tmp_path / "records.csv"
+        assert main(["simulate", str(config), "--out", str(out)]) == 1
+        assert_input_error_names(capsys, "redraw_sigma_per_replication")
+
+    def test_negative_seed_is_an_input_error(self, tmp_path, capsys):
+        doc = sim_config_doc()
+        doc["base_seed"] = -1
+        config, out = write_sim_config(tmp_path, doc), tmp_path / "records.csv"
+        assert main(["simulate", str(config), "--out", str(out)]) == 1
+        assert_input_error_names(capsys, "base_seed must be >= 0")
 
     def test_canonical_config_matches_shipped_schema(self):
         validate(sim_config_doc(), "sim_config.schema.json")
@@ -877,7 +1010,7 @@ class TestCheckDerivatives:
         assert any("jacobian_y" in failure for failure in doc["failures"])
 
     def test_response_refits_run_no_power_iteration(self, tmp_path, power_iterations):
-        """One power iteration per fixture draw and per contraction refit
+        """One step bound per fixture draw and per contraction refit
         (2 n p at each of two steps); the 2 n response refits of the FD
         oracle share the base dataset's."""
         n, p = 8, 3

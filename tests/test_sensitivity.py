@@ -31,12 +31,12 @@ from hubertune import (
 )
 from hubertune.sensitivity import (
     TAU_FLOOR,
+    TRIANGULAR_BASE,
     _fd_safe_fixture,
     _inverse_factor,
     _lower_inverse,
     sensitivity_fd_oracle,
 )
-from hubertune.solver import cholesky
 from oracles import dense_df, dense_system, fit_with_intercept, intercept_psi_matrix
 
 TIGHT = FitOptions(kkt_tolerance=1e-11)
@@ -504,15 +504,15 @@ def _dense_inverse(data, loss, result, bundle):
 
 @pytest.fixture
 def cho_shapes(monkeypatch):
-    """Record the shape of every matrix sensitivity hands to cholesky."""
+    """Record the shape of every matrix sensitivity factors."""
     shapes = []
-    original = hubertune.sensitivity.cholesky
+    original = hubertune.sensitivity._inverse_factor
 
-    def recording(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return original(a, *args, **kwargs)
+    def recording(G, c):
+        shapes.append(G.shape)
+        return original(G, c)
 
-    monkeypatch.setattr(hubertune.sensitivity, "cholesky", recording)
+    monkeypatch.setattr(hubertune.sensitivity, "_inverse_factor", recording)
     return shapes
 
 
@@ -597,14 +597,20 @@ class TestWorkGates:
             )
 
 
+INVERSE_ORDERS = [1, 2, 63, 64, 65, 129, 500]
+
+
 class TestInverseFactor:
     """L^{-1} by 2 x 2 blocks, on both sides of the base case, against LAPACK's
     triangular inverse."""
 
-    @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 129, 500])
+    def test_orders_straddle_the_base_case(self):
+        assert {TRIANGULAR_BASE, TRIANGULAR_BASE + 1} <= set(INVERSE_ORDERS)
+
+    @pytest.mark.parametrize("m", INVERSE_ORDERS)
     def test_matches_lapack_triangular_inverse(self, m):
         A = np.random.default_rng(m).normal(size=(m + 5, m))
-        L = cholesky(A.T @ A + np.eye(m))
+        L = np.linalg.cholesky(A.T @ A + np.eye(m))
         expected = np.tril(scipy.linalg.lapack.dtrtri(L, lower=1)[0])
         got = _lower_inverse(L)
         np.testing.assert_array_equal(got, np.tril(got))

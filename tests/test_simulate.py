@@ -62,6 +62,11 @@ class TestConfigParsing:
         assert cfg.grid[0] == GridCell(huber_scale=1.0, lam=0.05, tau=0.05)
         assert cfg.grid[1].huber_scale is None  # square-loss cell
 
+    def test_integral_float_counts_are_integers(self):
+        cfg = parse_sim_config(minimal_config_doc(n=30.0, replications=2.0))
+        assert (cfg.n, cfg.replications) == (30, 2)
+        assert isinstance(cfg.n, int) and isinstance(cfg.replications, int)
+
     def test_student_t_noise(self):
         cfg = parse_sim_config(
             minimal_config_doc(noise_kind={"kind": "student_t", "dof": 2})
@@ -86,6 +91,12 @@ class TestConfigParsing:
         with pytest.raises(InputError, match="dof"):
             parse_sim_config(
                 minimal_config_doc(noise_kind={"kind": "student_t", "dof": 0})
+            )
+
+    def test_negative_sigma_rejected(self):
+        with pytest.raises(InputError, match="sigma must be nonnegative"):
+            parse_sim_config(
+                minimal_config_doc(noise_kind={"kind": "gaussian", "sigma": -1.0})
             )
 
     def test_negative_lambda_in_cell(self):

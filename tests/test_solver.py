@@ -10,6 +10,7 @@ from hubertune import (
     HuberLoss,
     IllPosed,
     NonConvergence,
+    SingularSystem,
     SquareLoss,
     fit,
     kkt_residual,
@@ -18,7 +19,8 @@ from hubertune import (
     objective_value,
     ridge,
 )
-from hubertune.solver import TRIANGULAR_BASE, _kkt_score_gap, cholesky, solve_triangular
+from hubertune.sensitivity import TRIANGULAR_BASE, _inverse_factor, _lower_inverse
+from hubertune.solver import _kkt_score_gap
 
 from oracles import fit_with_intercept
 
@@ -255,7 +257,7 @@ class TestInvariants:
             data.with_response(np.zeros(data.n + 1))
 
     def test_fits_on_one_dataset_share_one_power_iteration(self, power_iterations):
-        """Each intercept flag runs one power iteration per Dataset, and the
+        """Each intercept flag computes one step bound per Dataset, and the
         cached value gives fits bit-identical to those on a fresh Dataset."""
         data = self._random_instance(43)
         cases = [
@@ -279,19 +281,27 @@ class TestInvariants:
             assert got.intercept_hat == alone.intercept_hat
 
     def test_largest_singular_value_matches_svd(self):
-        """Power iteration tracks the SVD top value closely, never above it.
-
-        Near-degenerate leading values converge slowly, so the contract is
-        approximate (the solver multiplies in a cushion); the Rayleigh
-        quotient can only underestimate.
-        """
+        """The top value from the smaller Gram matrix matches the SVD's to
+        rounding, on both sides of n = p, and on rows that sum to zero."""
         rng = np.random.default_rng(50)
-        for shape in [(10, 4), (4, 10), (30, 30)]:
-            X = rng.normal(size=shape)
+        k = np.arange(1.0, 5.0)
+        designs = [rng.normal(size=shape) for shape in [(10, 4), (4, 10), (30, 30)]]
+        designs += [np.column_stack([k, -k]), np.column_stack([k, -k]).T]
+        for X in designs:
             s_top = np.linalg.svd(X, compute_uv=False)[0]
-            s_est = largest_singular_value(X)
-            assert s_est == pytest.approx(s_top, rel=1e-4)
-            assert s_est <= s_top * (1 + 1e-12)
+            assert largest_singular_value(X) == pytest.approx(s_top, rel=1e-13)
+
+    def test_largest_singular_value_exact_where_power_steps_stall(self):
+        """A Gaussian design whose two top singular values nearly tie: 200
+        power steps from the uniform vector still miss by more than 1e-4."""
+        X = np.random.default_rng(115).normal(size=(40, 20))
+        s_top = np.linalg.svd(X, compute_uv=False)[0]
+        v = np.full(20, 1.0 / np.sqrt(20))
+        for _ in range(200):
+            w = X.T @ (X @ v)
+            v = w / np.linalg.norm(w)
+        assert np.linalg.norm(X @ v) < s_top * (1 - 1e-4)
+        assert largest_singular_value(X) == pytest.approx(s_top, rel=1e-13)
 
 
 def heavy_tail_lasso_data(n, p):
@@ -358,6 +368,35 @@ class TestNewtonPolish:
         assert runs[0].iterations == runs[1].iterations
         assert runs[0].beta_hat.tobytes() == runs[1].beta_hat.tobytes()
 
+    def test_singular_newton_system_falls_back_to_fista(self, monkeypatch):
+        """A duplicated column with tau = 0 makes the Newton system exactly
+        singular: LU meets a zero pivot (a Cholesky factor of the same
+        matrix can round to a positive one), the attempt fails, and FISTA
+        reaches its own certificate."""
+        solves = []
+
+        def recording(a, b):
+            try:
+                x = original(a, b)
+            except np.linalg.LinAlgError:
+                solves.append("singular")
+                raise
+            solves.append("solved")
+            return x
+
+        original = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(30, 5))
+        X = np.column_stack([X, X[:, 0]])
+        data = Dataset(X=X, y=2.0 * X[:, 0] + X[:, 1] + 0.1 * rng.normal(size=30))
+        penalty = lasso(0.05)
+        result = fit(data, SquareLoss(), penalty)
+        assert "singular" in solves
+        assert result.converged
+        assert result.beta_hat[0] == result.beta_hat[5] != 0.0
+        assert kkt_residual(data, SquareLoss(), penalty, result.beta_hat) <= 1e-8
+
     def test_iteration_count_gate(self):
         """A fixed p > n Huber grid needs under half its earlier iterations.
 
@@ -378,7 +417,7 @@ class TestNewtonPolish:
         assert total <= 9_925 // 2
 
 
-# Orders on both sides of the blocked routines' base case.
+# Orders on both sides of the base case of the blocked inverse.
 FACTOR_ORDERS = [1, 2, 63, 64, 65, 129, 500]
 
 
@@ -388,34 +427,43 @@ def spd_matrix(m, seed):
 
 
 class TestFactorHelpers:
+    """The package's own factor routines, both in sensitivity.py:
+    _inverse_factor (numpy's Cholesky, then the inverse factor) and the
+    blocked triangular inverse _lower_inverse."""
+
     def test_orders_straddle_the_base_case(self):
         assert {TRIANGULAR_BASE, TRIANGULAR_BASE + 1} <= set(FACTOR_ORDERS)
 
     @pytest.mark.parametrize("m", FACTOR_ORDERS)
     def test_cholesky_is_a_lower_factor(self, m):
+        """L^{-1} is lower triangular with a positive diagonal, and
+        L^{-1} G L^{-T} = I."""
         G = spd_matrix(m, m)
-        L = cholesky(G)
-        np.testing.assert_array_equal(L, np.tril(L))
-        assert np.all(np.diag(L) > 0)
-        assert np.linalg.norm(L @ L.T - G) <= 1e-13 * np.linalg.norm(G)
+        Linv = _inverse_factor(G.copy(), 0.0)
+        np.testing.assert_array_equal(Linv, np.tril(Linv))
+        assert np.all(np.diag(Linv) > 0)
+        assert np.abs(Linv @ G @ Linv.T - np.eye(m)).max() <= 1e-12
 
     @pytest.mark.parametrize("m", FACTOR_ORDERS)
     def test_not_positive_definite_raises(self, m):
         G = spd_matrix(m, m)
         G[-1, -1] = -1.0  # e_m' G e_m < 0
-        with pytest.raises(np.linalg.LinAlgError):
-            cholesky(G)
+        with pytest.raises(SingularSystem):
+            _inverse_factor(G, 0.0)
 
     @pytest.mark.parametrize("m", FACTOR_ORDERS)
     @pytest.mark.parametrize("lower", [True, False], ids=["forward", "back"])
     @pytest.mark.parametrize("columns", [None, 3], ids=["vector", "matrix"])
     def test_blocked_solve_matches_dense_solve(self, m, lower, columns):
-        L = cholesky(spd_matrix(m, m))
-        T = L if lower else L.T
+        """The blocked inverse of L (or its transpose) solves L x = b (or
+        L' x = b) as LAPACK's dense solve does."""
+        L = np.linalg.cholesky(spd_matrix(m, m))
+        Linv = _lower_inverse(L)
+        T, T_inv = (L, Linv) if lower else (L.T, Linv.T)
         shape = (m,) if columns is None else (m, columns)
         b = np.random.default_rng(m + 1).normal(size=shape)
         expected = np.linalg.solve(T, b)
-        got = solve_triangular(T, b, lower)
+        got = T_inv @ b
         assert got.shape == expected.shape
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -470,6 +518,26 @@ class TestFailureModes:
         data = Dataset(X=np.random.default_rng(0).normal(size=(2, 3)), y=np.zeros(2))
         with pytest.raises(IllPosed):
             fit(data, SquareLoss(), ElasticNet(lam=0.0, tau=0.0))
+
+    def test_ill_posed_unpenalized_square_with_intercept(self):
+        """p = n is solvable alone, but the intercept makes p + 1 > n."""
+        rng = np.random.default_rng(0)
+        data = Dataset(X=rng.normal(size=(5, 5)), y=rng.normal(size=5))
+        penalty = ElasticNet(lam=0.0, tau=0.0)
+        assert fit(data, SquareLoss(), penalty).converged
+        with pytest.raises(IllPosed, match=r"p \+ 1 \(6\) > n \(5\)"):
+            fit(data, SquareLoss(), penalty, FitOptions(intercept=True))
+
+    def test_rows_summing_to_zero_are_not_a_zero_design(self):
+        """Rows (k, -k) are orthogonal to the uniform vector, where a power
+        iteration starts; the fit must still move off zero and certify."""
+        k = np.arange(1.0, 5.0)
+        data = Dataset(X=np.column_stack([k, -k]), y=2.0 * k)
+        penalty = ElasticNet(lam=0.1, tau=0.1)
+        result = fit(data, SquareLoss(), penalty)
+        assert result.converged
+        assert result.iterations > 0
+        assert kkt_residual(data, SquareLoss(), penalty, result.beta_hat) <= 1e-8
 
     def test_nonconvergence_carries_partial_result(self):
         rng = np.random.default_rng(3)
