@@ -9,8 +9,8 @@ thread, and so does each `simulate --jobs` worker; the previous count is
 restored on return. A user who sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
 or MKL_NUM_THREADS keeps the thread count those give instead.
 
-Exit codes: 0 success, 1 input error, 2 numerical failure, 3 no feasible
-candidate.
+Exit codes: 0 success, 1 input error (an output path that cannot be
+written included), 2 numerical failure, 3 no feasible candidate.
 """
 
 from __future__ import annotations
@@ -193,7 +193,14 @@ def _options_from_args(args) -> FitOptions:
             intercept=getattr(args, "intercept", False),
         )
     except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        # The messages start with the field name; the user typed the flag.
+        raise InputError("--" + str(exc).replace("_", "-")) from exc
+
+
+def _eta_from_args(args) -> float:
+    if not 0.0 <= args.eta <= 1.0:
+        raise InputError(f"--eta must be a number in [0, 1], got {args.eta}")
+    return args.eta
 
 
 def _loss_doc(loss) -> dict:
@@ -261,7 +268,7 @@ def _evaluate_one(args, eta: float = DEFAULT_ETA):
 
 
 def cmd_fit(args) -> int:
-    data, cand = _evaluate_one(args, args.eta)
+    data, cand = _evaluate_one(args, _eta_from_args(args))
     result, bundle = cand.result, cand.bundle
     doc = {
         "command": "fit",
@@ -311,9 +318,10 @@ def _select_entry(index: int, cand, eta: float) -> dict:
 
 
 def cmd_select(args) -> int:
+    eta = _eta_from_args(args)
     data = _read_dataset(args)
     options = _options_from_args(args)
-    candidates = evaluate_grid(data, _load_grid(args.grid), options, eta=args.eta)
+    candidates = evaluate_grid(data, _load_grid(args.grid), options, eta=eta)
     try:
         sel = select(candidates)
         selected, ranking = sel.selected_index, list(sel.ranking)
@@ -324,15 +332,15 @@ def cmd_select(args) -> int:
         "command": "select",
         "n": data.n,
         "p": data.p,
-        "eta": args.eta,
+        "eta": eta,
         "selected_index": selected,
         "ranking": ranking,
-        "candidates": [_select_entry(i, c, args.eta) for i, c in enumerate(candidates)],
+        "candidates": [_select_entry(i, c, eta) for i, c in enumerate(candidates)],
     }
     write_report(doc, args.out)
     if selected is None:
         print(
-            f"error: no candidate meets the feasibility constraint (eta={args.eta})",
+            f"error: no candidate meets the feasibility constraint (eta={eta})",
             file=sys.stderr,
         )
         return EXIT_INFEASIBLE
@@ -362,6 +370,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    if args.t_hat is not None and not 0.0 <= args.t_hat < math.inf:
+        raise InputError(f"--t-hat must be a finite number >= 0, got {args.t_hat}")
+    if args.bins < 1:
+        raise InputError("--bins must be >= 1")
     data, cand = _evaluate_one(args)
     result, bundle, loss = cand.result, cand.bundle, cand.loss
 
@@ -417,6 +429,8 @@ def cmd_check_derivatives(args) -> int:
         raise InputError("--n must be between 1 and 100")
     if not 1 <= args.p <= 50:
         raise InputError("--p must be between 1 and 50")
+    if args.seed < 0:
+        raise InputError("--seed must be >= 0")
     loss = _loss_from_args(args)
     penalty = _penalty_from_args(args)
     report = run_derivative_checks(
@@ -610,7 +624,9 @@ def main(argv=None) -> int:
     try:
         with thread_policy():
             return _HANDLERS[args.command](args)
-    except (InputError, IllPosed) as exc:
+    except (InputError, IllPosed, OSError) as exc:
+        # Inputs that cannot be read are InputErrors already; an OSError here
+        # is an output path that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NoFeasibleCandidate as exc:

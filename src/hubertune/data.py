@@ -64,12 +64,3 @@ class Dataset:
     @cached_property
     def sigma_max_with_intercept(self) -> float:
         return largest_singular_value(np.hstack([np.ones((self.n, 1)), self.X]))
-
-    def with_response(self, y) -> "Dataset":
-        """The same design with response y, sharing the singular values
-        already computed for it."""
-        out = Dataset(self.X, y)
-        for name in ("sigma_max", "sigma_max_with_intercept"):
-            if name in vars(self):
-                vars(out)[name] = vars(self)[name]
-        return out

@@ -136,11 +136,14 @@ def residual_representation_check(
     arithmetic for any t > 0, so the gaps certify numerical assembly.
 
     ``t_hat`` is the debiasing factor: trace[Sigma A] (trace_sigma_A) when
-    the covariance is known, or the adaptive plug-in df/trace V.
+    the covariance is known, or the adaptive plug-in df/trace V. Raises
+    ValueError unless it is finite and >= 0.
     """
     t = float(t_hat)
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t_hat must be a finite number >= 0, got {t}")
     r = fit_result.residuals
-    if t <= 0.0:
+    if t == 0.0:
         # prox with step 0 is the identity; the gap is exactly zero.
         return ProxRepresentationReport(
             gaps=np.zeros_like(r), effective_obs=r.copy(), t_hat=t

@@ -177,8 +177,7 @@ def sensitivity_closed_form(
 def a_hat_full(bundle: SensitivityBundle) -> np.ndarray:
     """A_hat embedded into the full p x p matrix (zero off the active set)."""
     A = np.zeros((bundle.p, bundle.p))
-    if bundle.p_hat:
-        A[np.ix_(bundle.active_set, bundle.active_set)] = bundle.A_hat
+    A[np.ix_(bundle.active_set, bundle.active_set)] = bundle.A_hat
     return A
 
 
@@ -222,8 +221,6 @@ def trace_sigma_A(bundle: SensitivityBundle, Sigma: np.ndarray) -> float:
         raise ValueError(
             f"covariance shape {Sigma.shape} does not match p={bundle.p}"
         )
-    if bundle.p_hat == 0:
-        return 0.0
     block = Sigma[np.ix_(bundle.active_set, bundle.active_set)]
     return float(np.sum(block * bundle.A_hat))
 
@@ -267,8 +264,8 @@ def sensitivity_fd_oracle(
         y_plus[i] += delta
         y_minus = data.y.copy()
         y_minus[i] -= delta
-        fit_plus = fit(data.with_response(y_plus), loss, penalty, warm)
-        fit_minus = fit(data.with_response(y_minus), loss, penalty, warm)
+        fit_plus = fit(Dataset(data.X, y_plus), loss, penalty, warm)
+        fit_minus = fit(Dataset(data.X, y_minus), loss, penalty, warm)
         J[:, i] = (fit_plus.beta_hat - fit_minus.beta_hat) / (2.0 * delta)
 
     d = loss.psi_prime(base.residuals)
@@ -332,7 +329,7 @@ def contraction_check(
     ps = bundle.psi_diag
     d = bundle.psi_prime_diag
     A = a_hat_full(bundle)
-    trA = float(np.trace(bundle.A_hat)) if bundle.p_hat else 0.0
+    trA = float(np.trace(bundle.A_hat))
     trV = bundle.trace_V
     df = bundle.df
 

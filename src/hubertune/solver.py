@@ -39,6 +39,7 @@ large active sets are rarely polished.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -70,8 +71,8 @@ class FitOptions:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (self.kkt_tolerance > 0):
-            raise ValueError("kkt_tolerance must be > 0")
+        if not 0 < self.kkt_tolerance < math.inf:
+            raise ValueError("kkt_tolerance must be a finite number > 0")
 
 
 @dataclass(frozen=True)
@@ -162,6 +163,10 @@ def fit(
     y = data.y
     off = 1 if use_icpt else 0
 
+    # A zero design (never with an intercept: [1 X] has a unit column) makes
+    # the loss constant in b, so b = 0 is optimal and the stationary-start
+    # exit below returns it.
+    sigma_max = data.sigma_max_with_intercept if use_icpt else data.sigma_max
     w = np.zeros(Xa.shape[1])
     if options.initial_point is not None:
         init = np.asarray(options.initial_point, dtype=float).ravel()
@@ -169,15 +174,8 @@ def fit(
             raise ValueError(
                 f"initial_point length {init.shape[0]} does not match p={p}"
             )
-        w[off:] = init
-
-    def prox_w(v: np.ndarray, t: float) -> np.ndarray:
-        if use_icpt:
-            out = np.empty_like(v)
-            out[0] = v[0]
-            out[1:] = penalty.prox(v[1:], t)
-            return out
-        return penalty.prox(v, t)
+        if sigma_max > 0.0:
+            w[off:] = init
 
     def full_objective(resid: np.ndarray, wvec: np.ndarray) -> float:
         return float(np.mean(loss.value(resid)) + penalty.value(wvec[off:]))
@@ -234,24 +232,6 @@ def fit(
             return w_new, r_new, kkt_new
         return None
 
-    sigma_max = data.sigma_max_with_intercept if use_icpt else data.sigma_max
-    if sigma_max == 0.0:
-        # Zero design: the penalty is minimized at zero and the loss term is
-        # constant in b, so b = 0 is optimal (this branch has no intercept
-        # column because an intercept model always carries the unit column).
-        r = y.copy()
-        kkt = kkt_residual(data, loss, penalty, w[off:], None)
-        return build_result(w, r, 0, kkt, True)
-
-    # Small cushion over the exact value, for rounding only.
-    lip = 1.02 * (sigma_max * sigma_max / n)
-    step0 = 1.0 / lip
-    step_cap = 1e4 * step0
-
-    # Check the KKT residual every iteration on small problems; on large
-    # ones every few iterations to save a matrix-vector product per step.
-    check_every = 1 if n * p <= 200_000 else 5
-
     Xw = Xa @ w
     r = y - Xw
     F = full_objective(r, w)
@@ -263,6 +243,15 @@ def fit(
     if kkt <= options.kkt_tolerance:
         return build_result(w, r, 0, kkt, True)
 
+    # Small cushion over the exact value, for rounding only.
+    lip = 1.02 * (sigma_max * sigma_max / n)
+    step0 = 1.0 / lip
+    step_cap = 1e4 * step0
+
+    # Check the KKT residual every iteration on small problems; on large
+    # ones every few iterations to save a matrix-vector product per step.
+    check_every = 1 if n * p <= 200_000 else 5
+
     w_prev = w.copy()
     Xw_prev = Xw.copy()
     t_mom = 1.0
@@ -273,7 +262,7 @@ def fit(
     def prox_from(point, Xpoint, trial_step):
         """One backtracked proximal step from `point`.
 
-        Returns (w_new, Xw_new, r_new, f_new, step_used). The sufficient
+        Returns (w_new, Xw_new, r_new, F(w_new), step_used). The sufficient
         decrease test is the usual quadratic upper bound; steps at or below
         1/L always pass it, so the floor accepts unconditionally.
         """
@@ -282,7 +271,8 @@ def fit(
         grad = -(Xa.T @ loss.psi(r_pt)) / n
         t = trial_step
         while True:
-            w_new = prox_w(point - t * grad, t)
+            w_new = point - t * grad
+            w_new[off:] = penalty.prox(w_new[off:], t)
             Xw_new = Xa @ w_new
             r_new = y - Xw_new
             f_new = float(np.mean(loss.value(r_new)))
@@ -291,7 +281,7 @@ def fit(
             # The test is exact: any relaxation lets grown steps hover just
             # above tight tolerances instead of converging.
             if f_new <= bound or t <= step0:
-                return w_new, Xw_new, r_new, f_new, t
+                return w_new, Xw_new, r_new, f_new + penalty.value(w_new[off:]), t
             t = max(0.5 * t, step0)
 
     iterations = 0
@@ -306,16 +296,14 @@ def fit(
         Xz = Xw + omega * (Xw - Xw_prev)
 
         trial = min(step * 1.2, step_cap)
-        w_new, Xw_new, r_new, f_new, step = prox_from(z, Xz, trial)
-        F_new = f_new + penalty.value(w_new[off:])
+        w_new, Xw_new, r_new, F_new, step = prox_from(z, Xz, trial)
 
         if F_new > F + 1e-15 * (1.0 + abs(F)):
             # Accelerated step went uphill: restart momentum and take a
             # plain proximal step from the current point at the floor
             # step, which never increases the objective.
             t_next = 1.0
-            w_new, Xw_new, r_new, f_new, step = prox_from(w, Xw, step0)
-            F_new = f_new + penalty.value(w_new[off:])
+            w_new, Xw_new, r_new, F_new, step = prox_from(w, Xw, step0)
 
         w_prev, w = w, w_new
         Xw_prev, Xw = Xw, Xw_new

@@ -17,7 +17,7 @@ def _one_blas_thread():
 
 
 @pytest.fixture
-def power_iterations(monkeypatch):
+def step_bounds(monkeypatch):
     """Record the shape of every matrix whose step bound (top singular value)
     is computed."""
     shapes = []

@@ -378,6 +378,13 @@ class TestFit:
         assert main(["fit", str(design), str(response)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_in_design_is_an_input_error(self, tmp_path, capsys):
+        design, response, X, _ = make_regression_files(tmp_path)
+        X[3, 2] = np.nan
+        write_matrix(design, X)
+        assert main(["fit", str(design), str(response)]) == 1
+        assert_input_error_names(capsys, "invalid inputs", "non-finite")
+
     def test_negative_lambda_is_an_input_error(self, tmp_path):
         design, response, _, _ = make_regression_files(tmp_path, n=5, p=2)
         assert main(["fit", str(design), str(response), "--lambda", "-1"]) == 1
@@ -528,7 +535,7 @@ class TestSelect:
 
     @pytest.mark.parametrize("intercept", [False, True])
     def test_grid_shares_one_power_iteration(
-        self, tmp_path, monkeypatch, power_iterations, intercept
+        self, tmp_path, monkeypatch, step_bounds, intercept
     ):
         design, response, X, y = make_regression_files(tmp_path, n=40, p=6, seed=3)
         grid = write_grid(tmp_path)
@@ -536,7 +543,7 @@ class TestSelect:
         argv = ["select", str(design), str(response), str(grid), "--out", str(out)]
         assert main(argv + (["--intercept"] if intercept else [])) == 0
         # One bound per grid, of [1 X] when an intercept is fitted.
-        assert power_iterations == [(40, 7 if intercept else 6)]
+        assert step_bounds == [(40, 7 if intercept else 6)]
 
         # The shared bound equals the one each fit computes alone, so the
         # iterates, and hence the iteration counts, are the same.
@@ -595,8 +602,10 @@ class TestSelect:
         assert entry["converged"] == fit_doc["converged"]
 
     def test_all_infeasible_exits_3_but_still_writes_report(self, tmp_path, capsys):
+        """eta = 1 needs every residual inside the Huber scale, and a scale of
+        0.3 leaves some, but not all, outside on every cell."""
         design, response, _, _ = make_regression_files(tmp_path)
-        grid = write_grid(tmp_path)
+        grid = write_grid(tmp_path, [dict(cell, huber_scale=0.3) for cell in GRID_3])
         out = tmp_path / "selection.json"
         code = main(
             [
@@ -605,7 +614,7 @@ class TestSelect:
                 str(response),
                 str(grid),
                 "--eta",
-                "1.1",
+                "1",
                 "--out",
                 str(out),
             ]
@@ -927,6 +936,18 @@ class TestDiagnose:
         counts = [int(line.split(",")[2]) for line in hist_lines[1:]]
         assert sum(counts) == 25
 
+    def test_zero_response_has_constant_debiased_residuals(self, tmp_path, capsys):
+        """y = 0 fits b = 0 with zero residuals, so u = r + t psi(r) is 0."""
+        design, response, _, y = make_regression_files(tmp_path)
+        write_matrix(response, np.zeros_like(y))
+        out = tmp_path / "diag.json"
+        code = main(["diagnose", str(design), str(response), "--tau", "0.1",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: debiased residuals are constant")
+        assert not out.exists()
+
     def test_all_saturated_fit_has_degenerate_denominator(self, tmp_path, capsys):
         """Huge responses saturate every Huber residual, so trace_V is zero
         and the adaptive debiasing factor is undefined: exit code 2."""
@@ -1009,14 +1030,14 @@ class TestCheckDerivatives:
         assert doc["passed"] is False
         assert any("jacobian_y" in failure for failure in doc["failures"])
 
-    def test_response_refits_run_no_power_iteration(self, tmp_path, power_iterations):
-        """One step bound per fixture draw and per contraction refit
-        (2 n p at each of two steps); the 2 n response refits of the FD
-        oracle share the base dataset's."""
+    def test_one_step_bound_per_fitted_dataset(self, tmp_path, step_bounds):
+        """One step bound per fixture draw, per response refit of the FD
+        oracle (2 n) and per contraction refit (2 n p at each of two
+        steps): each fits a Dataset of its own."""
         n, p = 8, 3
         argv = ["check-derivatives", "--n", str(n), "--p", str(p)]
         assert main(argv + ["--out", str(tmp_path / "check.json")]) == 0
-        assert len(power_iterations) == 1 + 2 * (2 * n * p)
+        assert len(step_bounds) == 1 + 2 * n + 2 * (2 * n * p)
 
     def test_unknown_fault_is_a_parse_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -1031,3 +1052,74 @@ class TestCheckDerivatives:
     def test_fixture_size_caps(self, flags, capsys):
         assert main(["check-derivatives"] + flags) == 1
         assert "must be between" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Flag values and output paths
+# ---------------------------------------------------------------------------
+
+
+def command_argv(command, tmp_path) -> list:
+    """A small run of `command` that exits 0 as given; flags appended later
+    override the ones here."""
+    if command == "simulate":
+        config = write_sim_config(tmp_path, sim_config_doc(replications=1))
+        return ["simulate", str(config), "--out", str(tmp_path / "records.csv")]
+    if command == "check-derivatives":
+        return ["check-derivatives", "--n", "6", "--p", "3"]
+    design, response, _, _ = make_regression_files(tmp_path)
+    if command == "select":
+        return [command, str(design), str(response), str(write_grid(tmp_path))]
+    return [command, str(design), str(response), "--tau", "0.1"]
+
+
+OUTPUT_FLAGS = {
+    "fit": ["--out", "--beta-out"],
+    "select": ["--out"],
+    "diagnose": ["--out", "--qq-out", "--hist-out"],
+    "simulate": ["--out", "--aggregate-out", "--pivot-dir"],
+    "check-derivatives": ["--out"],
+}
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(command, flag) for command, flags in OUTPUT_FLAGS.items() for flag in flags],
+    )
+    def test_exits_with_an_input_error(self, tmp_path, capsys, command, flag):
+        """A path under a regular file cannot be written: exit 1, no traceback."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        argv = command_argv(command, tmp_path) + [flag, str(blocker / "out")]
+        assert main(argv) == 1
+        assert_input_error_names(capsys, str(blocker))
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("fit", ["--eta", "nan"]),
+            ("fit", ["--eta", "1.5"]),
+            ("select", ["--eta", "nan"]),
+            ("select", ["--eta", "-0.1"]),
+            ("fit", ["--kkt-tolerance", "inf"]),
+            ("select", ["--kkt-tolerance", "nan"]),
+            ("simulate", ["--kkt-tolerance", "inf"]),
+            ("fit", ["--max-iterations", "0"]),
+            ("diagnose", ["--t-hat", "nan"]),
+            ("diagnose", ["--t-hat", "inf"]),
+            ("diagnose", ["--t-hat", "-0.5"]),
+            ("diagnose", ["--hist-out", "HIST", "--bins", "0"]),
+            ("check-derivatives", ["--seed", "-1"]),
+        ],
+    )
+    def test_bad_value_exits_before_any_output(self, tmp_path, capsys, command, flags):
+        """Exit 1 with an error naming the flag, and write nothing."""
+        out, hist = tmp_path / "out", tmp_path / "hist.csv"
+        argv = command_argv(command, tmp_path) + ["--out", str(out)]
+        argv += [str(hist) if flag == "HIST" else flag for flag in flags]
+        assert main(argv) == 1
+        assert_input_error_names(capsys, flags[-2])
+        assert not out.exists() and not hist.exists()

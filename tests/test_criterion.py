@@ -129,6 +129,8 @@ class TestCritAdaptive:
         assert math.isnan(rep.crit_adaptive)
         assert math.isnan(rep.ratio)
         assert not rep.constraint_ok
+        assert not rep.feasible
+        assert rep.reason == "criterion undefined: trace of V is numerically zero"
 
 
 class TestCritOracle:

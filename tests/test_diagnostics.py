@@ -145,6 +145,12 @@ class TestResidualRepresentation:
         np.testing.assert_array_equal(rep.gaps, np.zeros(data.n))
         np.testing.assert_array_equal(rep.effective_obs, result.residuals)
 
+    @pytest.mark.parametrize("t", [-0.5, np.nan, np.inf])
+    def test_negative_or_non_finite_step_raises(self, t):
+        data, result, bundle = _fit_bundle(5, SquareLoss(), ridge(0.2))
+        with pytest.raises(ValueError, match="t_hat"):
+            residual_representation_check(result, SquareLoss(), t_hat=t)
+
 
 class TestZetaStatistics:
     def test_smoke_simulation_replication(self):

@@ -240,6 +240,13 @@ class TestEmptyActiveSet:
     def test_trace_sigma_a_zero(self):
         assert trace_sigma_A(self.bundle, np.eye(4)) == 0.0
 
+    def test_a_hat_full_is_zero(self):
+        np.testing.assert_array_equal(a_hat_full(self.bundle), np.zeros((4, 4)))
+
+    def test_trace_sigma_a_rejects_a_covariance_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"covariance shape \(3, 3\)"):
+            trace_sigma_A(self.bundle, np.eye(3))
+
     def test_apply_v_reduces_to_diagonal(self):
         v = np.arange(15.0)
         np.testing.assert_array_equal(
@@ -631,14 +638,15 @@ class TestInverseFactor:
 
 
 class TestFdOracleWork:
-    def test_refits_share_the_design_power_iteration(self, power_iterations):
-        """The 2n response refits reuse the base dataset's singular value."""
+    def test_each_refit_computes_its_own_step_bound(self, step_bounds):
+        """The base fit and each of the 2n response refits fit a Dataset of
+        their own, each computing one step bound."""
         rng = np.random.default_rng(8)
         data = Dataset(rng.normal(size=(12, 4)), rng.normal(size=12))
         J, _, _ = sensitivity_fd_oracle(
             data, HuberLoss(scale=1.0), ElasticNet(lam=0.02, tau=0.05), TIGHT, 1e-6
         )
-        assert power_iterations == [(12, 4)]  # the base fit's, none per refit
+        assert step_bounds == [(12, 4)] * (1 + 2 * 12)
         assert np.all(np.isfinite(J))
 
 

@@ -116,6 +116,18 @@ class TestClosedFormOptima:
         np.testing.assert_array_equal(result.beta_hat, np.zeros(2))
         np.testing.assert_array_equal(result.residuals, data.y)
 
+    def test_zero_design_ignores_the_initial_point(self):
+        """On X = 0 the loss is constant in b, so b = 0 is the minimizer
+        wherever the fit starts: at b = 1 the objective is 3.45, not 3."""
+        data = Dataset(X=np.zeros((5, 3)), y=np.arange(5.0))
+        loss, penalty = SquareLoss(), ElasticNet(lam=0.1, tau=0.1)
+        result = fit(data, loss, penalty, FitOptions(initial_point=np.ones(3)))
+        assert result.converged
+        np.testing.assert_array_equal(result.beta_hat, np.zeros(3))
+        assert kkt_residual(data, loss, penalty, result.beta_hat) <= 1e-8
+        assert result.objective == objective_value(data, loss, penalty, np.zeros(3))
+        assert result.objective == 3.0
+
     def test_zero_design_intercept_is_mean(self):
         """Zero design with intercept: square-loss location is the mean."""
         y = np.array([1.0, 2.0, 6.0])
@@ -238,25 +250,7 @@ class TestInvariants:
         assert again.iterations == 0
         np.testing.assert_array_equal(again.beta_hat, first.beta_hat)
 
-    def test_with_response_shares_the_computed_singular_values(self, power_iterations):
-        """A new response keeps the values already computed for X, and only
-        those; the fits then match a fresh Dataset bit for bit."""
-        data = self._random_instance(44)
-        y_new = data.y[::-1].copy()
-        assert data.sigma_max > 0  # computed here, before the copy
-        shared = data.with_response(y_new)
-        np.testing.assert_array_equal(shared.y, y_new)
-        assert shared.X is data.X
-        assert "sigma_max_with_intercept" not in vars(shared)
-        got = fit(shared, SquareLoss(), ridge(0.1))
-        assert power_iterations == [(data.n, data.p)]
-        alone = fit(Dataset(data.X, y_new), SquareLoss(), ridge(0.1))
-        assert got.iterations == alone.iterations
-        np.testing.assert_array_equal(got.beta_hat, alone.beta_hat)
-        with pytest.raises(ValueError):
-            data.with_response(np.zeros(data.n + 1))
-
-    def test_fits_on_one_dataset_share_one_power_iteration(self, power_iterations):
+    def test_fits_on_one_dataset_share_one_power_iteration(self, step_bounds):
         """Each intercept flag computes one step bound per Dataset, and the
         cached value gives fits bit-identical to those on a fresh Dataset."""
         data = self._random_instance(43)
@@ -272,7 +266,7 @@ class TestInvariants:
             fit(data, loss, penalty, FitOptions(intercept=intercept))
             for loss, penalty, intercept in cases
         ]
-        assert power_iterations == [(data.n, data.p), (data.n, data.p + 1)]
+        assert step_bounds == [(data.n, data.p), (data.n, data.p + 1)]
         for (loss, penalty, intercept), got in zip(cases, shared):
             fresh = Dataset(data.X, data.y)
             alone = fit(fresh, loss, penalty, FitOptions(intercept=intercept))
@@ -557,8 +551,9 @@ class TestFailureModes:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             FitOptions(max_iterations=0)
-        with pytest.raises(ValueError):
-            FitOptions(kkt_tolerance=0.0)
+        for tolerance in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="kkt_tolerance"):
+                FitOptions(kkt_tolerance=tolerance)
 
     def test_initial_point_length_mismatch(self):
         data = Dataset(X=np.ones((3, 2)), y=np.zeros(3))
