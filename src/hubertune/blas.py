@@ -84,7 +84,7 @@ def get_threads() -> Optional[int]:
 def set_threads(count: Optional[int]) -> None:
     """Set every loaded OpenBLAS to ``count`` threads; None leaves them as they are.
 
-    Also the initializer of the ``simulate`` worker pool, so that workers
+    Also run by every worker of a ``hubertune.pool`` pool, so that workers
     started by spawn or forkserver run with their parent's count, as forked
     ones already do.
     """

@@ -5,9 +5,17 @@ commands are deterministic given their flags and seeds. JSON reports follow
 the schemas shipped under hubertune/schemas/.
 
 Threads: for the length of a main() call, every loaded OpenBLAS runs one
-thread, and so does each `simulate --jobs` worker; the previous count is
-restored on return. A user who sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
-or MKL_NUM_THREADS keeps the thread count those give instead.
+thread, and so does each worker of `select --jobs` and `simulate --jobs`;
+the previous count is restored on return. A user who sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS keeps the thread
+count those give instead. `--jobs` defaults to the usable CPU count divided
+by that thread count, one worker per CPU under the policy; no more workers
+start than there are grid cells or replications, and the reports are the
+same for every `--jobs` value.
+
+Output paths are checked before any input is read: a parent directory that
+does not exist, or an output file that is a directory, ends the call
+before the first fit.
 
 Exit codes: 0 success, 1 input error (an output path that cannot be
 written included), 2 numerical failure, 3 no feasible candidate.
@@ -47,6 +55,7 @@ from .errors import (
 from .formatting import write_csv
 from .losses import HuberLoss, make_loss
 from .penalties import ElasticNet
+from .pool import default_jobs
 from .sensitivity import CHECK_TOLERANCES, run_derivative_checks
 from .simulate import (
     GRID_METRICS,
@@ -197,6 +206,14 @@ def _options_from_args(args) -> FitOptions:
         raise InputError("--" + str(exc).replace("_", "-")) from exc
 
 
+def _jobs_from_args(args) -> int:
+    if args.jobs is None:
+        return default_jobs()
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be >= 1, got {args.jobs}")
+    return args.jobs
+
+
 def _eta_from_args(args) -> float:
     if not 0.0 <= args.eta <= 1.0:
         raise InputError(f"--eta must be a number in [0, 1], got {args.eta}")
@@ -234,6 +251,37 @@ def _json_safe(value):
         v = float(value)
         return v if math.isfinite(v) else None
     return value
+
+
+# Flags that name an output file; --pivot-dir names an output directory.
+OUTPUT_FILE_FLAGS = ("out", "beta_out", "qq_out", "hist_out", "aggregate_out")
+
+
+def check_outputs(args) -> None:
+    """Raise InputError for an output path that cannot be written.
+
+    Each output file needs an existing parent directory and must not itself
+    be a directory; an output directory, created later if missing, needs
+    its nearest existing ancestor to be a directory. Nothing is created.
+    """
+    for flag in OUTPUT_FILE_FLAGS:
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        path = Path(path)
+        if not path.parent.is_dir():
+            raise InputError(f"cannot write {path}: {path.parent} is not a directory")
+        if path.is_dir():
+            raise InputError(f"cannot write {path}: it is a directory")
+    directory = getattr(args, "pivot_dir", None)
+    if directory is not None:
+        ancestor = Path(directory)
+        while not ancestor.exists() and ancestor.parent != ancestor:
+            ancestor = ancestor.parent
+        if not ancestor.is_dir():
+            raise InputError(
+                f"cannot create directory {directory}: {ancestor} is not a directory"
+            )
 
 
 def write_report(doc: dict, out) -> None:
@@ -319,9 +367,10 @@ def _select_entry(index: int, cand, eta: float) -> dict:
 
 def cmd_select(args) -> int:
     eta = _eta_from_args(args)
+    jobs = _jobs_from_args(args)
     data = _read_dataset(args)
     options = _options_from_args(args)
-    candidates = evaluate_grid(data, _load_grid(args.grid), options, eta=eta)
+    candidates = evaluate_grid(data, _load_grid(args.grid), options, eta, jobs)
     try:
         sel = select(candidates)
         selected, ranking = sel.selected_index, list(sel.ranking)
@@ -348,11 +397,10 @@ def cmd_select(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.jobs < 1:
-        raise InputError("--jobs must be >= 1")
+    jobs = _jobs_from_args(args)
     config = load_sim_config(args.config)
     options = _options_from_args(args)
-    result = run_grid(config, options=options, jobs=args.jobs)
+    result = run_grid(config, options=options, jobs=jobs)
     result.to_csv(args.out)
     if args.aggregate_out is not None:
         write_aggregate_csv(result, args.aggregate_out)
@@ -518,6 +566,17 @@ def _add_solver_flags(p, with_intercept: bool = True):
         )
 
 
+def _add_jobs_flag(p, unit: str):
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help=f"worker processes, at most one per {unit} (default: one per usable "
+        "CPU); each runs one BLAS thread unless OPENBLAS_NUM_THREADS, "
+        "OMP_NUM_THREADS or MKL_NUM_THREADS is set",
+    )
+
+
 def _add_io_flags(p):
     p.add_argument(
         "--header", action="store_true", help="input CSVs start with a header row"
@@ -552,6 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(sel_p)
     _add_io_flags(sel_p)
     sel_p.add_argument("--eta", type=float, default=DEFAULT_ETA)
+    _add_jobs_flag(sel_p, "grid cell")
 
     sim_p = sub.add_parser("simulate", help="run a seeded Monte Carlo grid")
     sim_p.add_argument("config", help="simulation config JSON")
@@ -564,13 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="directory for per-metric (lambda x tau) mean pivot CSVs",
     )
-    sim_p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="parallel workers; each runs one BLAS thread unless "
-        "OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is set",
-    )
+    _add_jobs_flag(sim_p, "replication")
     _add_solver_flags(sim_p, with_intercept=False)
 
     diag_p = sub.add_parser(
@@ -622,6 +676,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        check_outputs(args)
         with thread_policy():
             return _HANDLERS[args.command](args)
     except (InputError, IllPosed, OSError) as exc:

@@ -12,7 +12,7 @@ raising them; evaluate_grid() does so for every cell of a grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,7 +21,8 @@ from .data import Dataset
 from .errors import NoFeasibleCandidate, NonConvergence, SingularSystem
 from .losses import Loss
 from .penalties import ElasticNet
-from .sensitivity import SensitivityBundle, sensitivity_closed_form
+from .pool import map_items
+from .sensitivity import SensitivityBundle, bind_design, sensitivity_closed_form
 from .solver import FitOptions, FitResult, fit
 
 DEFAULT_ETA = 0.05
@@ -168,18 +169,45 @@ def evaluate(
     return Candidate(loss, penalty, result, bundle, report, warning)
 
 
+def _cell_candidate(data: Dataset, options: FitOptions, eta: float, cell) -> Candidate:
+    """evaluate() one grid cell, as a pool worker runs it.
+
+    The returned bundle holds no copy of the design; evaluate_grid binds
+    it again.
+    """
+    cand = evaluate(data, cell.loss(), cell.penalty(), options, eta)
+    return _bind_design(cand, None)
+
+
+def _bind_design(cand: Candidate, X) -> Candidate:
+    if cand.bundle is None:
+        return cand
+    return replace(cand, bundle=bind_design(cand.bundle, X))
+
+
 def evaluate_grid(
     data: Dataset,
     cells: Sequence,
     options: Optional[FitOptions] = None,
     eta: float = DEFAULT_ETA,
+    jobs: int = 1,
 ) -> list:
     """evaluate() every cell (anything with loss() and penalty()) on one design.
 
-    Each fit runs exactly as it would alone; the design's step bound is
-    computed by the first fit and kept on the Dataset for the rest.
+    Each fit runs exactly as it would alone. The design's step bound is
+    computed here, once, and kept on the Dataset for every fit. With jobs >
+    1 the cells run on up to that many worker processes (hubertune.pool):
+    the Dataset, with its step bound, the options and eta reach each worker
+    once, and each candidate comes back without a copy of the design.
+    Cells are independent and each worker runs its parent's BLAS thread
+    count, so the candidates are the same for every jobs count.
     """
-    return [evaluate(data, cell.loss(), cell.penalty(), options, eta) for cell in cells]
+    if options is None:
+        options = FitOptions()
+    # Read once here, the step bound is cached on the Dataset the workers get.
+    _ = data.sigma_max_with_intercept if options.intercept else data.sigma_max
+    found = map_items(_cell_candidate, (data, options, eta), cells, jobs)
+    return [_bind_design(cand, data.X) for cand in found]
 
 
 @dataclass(frozen=True)

@@ -126,10 +126,15 @@ def _inverse_factor(G: np.ndarray, c: float) -> np.ndarray:
     return _lower_inverse(L)
 
 
+def _gram(Linv: np.ndarray) -> np.ndarray:
+    # Both operands share one buffer, so numpy runs one syrk: the result is
+    # exactly symmetric, and the same after Linv crosses a process boundary.
+    return Linv.T @ Linv
+
+
 def _primal_inverse(X, S, d, with_intercept, c) -> np.ndarray:
     Z = _inlier_block(X, S, d, with_intercept)
-    Linv = _inverse_factor(Z.T @ Z, c)
-    return Linv.T @ Linv  # one syrk: exactly symmetric
+    return _gram(_inverse_factor(Z.T @ Z, c))
 
 
 def sensitivity_closed_form(
@@ -151,13 +156,12 @@ def sensitivity_closed_form(
     if S.size:
         Z = _inlier_block(data.X, S, d, icpt)
         if Z.shape[0] < Z.shape[1]:
-            system, Linv = "dual", _inverse_factor(Z @ Z.T, c)
-            inverse = partial(_primal_inverse, data.X, S, d, icpt, c)
+            system, Linv, inverse = "dual", _inverse_factor(Z @ Z.T, c), None
         else:
             system, Linv = "primal", _inverse_factor(Z.T @ Z, c)
-            inverse = partial(np.matmul, Linv.T, Linv)
+            inverse = partial(_gram, Linv)
     df = Linv.shape[0] - c * float(np.sum(Linv * Linv))
-    return SensitivityBundle(
+    bundle = SensitivityBundle(
         df=df,
         trace_V=n_hat - df,  # see the module docstring
         n_hat=n_hat,
@@ -172,6 +176,26 @@ def sensitivity_closed_form(
         system_size=Linv.shape[0],
         inverse=inverse,
     )
+    return bind_design(bundle, data.X)
+
+
+def bind_design(
+    bundle: SensitivityBundle, X: Optional[np.ndarray]
+) -> SensitivityBundle:
+    """bundle with its dual-side A_hat reading the design X.
+
+    A dual bundle forms A_hat from the primal factor, which needs the
+    design; other bundles need none and come back as they are. X = None
+    gives a bundle that holds no copy of the design, as a pool worker
+    returns it (see criterion.evaluate_grid); its A_hat cannot be read
+    until the design is bound again.
+    """
+    if bundle.system != "dual":
+        return bundle
+    S, d = bundle.active_set, bundle.psi_prime_diag
+    c = d.shape[0] * bundle.tau_eff  # n * tau_eff, as factored
+    inverse = partial(_primal_inverse, X, S, d, bundle.with_intercept, c)
+    return replace(bundle, inverse=inverse)
 
 
 def a_hat_full(bundle: SensitivityBundle) -> np.ndarray:

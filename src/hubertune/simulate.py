@@ -21,20 +21,19 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
-from .blas import get_threads, set_threads
 from .criterion import crit_oracle_sigma, evaluate_grid, out_of_sample_error
 from .data import Dataset
 from .errors import InputError, SingularSystem
 from .formatting import format_value, write_csv
 from .losses import HuberLoss, Loss, SquareLoss
 from .penalties import ElasticNet
+from .pool import map_items
 from .sensitivity import trace_sigma_A
 from .solver import FitOptions
 
@@ -413,26 +412,14 @@ def run_grid(
 
     Non-converged cells are recorded with failed=True (using the best
     iterate), never dropped. Records come back sorted by (replication,
-    cell order); the jobs count changes wall time only, not any value.
+    cell order). With jobs > 1 the replications run on up to that many
+    worker processes (hubertune.pool), which receive config and options
+    once each; the jobs count changes wall time only, not any value.
     """
     if options is None:
         options = FitOptions()
     reps = range(config.replications)
-    if jobs > 1 and config.replications > 1:
-        # Workers run the parent's BLAS thread count whatever the start method.
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=set_threads, initargs=(get_threads(),)
-        ) as pool:
-            per_rep = list(
-                pool.map(
-                    _replication_records,
-                    [config] * config.replications,
-                    [options] * config.replications,
-                    reps,
-                )
-            )
-    else:
-        per_rep = [_replication_records(config, options, rep) for rep in reps]
+    per_rep = map_items(_replication_records, (config, options), reps, jobs)
     records = tuple(rec for rep_records in per_rep for rec in rep_records)
     return GridResult(records=records)
 

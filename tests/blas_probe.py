@@ -3,17 +3,19 @@
     python tests/blas_probe.py [--set N] [--start-method M] CLI_ARGS...
 
 --set gives every loaded OpenBLAS N threads before the call, as an
-in-process caller might. --start-method picks how `simulate --jobs`
-starts its workers. Prints one JSON object per line:
+in-process caller might. --start-method picks how `select --jobs` and
+`simulate --jobs` start their workers. Prints one JSON object per line:
 
     {"at": "before", "pid": ..., "threads": [...]}
     {"at": "call", "pid": ..., "threads": [...]}   one per simulate replication
+    {"at": "cell", "pid": ..., "threads": [...]}   one per grid cell
     {"at": "after", "pid": ..., "threads": [...]}
     {"exit": code}
 
-"call" lines come from inside the replication worker, in the worker
-process under --jobs. The counts are read here with ctypes, one per loaded
-OpenBLAS, independently of the code under test.
+"call" lines come from inside the replication worker and "cell" lines from
+inside the per-cell worker of a `select` grid (and of each replication's
+grid), in the worker process under --jobs. The counts are read here with
+ctypes, one per loaded OpenBLAS, independently of the code under test.
 """
 
 import argparse
@@ -23,6 +25,7 @@ import multiprocessing
 import os
 import sys
 
+import hubertune.criterion
 import hubertune.simulate
 from hubertune.cli import main
 
@@ -35,6 +38,7 @@ _GET = (
 _SET = tuple(name.replace("_get_", "_set_") for name in _GET)
 
 _replication_records = hubertune.simulate._replication_records
+_cell_candidate = hubertune.criterion._cell_candidate
 
 
 def _libraries():
@@ -73,6 +77,11 @@ def probed_records(config, options, rep):
     return _replication_records(config, options, rep)
 
 
+def probed_cell(data, options, eta, cell):
+    report(at="cell", pid=os.getpid(), threads=threads())
+    return _cell_candidate(data, options, eta, cell)
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser()
     parser.add_argument("--set", type=int, default=None)
@@ -85,6 +94,7 @@ if __name__ == "__main__":
         for lib in _libraries():
             _call(lib, _SET, args.set)
     hubertune.simulate._replication_records = probed_records
+    hubertune.criterion._cell_candidate = probed_cell
     report(at="before", pid=os.getpid(), threads=threads())
     code = main(args.cli_args)
     report(at="after", pid=os.getpid(), threads=threads())

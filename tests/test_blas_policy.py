@@ -4,7 +4,8 @@ Every test starts the CLI in a subprocess whose environment holds none of
 the thread variables unless the test sets one, so each run begins with the
 libraries' default thread count. tests/blas_probe.py reads the count of
 every loaded OpenBLAS through ctypes before the call, inside each
-`simulate` replication (in the worker under --jobs) and after the call.
+`simulate` replication and each `select` grid cell (in the worker under
+--jobs) and after the call.
 """
 
 import json
@@ -13,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,15 +69,53 @@ def heavy_config(tmp_path_factory):
     return write_config(tmp_path_factory, HEAVY_CONFIG)
 
 
+@pytest.fixture(scope="module")
+def select_inputs(tmp_path_factory):
+    """Design, response and a three-cell grid for `select`."""
+    root = tmp_path_factory.mktemp("select")
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((60, 20))
+    y = X[:, :3].sum(axis=1) + rng.standard_t(2, 60)
+    np.savetxt(root / "x.csv", X, delimiter=",")
+    np.savetxt(root / "y.csv", y)
+    cells = [
+        {"huber_scale": 1.0, "lambda": lam, "tau": 0.05} for lam in (0.02, 0.05, 0.1)
+    ]
+    (root / "grid.json").write_text(json.dumps(cells))
+    return [str(root / name) for name in ("x.csv", "y.csv", "grid.json")]
+
+
 def probe(config, tmp_path, jobs, env=None, set_threads=None, start_method=None):
     """Run `simulate` under the probe; return (before, calls, after, main pid)."""
+    cli_args = ["simulate", str(config), "--out", str(tmp_path / "records.csv")]
+    before, by_at, after, pid = run_probe(
+        cli_args + ["--jobs", str(jobs)], env, set_threads, start_method
+    )
+    calls = by_at["call"]
+    assert len(calls) == SMALL_CONFIG["replications"]
+    return before, calls, after, pid
+
+
+def probe_select(inputs, tmp_path, jobs, env=None, start_method=None):
+    """Run `select` under the probe; return (before, cells, after, main pid)."""
+    cli_args = ["select", *inputs, "--out", str(tmp_path / "report.json")]
+    before, by_at, after, pid = run_probe(
+        cli_args + ["--jobs", str(jobs)], env, None, start_method
+    )
+    cells = by_at["cell"]
+    assert len(cells) == 3
+    return before, cells, after, pid
+
+
+def run_probe(cli_args, env=None, set_threads=None, start_method=None):
+    """Run one CLI call under the probe; return (before, lines by "at",
+    after, main pid)."""
     cmd = [sys.executable, str(PROBE)]
     if set_threads is not None:
         cmd += ["--set", str(set_threads)]
     if start_method is not None:
         cmd += ["--start-method", start_method]
-    cmd += ["simulate", str(config), "--out", str(tmp_path / "records.csv")]
-    cmd += ["--jobs", str(jobs)]
+    cmd += cli_args
     proc = subprocess.run(
         cmd, env=env or clean_env(), capture_output=True, text=True, timeout=300
     )
@@ -85,12 +125,10 @@ def probe(config, tmp_path, jobs, env=None, set_threads=None, start_method=None)
     by_at = {}
     for line in lines[:-1]:
         by_at.setdefault(line["at"], []).append(line)
-    (before,), (after,) = by_at["before"], by_at["after"]
+    (before,), (after,) = by_at.pop("before"), by_at.pop("after")
     if not before["threads"]:
         pytest.skip("no OpenBLAS is loaded in this environment")
-    calls = by_at["call"]
-    assert len(calls) == SMALL_CONFIG["replications"]
-    return before["threads"], calls, after["threads"], before["pid"]
+    return before["threads"], by_at, after["threads"], before["pid"]
 
 
 @pytest.mark.parametrize("start_method", [None, "spawn"])
@@ -99,6 +137,28 @@ def test_simulate_workers_run_one_thread_by_default(config, tmp_path, start_meth
     assert all(call["pid"] != main_pid for call in calls)
     for call in calls:
         assert set(call["threads"]) == {1}
+
+
+@pytest.mark.parametrize("start_method", [None, "spawn"])
+def test_select_workers_run_one_thread_by_default(
+    select_inputs, tmp_path, start_method
+):
+    _, cells, _, main_pid = probe_select(
+        select_inputs, tmp_path, jobs=2, start_method=start_method
+    )
+    assert all(cell["pid"] != main_pid for cell in cells)
+    for cell in cells:
+        assert set(cell["threads"]) == {1}
+
+
+def test_select_workers_keep_a_user_thread_count(select_inputs, tmp_path):
+    env = clean_env(OPENBLAS_NUM_THREADS="2")
+    before, cells, after, main_pid = probe_select(select_inputs, tmp_path, 2, env)
+    assert set(before) == {min(2, os.cpu_count())}
+    assert all(cell["pid"] != main_pid for cell in cells)
+    for cell in cells:
+        assert cell["threads"] == before
+    assert after == before
 
 
 def test_user_openblas_variable_is_left_in_force(config, tmp_path):

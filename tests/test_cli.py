@@ -679,6 +679,89 @@ class TestSelect:
         assert_input_error_names(capsys, f"grid[1]: {field}")
 
 
+def mixed_grid_files(tmp_path):
+    """A 1e6-scaled problem and a grid of four kinds of cell at
+    --max-iterations 5: square loss at lambda 1e7 stops at b = 0 on
+    iteration 0 (converged) and square loss at lambda 1e4 does not converge,
+    both feasible; Huber scale 1 leaves every residual outside the scale
+    (criterion undefined); and a scale between the two smallest |y_i|
+    leaves one inlier of 40 (constraint 0.025 below eta 0.05, a dual
+    bundle)."""
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((40, 6))
+    y = 1e6 * (X[:, 0] - 0.5 * X[:, 1] + 0.1 * rng.standard_normal(40))
+    design, response = tmp_path / "design.csv", tmp_path / "response.csv"
+    write_matrix(design, X)
+    write_matrix(response, y)
+    low = np.sort(np.abs(y))[:2]
+    grid = write_grid(
+        tmp_path,
+        [
+            {"huber_scale": None, "lambda": 1e7, "tau": 0.05},
+            {"huber_scale": None, "lambda": 1e4, "tau": 0.001},
+            {"huber_scale": 1.0, "lambda": 10.0, "tau": 0.05},
+            {"huber_scale": float(low.mean()), "lambda": 10.0, "tau": 0.05},
+        ],
+    )
+    return [str(design), str(response), str(grid)]
+
+
+class TestSelectJobs:
+    """The cells of a grid run in worker processes; only wall time changes."""
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_reports_are_identical_across_jobs(self, tmp_path, capsys, intercept):
+        argv = ["select", *mixed_grid_files(tmp_path), "--max-iterations", "5"]
+        argv += ["--intercept"] if intercept else []
+        runs = []
+        for k, jobs in enumerate([["--jobs", "1"], ["--jobs", "2"], []]):
+            out = tmp_path / f"report{k}.json"
+            code = main(argv + jobs + ["--out", str(out)])
+            runs.append((code, capsys.readouterr(), out.read_bytes()))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+        doc = json.loads(runs[0][2])
+        entries = doc["candidates"]
+        assert runs[0][0] == 0 and sorted(doc["ranking"]) == [0, 1]
+        assert [e["converged"] for e in entries[:2]] == [True, False]
+        assert entries[1]["feasible"] and entries[1]["iterations"] == 5
+        assert entries[2]["reason"].startswith("criterion undefined")
+        assert entries[3]["crit_defined"] and "below eta" in entries[3]["reason"]
+
+    def test_ill_posed_cell_is_the_same_input_error(self, tmp_path, capsys):
+        design, response, _, _ = make_regression_files(tmp_path, n=5, p=8)
+        cells = [GRID_3[0], {"huber_scale": 1.0, "lambda": 0.0, "tau": 0.0}, GRID_3[1]]
+        grid = write_grid(tmp_path, cells)
+        out = tmp_path / "selection.json"
+        argv = ["select", str(design), str(response), str(grid), "--out", str(out)]
+        results = []
+        for jobs in ("1", "2"):
+            results.append((main(argv + ["--jobs", jobs]), capsys.readouterr()))
+        assert results[1] == results[0]
+        code, (_, err) = results[0]
+        assert code == 1 and err.startswith("error: no penalty and p (8) > n (5)")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "threads, jobs", [(1, 4), (None, 4), (2, 2), (3, 1), (8, 1)]
+    )
+    def test_default_is_the_usable_cpus_over_the_blas_threads(
+        self, monkeypatch, threads, jobs
+    ):
+        import hubertune.pool
+
+        cpus = {0, 2, 5, 7}
+        monkeypatch.setattr(hubertune.pool.os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(hubertune.pool, "get_threads", lambda: threads)
+        assert hubertune.pool.default_jobs() == jobs
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_an_input_error(self, tmp_path, capsys, jobs):
+        argv = command_argv("select", tmp_path) + ["--jobs", jobs]
+        assert main(argv) == 1
+        assert_input_error_names(capsys, "--jobs")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -755,6 +838,23 @@ class TestSimulate:
             pivot = pivots / f"pivot_{metric}.csv"
             assert pivot.exists(), metric
             assert pivot.read_text().startswith("lambda,")
+
+    def test_default_jobs_equal_one_job(self, tmp_path):
+        """Records, aggregate and pivots, byte for byte."""
+        config = write_sim_config(tmp_path)
+        trees = []
+        for name, jobs in (("one", ["--jobs", "1"]), ("default", [])):
+            out = tmp_path / name
+            out.mkdir()
+            argv = ["simulate", str(config), "--out", str(out / "records.csv")]
+            argv += ["--aggregate-out", str(out / "aggregate.csv")]
+            argv += ["--pivot-dir", str(out / "pivots")]
+            assert main(argv + jobs) == 0
+            trees.append(
+                {str(f.relative_to(out)): f.read_bytes() for f in out.rglob("*.csv")}
+            )
+        assert len(trees[0]) == 2 + len(GRID_METRICS)
+        assert trees[1] == trees[0]
 
     def test_jobs_below_one_is_an_input_error(self, tmp_path, capsys):
         config = write_sim_config(tmp_path)
@@ -1094,6 +1194,51 @@ class TestUnwritableOutput:
         argv = command_argv(command, tmp_path) + [flag, str(blocker / "out")]
         assert main(argv) == 1
         assert_input_error_names(capsys, str(blocker))
+
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("simulate", ["--out", "BLOCKER/records.csv", "--jobs", "1"]),
+            ("simulate", ["--pivot-dir", "BLOCKER"]),
+            ("select", ["--out", "/nonexistent/r.json"]),
+            ("select", ["--out", "TMP"]),
+            ("fit", ["--beta-out", "/nonexistent/b.csv"]),
+            ("diagnose", ["--hist-out", "TMP"]),
+        ],
+        ids=[
+            "under-a-file",
+            "pivot-dir-a-file",
+            "no-parent",
+            "select-out-a-directory",
+            "beta-out-no-parent",
+            "hist-out-a-directory",
+        ],
+    )
+    def test_fails_before_the_first_fit(
+        self, tmp_path, capsys, monkeypatch, command, flags
+    ):
+        import hubertune.criterion
+
+        fits = []
+        monkeypatch.setattr(hubertune.criterion, "fit", lambda *a: fits.append(a))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        argv = command_argv(command, tmp_path)
+        for flag in flags:
+            flag = flag.replace("BLOCKER", str(blocker))
+            argv.append(flag.replace("TMP", str(tmp_path)))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot ") and "Traceback" not in err
+        assert fits == []
+
+    def test_a_missing_pivot_dir_is_created_only_by_the_run(self, tmp_path, capsys):
+        pivots = tmp_path / "a" / "b"
+        argv = command_argv("simulate", tmp_path) + ["--pivot-dir", str(pivots)]
+        assert main(argv + ["--kkt-tolerance", "0"]) == 1
+        assert not (tmp_path / "a").exists()
+        assert main(argv) == 0
+        assert len(list(pivots.iterdir())) == len(GRID_METRICS)
 
 
 class TestFlagValues:

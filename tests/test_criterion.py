@@ -1,9 +1,14 @@
 """Adaptive/oracle criteria and feasibility-constrained selection."""
 
 import math
+import os
+import pickle
+from dataclasses import fields
 
 import numpy as np
 import pytest
+
+import hubertune.data
 
 from hubertune import (
     Candidate,
@@ -27,6 +32,7 @@ from hubertune import (
     sensitivity_closed_form,
     trace_sigma_A,
 )
+from hubertune.criterion import _cell_candidate
 from hubertune.simulate import GridCell
 
 
@@ -299,3 +305,65 @@ class TestEvaluate:
             alone = fit(fresh, cell.loss(), cell.penalty(), options)
             assert cand.result.iterations == alone.iterations
             assert np.array_equal(cand.result.beta_hat, alone.beta_hat)
+
+
+def _wide_case():
+    """30 x 60 design: Huber scale 0.2 keeps more active columns than inliers
+    (a dual bundle), square loss at lambda 0.3 fewer (a primal one)."""
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((30, 60))
+    y = X[:, :5] @ np.ones(5) + rng.standard_t(3, 30)
+    cells = [
+        GridCell(0.2, lam=0.02, tau=0.05),
+        GridCell(None, lam=0.3, tau=0.05),
+        GridCell(0.2, lam=0.05, tau=0.05),
+    ]
+    return Dataset(X, y), cells
+
+
+def _assert_same_fields(a, b):
+    for f in fields(a):
+        if f.compare:
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, f.name
+
+
+class TestEvaluateGridJobs:
+    """Cells on worker processes give the candidates of the serial run."""
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_parallel_candidates_equal_serial(self, intercept):
+        data, cells = _wide_case()
+        options = FitOptions(kkt_tolerance=1e-11, intercept=intercept)
+        serial = evaluate_grid(data, cells, options, eta=0.1, jobs=1)
+        parallel = evaluate_grid(data, cells, options, eta=0.1, jobs=2)
+        assert [c.bundle.system for c in parallel] == ["dual", "primal", "dual"]
+        for a, b in zip(serial, parallel):
+            assert (a.loss, a.penalty, a.report) == (b.loss, b.penalty, b.report)
+            assert (a.warning, a.singular) == (b.warning, b.singular)
+            _assert_same_fields(a.result, b.result)
+            _assert_same_fields(a.bundle, b.bundle)
+            assert "A_hat" not in vars(b.bundle)
+            assert np.array_equal(b.bundle.A_hat, a.bundle.A_hat)
+
+    def test_a_worker_returns_no_copy_of_the_design(self):
+        data, cells = _wide_case()
+        options = FitOptions(kkt_tolerance=1e-11)
+        for cell in cells:
+            cand = _cell_candidate(data, options, 0.1, cell)
+            assert data.X.tobytes() not in pickle.dumps(cand)
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_one_step_bound_per_grid_and_none_in_workers(
+        self, step_bounds, monkeypatch, intercept
+    ):
+        recording, parent = hubertune.data.largest_singular_value, os.getpid()
+
+        def parent_only(X):
+            assert os.getpid() == parent, "a worker computed a step bound"
+            return recording(X)
+
+        monkeypatch.setattr(hubertune.data, "largest_singular_value", parent_only)
+        data, cells = _wide_case()
+        evaluate_grid(data, cells, FitOptions(intercept=intercept), jobs=2)
+        assert step_bounds == [(30, 61 if intercept else 60)]

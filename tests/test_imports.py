@@ -1,5 +1,6 @@
-"""The installed runtime is numpy and the standard library: no scipy module
-is loaded by importing the package or by running a command."""
+"""What importing the package and running a command load, from fresh
+processes: never a scipy module (the installed runtime is numpy and the
+standard library), and no process-pool machinery until a pool starts."""
 
 import json
 import os
@@ -34,7 +35,7 @@ print(json.dumps({"codes": codes, "seen": seen}))
 """
 
 
-def test_no_scipy_module_is_loaded(tmp_path):
+def write_inputs(tmp_path) -> list:
     rng = np.random.default_rng(5)
     X = rng.normal(size=(30, 4))
     y = X @ np.array([1.0, 0.0, -0.5, 0.0]) + rng.standard_t(3, size=30)
@@ -44,18 +45,27 @@ def test_no_scipy_module_is_loaded(tmp_path):
     paths[2].write_text(
         json.dumps([{"huber_scale": 1.0, "lambda": lam, "tau": 0.1} for lam in (0.05, 0.1)])
     )
+    return [str(path) for path in paths]
+
+
+def run_script(script, args) -> dict:
+    """Run script in a fresh interpreter; its last line of output as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, *map(str, paths)],
+        [sys.executable, "-c", script, *args],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    doc = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_no_scipy_module_is_loaded(tmp_path):
+    doc = run_script(SCRIPT, write_inputs(tmp_path))
     assert doc["codes"] == [0, 0]
     assert doc["seen"] == {
         "start": [],
@@ -63,3 +73,38 @@ def test_no_scipy_module_is_loaded(tmp_path):
         "import hubertune.cli": [],
         "select and diagnose": [],
     }
+
+
+POOL_SCRIPT = """
+import json, sys
+
+def loaded(prefixes):
+    return sorted(name for name in sys.modules if name.startswith(prefixes))
+
+POOL = ("multiprocessing", "concurrent.futures.process")
+import hubertune.cli
+seen = {
+    "layers": loaded("hubertune."),
+    "import hubertune.cli": loaded(POOL),
+}
+design, response, grid, out, _ = sys.argv[1:]
+argv = ["select", design, response, grid, "--out", out, "--jobs", "1"]
+code = hubertune.cli.main(argv)
+seen["select --jobs 1"] = loaded(POOL)
+print(json.dumps({"code": code, "seen": seen}))
+"""
+
+
+def test_cli_import_loads_every_traced_layer_and_no_pool(tmp_path):
+    """perfbench/tracing.py wraps the functions of cli, solver, sensitivity,
+    criterion, simulate and formatting, and rebinds the wrappers only in
+    modules already loaded when it installs them, right after `import
+    hubertune.cli`. A layer loaded later would run untraced, so importing
+    the CLI must load all six. The process pool is imported only when one
+    starts: a serial `select` loads none of it."""
+    doc = run_script(POOL_SCRIPT, write_inputs(tmp_path))
+    assert doc["code"] == 0
+    layers = ["cli", "solver", "sensitivity", "criterion", "simulate", "formatting"]
+    assert {f"hubertune.{name}" for name in layers} <= set(doc["seen"]["layers"])
+    assert doc["seen"]["import hubertune.cli"] == []
+    assert doc["seen"]["select --jobs 1"] == []

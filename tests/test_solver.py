@@ -396,8 +396,9 @@ class TestNewtonPolish:
 
         Measured with single-threaded BLAS over the 8 fits: FISTA alone took
         66,244 iterations, and 9,925 with a plain-step stagnation fallback
-        beside the polish. With the polish as the only terminal phase they
-        take 2,066 (38, 31, 67, 48, 671, 181, 619 and 411).
+        beside the polish. With the polish as the only terminal phase and
+        the exact step bound they take 2,082 (38, 31, 67, 48, 667, 181, 639
+        and 411).
         """
         rng = np.random.default_rng(7)
         X = rng.standard_normal((60, 120))
