@@ -5,147 +5,103 @@ solution's derivatives with respect to the response (degrees of freedom,
 trace of the influence operator, full Jacobians), and builds on them an
 observable model-selection criterion, residual diagnostics, and a seeded
 Monte Carlo harness.
+
+Names resolve on first use (PEP 562): ``import hubertune`` loads no
+submodule, and ``hubertune.fit`` imports only what the solver needs.
 """
 
-from .criterion import (
-    Candidate,
-    CriterionReport,
-    SelectionReport,
-    crit_adaptive,
-    crit_oracle_sigma,
-    evaluate,
-    evaluate_grid,
-    out_of_sample_error,
-    select,
-)
-from .data import Dataset
-from .diagnostics import (
-    NormalSummary,
-    ProxRepresentationReport,
-    ZetaReport,
-    histogram_table,
-    ks_normal,
-    normal_summary,
-    qq_table,
-    residual_representation_check,
-    square_loss_normality_stat,
-    zeta_statistics,
-)
-from .errors import (
-    DegenerateDenominator,
-    DegenerateFit,
-    HubertuneError,
-    IllPosed,
-    InputError,
-    NoFeasibleCandidate,
-    NonConvergence,
-    SingularSystem,
-)
-from .losses import HuberLoss, Loss, SquareLoss, make_loss
-from .penalties import ElasticNet, lasso, ridge
-from .sensitivity import (
-    ContractionReport,
-    DerivativeCheckReport,
-    SensitivityBundle,
-    a_hat_full,
-    apply_V,
-    contraction_check,
-    jacobian_x_entry,
-    jacobian_y,
-    run_derivative_checks,
-    sensitivity_closed_form,
-    sensitivity_fd_oracle,
-    trace_sigma_A,
-)
-from .simulate import (
-    GridCell,
-    GridRecord,
-    GridResult,
-    SimConfig,
-    aggregate,
-    generate,
-    load_sim_config,
-    make_covariance,
-    make_signal,
-    parse_grid_cells,
-    parse_sim_config,
-    run_grid,
-)
-from .solver import (
-    FitOptions,
-    FitResult,
-    fit,
-    kkt_residual,
-    largest_singular_value,
-    objective_value,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Candidate",
-    "ContractionReport",
-    "CriterionReport",
-    "Dataset",
-    "DegenerateDenominator",
-    "DegenerateFit",
-    "DerivativeCheckReport",
-    "ElasticNet",
-    "FitOptions",
-    "FitResult",
-    "GridCell",
-    "GridRecord",
-    "GridResult",
-    "HuberLoss",
-    "HubertuneError",
-    "IllPosed",
-    "InputError",
-    "Loss",
-    "NoFeasibleCandidate",
-    "NonConvergence",
-    "NormalSummary",
-    "ProxRepresentationReport",
-    "SelectionReport",
-    "SensitivityBundle",
-    "SimConfig",
-    "SingularSystem",
-    "SquareLoss",
-    "ZetaReport",
-    "a_hat_full",
-    "aggregate",
-    "apply_V",
-    "contraction_check",
-    "crit_adaptive",
-    "crit_oracle_sigma",
-    "evaluate",
-    "evaluate_grid",
-    "fit",
-    "generate",
-    "histogram_table",
-    "jacobian_x_entry",
-    "jacobian_y",
-    "kkt_residual",
-    "ks_normal",
-    "largest_singular_value",
-    "lasso",
-    "load_sim_config",
-    "make_covariance",
-    "make_loss",
-    "make_signal",
-    "normal_summary",
-    "objective_value",
-    "out_of_sample_error",
-    "parse_grid_cells",
-    "parse_sim_config",
-    "qq_table",
-    "residual_representation_check",
-    "ridge",
-    "run_derivative_checks",
-    "run_grid",
-    "select",
-    "sensitivity_closed_form",
-    "sensitivity_fd_oracle",
-    "square_loss_normality_stat",
-    "trace_sigma_A",
-    "zeta_statistics",
-]
+# Public names by the submodule that defines them.
+_EXPORTS = {
+    "criterion": (
+        "Candidate",
+        "CriterionReport",
+        "SelectionReport",
+        "crit_adaptive",
+        "crit_oracle_sigma",
+        "evaluate",
+        "evaluate_grid",
+        "out_of_sample_error",
+        "select",
+    ),
+    "data": ("Dataset",),
+    "diagnostics": (
+        "NormalSummary",
+        "ProxRepresentationReport",
+        "ZetaReport",
+        "histogram_table",
+        "ks_normal",
+        "normal_summary",
+        "qq_table",
+        "residual_representation_check",
+        "square_loss_normality_stat",
+        "zeta_statistics",
+    ),
+    "errors": (
+        "DegenerateDenominator",
+        "DegenerateFit",
+        "HubertuneError",
+        "IllPosed",
+        "InputError",
+        "NoFeasibleCandidate",
+        "NonConvergence",
+        "SingularSystem",
+    ),
+    "losses": ("HuberLoss", "Loss", "SquareLoss", "make_loss"),
+    "penalties": ("ElasticNet", "lasso", "ridge"),
+    "sensitivity": (
+        "ContractionReport",
+        "DerivativeCheckReport",
+        "SensitivityBundle",
+        "a_hat_full",
+        "apply_V",
+        "contraction_check",
+        "jacobian_x_entry",
+        "jacobian_y",
+        "run_derivative_checks",
+        "sensitivity_closed_form",
+        "sensitivity_fd_oracle",
+        "trace_sigma_A",
+    ),
+    "simulate": (
+        "GridCell",
+        "GridRecord",
+        "GridResult",
+        "SimConfig",
+        "aggregate",
+        "generate",
+        "load_sim_config",
+        "make_covariance",
+        "make_signal",
+        "parse_grid_cells",
+        "parse_sim_config",
+        "run_grid",
+    ),
+    "solver": (
+        "FitOptions",
+        "FitResult",
+        "fit",
+        "kkt_residual",
+        "largest_singular_value",
+        "objective_value",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -36,13 +36,6 @@ import numpy as np
 from .blas import thread_policy
 from .criterion import DEFAULT_ETA, CriterionReport, evaluate, evaluate_grid, select
 from .data import Dataset
-from .diagnostics import (
-    ks_normal,
-    normal_summary,
-    residual_representation_check,
-    write_histogram_csv,
-    write_qq_csv,
-)
 from .errors import (
     DegenerateDenominator,
     DegenerateFit,
@@ -300,8 +293,8 @@ def write_report(doc: dict, out) -> None:
 def _evaluate_one(args, eta: float = DEFAULT_ETA):
     """Read the inputs of fit/diagnose and evaluate their one candidate.
 
-    Non-convergence warns on stderr and keeps the best iterate; a singular
-    sensitivity system raises, so no report is written.
+    Non-convergence warns on stderr and keeps the best iterate. A singular
+    sensitivity system leaves the candidate without a bundle or report.
     """
     data = _read_dataset(args)
     loss = _loss_from_args(args)
@@ -310,12 +303,12 @@ def _evaluate_one(args, eta: float = DEFAULT_ETA):
     cand = evaluate(data, loss, penalty, options, eta=eta)
     if cand.warning is not None:
         print(f"warning: {cand.warning}", file=sys.stderr)
-    if cand.bundle is None:
-        raise SingularSystem(cand.singular)
     return data, cand
 
 
 def cmd_fit(args) -> int:
+    """Write the fit report; exit 2 when the fit did not converge or its
+    sensitivity system is singular (then sensitivity and criterion are null)."""
     data, cand = _evaluate_one(args, _eta_from_args(args))
     result, bundle = cand.result, cand.bundle
     doc = {
@@ -333,18 +326,24 @@ def cmd_fit(args) -> int:
         "converged": result.converged,
         "kkt_residual": result.kkt_residual,
         "objective": result.objective,
-        "sensitivity": {
+        "sensitivity": None,
+        "criterion": None,
+    }
+    if bundle is not None:
+        doc["sensitivity"] = {
             "df": bundle.df,
             "trace_v": bundle.trace_V,
             "n_hat": bundle.n_hat,
             "p_hat": bundle.p_hat,
             "tau_eff": bundle.tau_eff,
-        },
-        "criterion": asdict(cand.report),
-    }
+        }
+        doc["criterion"] = asdict(cand.report)
     write_report(doc, args.out)
     if args.beta_out is not None:
         write_csv(args.beta_out, None, ((b,) for b in result.beta_hat))
+    if bundle is None:
+        print(f"error: {cand.singular}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK if result.converged else EXIT_NUMERICAL
 
 
@@ -418,11 +417,22 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    # Imported here: no other command needs diagnostics or its statistics.
+    from .diagnostics import (
+        ks_normal,
+        normal_summary,
+        residual_representation_check,
+        write_histogram_csv,
+        write_qq_csv,
+    )
+
     if args.t_hat is not None and not 0.0 <= args.t_hat < math.inf:
         raise InputError(f"--t-hat must be a finite number >= 0, got {args.t_hat}")
     if args.bins < 1:
         raise InputError("--bins must be >= 1")
     data, cand = _evaluate_one(args)
+    if cand.bundle is None:
+        raise SingularSystem(cand.singular)
     result, bundle, loss = cand.result, cand.bundle, cand.loss
 
     if args.t_hat is not None:

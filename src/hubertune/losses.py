@@ -29,6 +29,12 @@ class SquareLoss:
         """Derivative of psi: identically one."""
         return np.ones_like(np.asarray(u, dtype=float))
 
+    def mean_value_and_psi(self, u: np.ndarray):
+        """(mean of value(u), psi(u)) of a float vector, each bit for bit."""
+        v = 0.5 * u
+        v *= u
+        return float(np.add.reduce(v) / u.shape[0]), u + 0.0
+
     def prox(self, u, t: float):
         """Unique z solving z + t*psi(z) = u, here z = u / (1 + t)."""
         if t <= 0:
@@ -71,6 +77,22 @@ class HuberLoss:
         """1 on the quadratic regime |u| <= Lambda, 0 outside."""
         u = np.asarray(u, dtype=float)
         return (np.abs(u) <= self.scale).astype(float)
+
+    def mean_value_and_psi(self, u: np.ndarray):
+        """(mean of value(u), psi(u)) of a float vector, each bit for bit.
+
+        psi(u) equals u exactly on the quadratic regime and +/- Lambda
+        beyond, where psi(u) * u is Lambda * |u| to the last bit.
+        """
+        s = self.scale
+        ps = np.maximum(u, -s)
+        np.minimum(ps, s, out=ps)
+        v = 0.5 * u
+        v *= u
+        linear = ps * u
+        linear -= 0.5 * s * s
+        np.copyto(v, linear, where=ps != u)
+        return float(np.add.reduce(v) / u.shape[0]), ps
 
     def prox(self, u, t: float):
         """Unique z solving z + t*psi(z) = u.

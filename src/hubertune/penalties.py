@@ -28,7 +28,9 @@ class ElasticNet:
 
     def value(self, b) -> float:
         b = np.asarray(b, dtype=float)
-        return float(self.lam * np.sum(np.abs(b)) + 0.5 * self.tau * np.sum(b * b))
+        # np.add.reduce over all axes is np.sum without its Python layer.
+        l1 = np.add.reduce(np.abs(b), axis=None)
+        return float(self.lam * l1 + 0.5 * self.tau * np.add.reduce(b * b, axis=None))
 
     def prox(self, v, step: float):
         """argmin_b ||b - v||^2 / (2*step) + g(b), componentwise.
@@ -38,9 +40,19 @@ class ElasticNet:
         """
         if step <= 0:
             raise ValueError("prox step must be positive")
-        v = np.asarray(v, dtype=float)
-        shrunk = np.sign(v) * np.maximum(np.abs(v) - step * self.lam, 0.0)
-        return shrunk / (1.0 + step * self.tau)
+        out = np.array(v, dtype=float)
+        self.prox_in_place(out, step)
+        return out[()]
+
+    def prox_in_place(self, v: np.ndarray, step: float) -> None:
+        """Overwrite the float array v (a view will do) with prox(v, step)."""
+        sign = np.sign(v)
+        np.abs(v, out=v)
+        v -= step * self.lam
+        np.maximum(v, 0.0, out=v)
+        v *= sign
+        if self.tau:  # dividing by 1.0 changes no bit
+            v /= 1.0 + step * self.tau
 
 
 def ridge(tau: float) -> ElasticNet:

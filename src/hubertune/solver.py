@@ -99,18 +99,22 @@ def objective_value(
     return float(np.mean(loss.value(r)) + penalty.value(beta))
 
 
-def _kkt_score_gap(g: np.ndarray, beta: np.ndarray, penalty: ElasticNet) -> float:
-    """Max distance of the score g = (1/n) X'psi(r) from the subdifferential.
+def _kkt_score_gap(g: np.ndarray, w: np.ndarray, penalty: ElasticNet, off=0) -> float:
+    """Max distance of the score g = (1/n) X'psi(r) at w from the subdifferential.
 
-    Active coordinates contribute |g_j - lam*sign(b_j) - tau*b_j|, inactive
-    ones max(0, |g_j| - lam); a NaN score anywhere gives NaN.
+    The first ``off`` coordinates are unpenalized (an intercept) and contribute
+    |g_j|; active ones |g_j - lam*sign(w_j) - tau*w_j|, inactive ones
+    max(0, |g_j| - lam). A NaN score anywhere gives NaN.
     """
-    gap = np.where(
-        beta != 0.0,
-        np.abs(g - penalty.lam * np.sign(beta) - penalty.tau * beta),
-        np.maximum(np.abs(g) - penalty.lam, 0.0),
-    )
-    return float(gap.max(initial=0.0))
+    b = w[off:]
+    gap = penalty.lam * np.sign(b)
+    np.subtract(g[off:], gap, out=gap)
+    if penalty.tau:  # a zero tau*b term could only flip the sign of a zero
+        gap -= penalty.tau * b
+    np.abs(gap, out=gap)
+    np.subtract(gap, penalty.lam, out=gap, where=b == 0.0)  # |g_j| - lam
+    worst = float(np.maximum.reduce(gap, initial=0.0))
+    return max(worst, abs(float(g[0]))) if off else worst
 
 
 def kkt_residual(
@@ -177,16 +181,6 @@ def fit(
         if sigma_max > 0.0:
             w[off:] = init
 
-    def full_objective(resid: np.ndarray, wvec: np.ndarray) -> float:
-        return float(np.mean(loss.value(resid)) + penalty.value(wvec[off:]))
-
-    def kkt_from_gradient(gvec: np.ndarray, wvec: np.ndarray) -> float:
-        # gvec = (1/n) Xa' psi(r); coordinate 0 is the intercept term.
-        worst = _kkt_score_gap(gvec[off:], wvec[off:], penalty)
-        if use_icpt:
-            worst = max(worst, abs(float(gvec[0])))
-        return worst
-
     def build_result(wvec, resid, iters, kkt, converged, attempts=0):
         beta = wvec[off:].copy()
         return FitResult(
@@ -198,7 +192,7 @@ def fit(
             kkt_residual=float(kkt),
             converged=converged,
             with_intercept=use_icpt,
-            objective=full_objective(resid, wvec),
+            objective=loss.mean_value_and_psi(resid)[0] + penalty.value(beta),
             newton_attempts=attempts,
         )
 
@@ -227,19 +221,22 @@ def fit(
         except np.linalg.LinAlgError:
             return None
         r_new = y - Xa @ w_new
-        kkt_new = kkt_from_gradient(Xa.T @ loss.psi(r_new) / n, w_new)
+        kkt_new = _kkt_score_gap(Xa.T @ loss.psi(r_new) / n, w_new, penalty, off)
         if kkt_new <= options.kkt_tolerance:
             return w_new, r_new, kkt_new
         return None
 
+    # The loop carries, for the accepted point w: Xw, r = y - Xw, psi(r),
+    # the objective F, and the score (1/n) Xa'psi(r) once a KKT check has
+    # computed it. Arrays are never written after they are accepted.
     Xw = Xa @ w
     r = y - Xw
-    F = full_objective(r, w)
+    f, ps = loss.mean_value_and_psi(r)
+    F = f + penalty.value(w[off:])
 
     # Immediate exit if the start point is already stationary.
-    ps = loss.psi(r)
-    gvec = Xa.T @ ps / n
-    kkt = kkt_from_gradient(gvec, w)
+    score = Xa.T @ ps / n
+    kkt = _kkt_score_gap(score, w, penalty, off)
     if kkt <= options.kkt_tolerance:
         return build_result(w, r, 0, kkt, True)
 
@@ -252,37 +249,11 @@ def fit(
     # ones every few iterations to save a matrix-vector product per step.
     check_every = 1 if n * p <= 200_000 else 5
 
-    w_prev = w.copy()
-    Xw_prev = Xw.copy()
+    w_prev, Xw_prev = w, Xw
     t_mom = 1.0
     step = step0
     best_kkt = kkt
-    best_state = (w.copy(), r.copy(), 0)
-
-    def prox_from(point, Xpoint, trial_step):
-        """One backtracked proximal step from `point`.
-
-        Returns (w_new, Xw_new, r_new, F(w_new), step_used). The sufficient
-        decrease test is the usual quadratic upper bound; steps at or below
-        1/L always pass it, so the floor accepts unconditionally.
-        """
-        r_pt = y - Xpoint
-        f_pt = float(np.mean(loss.value(r_pt)))
-        grad = -(Xa.T @ loss.psi(r_pt)) / n
-        t = trial_step
-        while True:
-            w_new = point - t * grad
-            w_new[off:] = penalty.prox(w_new[off:], t)
-            Xw_new = Xa @ w_new
-            r_new = y - Xw_new
-            f_new = float(np.mean(loss.value(r_new)))
-            dw = w_new - point
-            bound = f_pt + float(grad @ dw) + float(dw @ dw) / (2.0 * t)
-            # The test is exact: any relaxation lets grown steps hover just
-            # above tight tolerances instead of converging.
-            if f_new <= bound or t <= step0:
-                return w_new, Xw_new, r_new, f_new + penalty.value(w_new[off:]), t
-            t = max(0.5 * t, step0)
+    best_state = (w, r, 0)
 
     iterations = 0
     converged = False
@@ -290,56 +261,79 @@ def fit(
     attempts = 0
     pattern, stable_checks, tried_pattern = None, 0, None
     for iterations in range(1, options.max_iterations + 1):
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
         omega = (t_mom - 1.0) / t_next
-        z = w + omega * (w - w_prev)
-        Xz = Xw + omega * (Xw - Xw_prev)
-
-        trial = min(step * 1.2, step_cap)
-        w_new, Xw_new, r_new, F_new, step = prox_from(z, Xz, trial)
-
-        if F_new > F + 1e-15 * (1.0 + abs(F)):
-            # Accelerated step went uphill: restart momentum and take a
-            # plain proximal step from the current point at the floor
-            # step, which never increases the objective.
+        z = w - w_prev
+        z *= omega
+        z += w
+        Xz = Xw - Xw_prev
+        Xz *= omega
+        Xz += Xw
+        f_z, ps_z = loss.mean_value_and_psi(y - Xz)
+        # Gradient of the mean loss at z; -(1/n) X'psi, rounded as such.
+        point, grad, f_pt, t = z, (Xa.T @ ps_z) / -n, f_z, min(step * 1.2, step_cap)
+        for restart in (False, True):
+            # One backtracked proximal step from `point`. The sufficient
+            # decrease test is the usual quadratic upper bound; steps at or
+            # below 1/L always pass it, so the floor accepts unconditionally.
+            while True:
+                w_new = point - t * grad
+                penalty.prox_in_place(w_new[off:], t)
+                Xw_new = Xa @ w_new
+                r_new = y - Xw_new
+                f_new, ps_new = loss.mean_value_and_psi(r_new)
+                if t <= step0:
+                    break
+                dw = w_new - point
+                # The test is exact: any relaxation lets grown steps hover
+                # just above tight tolerances instead of converging.
+                if f_new <= f_pt + float(grad @ dw) + float(dw @ dw) / (2.0 * t):
+                    break
+                t = max(0.5 * t, step0)
+            F_new = f_new + penalty.value(w_new[off:])
+            if restart or not F_new > F + 1e-15 * (1.0 + abs(F)):
+                break
+            # Accelerated step went uphill: restart momentum and take a plain
+            # proximal step from the current point at the floor step, which
+            # never increases the objective.
             t_next = 1.0
-            w_new, Xw_new, r_new, F_new, step = prox_from(w, Xw, step0)
+            grad = -score if score is not None else (Xa.T @ ps) / -n
+            point, t = w, step0
 
         w_prev, w = w, w_new
         Xw_prev, Xw = Xw, Xw_new
-        r = r_new
+        r, ps, score = r_new, ps_new, None
         F = min(F, F_new)
         t_mom = t_next
+        step = t
 
         if iterations % check_every == 0 or iterations == options.max_iterations:
-            ps = loss.psi(r)
-            gvec = Xa.T @ ps / n
-            kkt = kkt_from_gradient(gvec, w)
+            score = Xa.T @ ps / n
+            kkt = _kkt_score_gap(score, w, penalty, off)
             if kkt < best_kkt:
                 best_kkt = kkt
-                best_state = (w.copy(), r.copy(), iterations)
+                best_state = (w, r, iterations)
             if kkt <= options.kkt_tolerance:
                 converged = True
                 break
 
-            d = loss.psi_prime(r)
-            new_pattern = np.concatenate([np.sign(w[off:]), np.sign(ps - d * r)])
-            if np.array_equal(new_pattern, pattern):
+            # The pattern: the signs of b, and the outliers with their signs
+            # (psi(r) - r is zero exactly on the inliers).
+            new_pattern = np.sign(w[off:]).tobytes() + np.sign(ps - r).tobytes()
+            if new_pattern == pattern:
                 stable_checks += 1
             else:
                 pattern, stable_checks = new_pattern, 1
             # The solved point depends on the pattern alone, so a pattern
             # that failed once is not tried again.
-            if stable_checks >= PATTERN_CHECKS and not np.array_equal(
-                pattern, tried_pattern
-            ):
+            if stable_checks >= PATTERN_CHECKS and pattern != tried_pattern:
                 p_hat = int(np.count_nonzero(w[off:])) + off
                 # The budget of an attempt (see the module docstring).
                 attempt_flops = n * p_hat * p_hat + p_hat**3 / 3.0
                 if iterations * iteration_flops >= 2**attempts * attempt_flops:
                     attempts += 1
                     tried_pattern = pattern
-                    polished = newton_point(w, ps, d)
+                    polished = newton_point(w, ps, loss.psi_prime(r))
                     if polished is not None:
                         w, r, kkt = polished
                         converged = True

@@ -49,3 +49,43 @@ def dense_df(data, fit_result, loss, tau_eff):
     """df = trace[X_S M^{-1} X_S' Psi'], solved densely with np.linalg.solve."""
     M, XS, psi = dense_system(data, fit_result, loss, tau_eff)
     return float(np.trace(XS @ np.linalg.solve(M, XS.T @ psi)))
+
+
+# The solver's per-iteration pieces as they were first written, one numpy
+# expression each; the lean versions must reproduce them bit for bit.
+
+
+def mean_loss(loss, r):
+    """Mean loss of the residuals r."""
+    return float(np.mean(loss.value(r)))
+
+
+def huber_psi(r, scale):
+    """The Huber score, clipped by np.clip."""
+    return np.clip(r, -scale, scale)
+
+
+def elastic_net_value(penalty, b):
+    """lam * ||b||_1 + (tau/2) * ||b||_2^2 with np.sum."""
+    return float(penalty.lam * np.sum(np.abs(b)) + 0.5 * penalty.tau * np.sum(b * b))
+
+
+def elastic_net_prox(penalty, v, step):
+    """Soft-threshold at step*lam, then shrink by 1/(1 + step*tau)."""
+    v = np.asarray(v, dtype=float)
+    shrunk = np.sign(v) * np.maximum(np.abs(v) - step * penalty.lam, 0.0)
+    return shrunk / (1.0 + step * penalty.tau)
+
+
+def kkt_score_gap(g, w, penalty, off=0):
+    """KKT gap by np.where; the first `off` coordinates are unpenalized."""
+    beta = w[off:]
+    gap = np.where(
+        beta != 0.0,
+        np.abs(g[off:] - penalty.lam * np.sign(beta) - penalty.tau * beta),
+        np.maximum(np.abs(g[off:]) - penalty.lam, 0.0),
+    )
+    worst = float(gap.max(initial=0.0))
+    if off:
+        worst = max(worst, abs(float(g[0])))
+    return worst

@@ -257,6 +257,28 @@ class TestFit:
         )
         assert doc["criterion"]["eta"] == report.eta
 
+    def test_singular_system_writes_a_partial_report(
+        self, tmp_path, capsys, singular_at_lambda
+    ):
+        """The fit fields are written as on success; sensitivity and
+        criterion are null, the error is printed, and the exit code is 2."""
+        design, response, _, _ = make_regression_files(tmp_path)
+        argv = ["fit", str(design), str(response), "--lambda", "0.05", "--tau", "0.02"]
+        clean, out, beta = tmp_path / "clean.json", tmp_path / "out.json", tmp_path / "b.csv"
+        assert main(argv + ["--out", str(clean)]) == 0
+        capsys.readouterr()
+
+        singular_at_lambda(0.05)
+        assert main(argv + ["--out", str(out), "--beta-out", str(beta)]) == 2
+        assert_input_error_names(capsys, "injected at lambda=0.05")
+        doc = read_json(out)
+        validate(doc, "fit_report.schema.json")
+        assert doc.pop("sensitivity") is None and doc.pop("criterion") is None
+        expected = read_json(clean)
+        del expected["sensitivity"], expected["criterion"]
+        assert doc == expected
+        assert len(beta.read_text().splitlines()) == 5
+
     def test_rerun_is_byte_identical(self, tmp_path):
         design, response, _, _ = make_regression_files(tmp_path)
         out1 = tmp_path / "a.json"

@@ -8,6 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import hubertune.criterion
 import hubertune.data
 
 from hubertune import (
@@ -367,3 +368,37 @@ class TestEvaluateGridJobs:
         data, cells = _wide_case()
         evaluate_grid(data, cells, FitOptions(intercept=intercept), jobs=2)
         assert step_bounds == [(30, 61 if intercept else 60)]
+
+    def test_costliest_cells_go_first_and_come_back_in_grid_order(self, monkeypatch):
+        """Workers take the cells by smaller lambda, then smaller tau, then
+        grid index; the candidates equal the serial ones, in grid order."""
+        data, _ = _wide_case()
+        cells = [
+            GridCell(0.2, lam=0.3, tau=0.05),
+            GridCell(0.2, lam=0.02, tau=0.1),
+            GridCell(None, lam=0.05, tau=0.0),
+            GridCell(0.2, lam=0.02, tau=0.05),
+            GridCell(None, lam=0.02, tau=0.1),
+        ]
+        options = FitOptions(kkt_tolerance=1e-11)
+        serial = evaluate_grid(data, cells, options, eta=0.1, jobs=1)
+
+        dispatched, original = [], hubertune.criterion.map_items
+
+        def recording(fn, shared, items, jobs):
+            dispatched.append(list(items))
+            return original(fn, shared, items, jobs)
+
+        monkeypatch.setattr(hubertune.criterion, "map_items", recording)
+        parallel = evaluate_grid(data, cells, options, eta=0.1, jobs=2)
+        assert dispatched == [[cells[i] for i in (3, 1, 4, 2, 0)]]
+        assert [c.penalty for c in parallel] == [c.penalty() for c in cells]
+        for a, b in zip(serial, parallel):
+            assert (a.loss, a.penalty, a.report) == (b.loss, b.penalty, b.report)
+            assert (a.warning, a.singular) == (b.warning, b.singular)
+            _assert_same_fields(a.result, b.result)
+            _assert_same_fields(a.bundle, b.bundle)
+
+        dispatched.clear()
+        evaluate_grid(data, cells, options, eta=0.1, jobs=1)
+        assert dispatched == [cells]

@@ -108,3 +108,36 @@ def test_cli_import_loads_every_traced_layer_and_no_pool(tmp_path):
     assert {f"hubertune.{name}" for name in layers} <= set(doc["seen"]["layers"])
     assert doc["seen"]["import hubertune.cli"] == []
     assert doc["seen"]["select --jobs 1"] == []
+
+
+SELECT_SCRIPT = """
+import json, sys
+
+def loaded():
+    return sorted(
+        name for name in sys.modules
+        if name in ("hubertune.diagnostics", "statistics")
+    )
+
+import hubertune
+seen = {"import hubertune": sorted(n for n in sys.modules if n.startswith("hubertune."))}
+import hubertune.cli
+seen["import hubertune.cli"] = loaded()
+design, response, grid, out, _ = sys.argv[1:]
+code = hubertune.cli.main(["select", design, response, grid, "--out", out])
+seen["select"] = loaded()
+print(json.dumps({"code": code, "seen": seen}))
+"""
+
+
+def test_select_loads_no_diagnostics(tmp_path):
+    """The package resolves its names on first use, and the CLI imports
+    diagnostics (and with it the statistics module) only for `diagnose`:
+    a bare `select` run through main() loads neither."""
+    doc = run_script(SELECT_SCRIPT, write_inputs(tmp_path))
+    assert doc["code"] == 0
+    assert doc["seen"] == {
+        "import hubertune": [],
+        "import hubertune.cli": [],
+        "select": [],
+    }

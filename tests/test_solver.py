@@ -411,6 +411,25 @@ class TestNewtonPolish:
         )
         assert total <= 9_925 // 2
 
+    def test_iteration_and_attempt_counts_are_pinned(self):
+        """The same grid, cell by cell: iterations and Newton attempts.
+
+        A change to the loop that keeps its arithmetic keeps these counts;
+        one that moves a rounding anywhere shows up here first.
+        """
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((60, 120))
+        y = X[:, :3].sum(1) + rng.standard_t(2, 60)
+        data = Dataset(X=X, y=y)
+        counts = []
+        for lam in (0.08, 0.04, 0.02, 0.01):
+            for tau in (0.0, 1e-3):
+                result = fit(data, HuberLoss(scale=0.5), ElasticNet(lam=lam, tau=tau))
+                counts.append((result.iterations, result.newton_attempts))
+        assert counts == [
+            (38, 4), (31, 3), (67, 4), (48, 2), (667, 7), (181, 6), (639, 7), (411, 7)
+        ]
+
 
 # Orders on both sides of the base case of the blocked inverse.
 FACTOR_ORDERS = [1, 2, 63, 64, 65, 129, 500]
