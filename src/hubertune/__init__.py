@@ -6,8 +6,9 @@ trace of the influence operator, full Jacobians), and builds on them an
 observable model-selection criterion, residual diagnostics, and a seeded
 Monte Carlo harness.
 
-Names resolve on first use (PEP 562): ``import hubertune`` loads no
-submodule, and ``hubertune.fit`` imports only what the solver needs.
+Names and submodules resolve on first use (PEP 562): ``import hubertune``
+loads no submodule, ``hubertune.fit`` imports only what the solver needs,
+and ``hubertune.blas`` imports the blas module.
 """
 
 import importlib
@@ -90,15 +91,20 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+# Submodules reachable as attributes (hubertune.blas, ...) without their own import.
+_SUBMODULES = frozenset(_EXPORTS) | {"blas", "cli", "formatting", "pool"}
 
 __all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
     module = _MODULE_OF.get(name)
-    if module is None:
+    if module is not None:
+        value = getattr(importlib.import_module(f".{module}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
     globals()[name] = value
     return value
 

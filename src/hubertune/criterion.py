@@ -200,21 +200,23 @@ def evaluate_grid(
     the Dataset, with its step bound, the options and eta reach each worker
     once, and each candidate comes back without a copy of the design.
     Cells are independent and each worker runs its parent's BLAS thread
-    count, so the candidates are the same for every jobs count. Workers
-    take the likely costliest cells first (smaller lambda, then smaller
-    tau, then grid order), so a slow cell does not run alone at the end;
-    the candidates come back in grid order.
+    count, so the candidates are the same for every jobs count. The cells
+    run the likely costliest first (smaller lambda, then smaller tau, then
+    grid order), so a slow cell does not run alone at the end; the
+    candidates come back in grid order. The order is the same for every
+    jobs count, so a grid with failing cells raises the same exception,
+    the first in that order.
     """
     if options is None:
         options = FitOptions()
     # Read once here, the step bound is cached on the Dataset the workers get.
     _ = data.sigma_max_with_intercept if options.intercept else data.sigma_max
     cells = list(cells)
-    order = list(range(len(cells)))
-    if jobs > 1:
-        # Smaller penalties leave larger active sets and take more iterations;
-        # the sort is stable, so ties keep grid order.
-        order.sort(key=lambda i: (cells[i].penalty().lam, cells[i].penalty().tau))
+    # Smaller penalties leave larger active sets and take more iterations;
+    # the sort is stable, so ties keep grid order.
+    order = sorted(
+        range(len(cells)), key=lambda i: (cells[i].penalty().lam, cells[i].penalty().tau)
+    )
     shared = (data, options, eta)
     found = map_items(_cell_candidate, shared, [cells[i] for i in order], jobs)
     candidates = [None] * len(cells)

@@ -51,8 +51,7 @@ class ElasticNet:
         v -= step * self.lam
         np.maximum(v, 0.0, out=v)
         v *= sign
-        if self.tau:  # dividing by 1.0 changes no bit
-            v /= 1.0 + step * self.tau
+        v /= 1.0 + step * self.tau
 
 
 def ridge(tau: float) -> ElasticNet:

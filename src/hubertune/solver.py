@@ -109,8 +109,7 @@ def _kkt_score_gap(g: np.ndarray, w: np.ndarray, penalty: ElasticNet, off=0) -> 
     b = w[off:]
     gap = penalty.lam * np.sign(b)
     np.subtract(g[off:], gap, out=gap)
-    if penalty.tau:  # a zero tau*b term could only flip the sign of a zero
-        gap -= penalty.tau * b
+    gap -= penalty.tau * b
     np.abs(gap, out=gap)
     np.subtract(gap, penalty.lam, out=gap, where=b == 0.0)  # |g_j| - lam
     worst = float(np.maximum.reduce(gap, initial=0.0))

@@ -154,3 +154,14 @@ class TestKktGap:
         penalty = PENALTIES[1]
         g, w = np.array([4.0, 0.1, 0.2]), np.array([1.0, 0.0, 0.5])
         assert _kkt_score_gap(g, w, penalty, 1) == kkt_score_gap(g, w, penalty, 1) == 4.0
+
+    @pytest.mark.parametrize("penalty", PENALTIES, ids=PENALTY_IDS)
+    @pytest.mark.parametrize("off", [0, 1], ids=["no-intercept", "intercept"])
+    def test_infinite_point(self, penalty, off):
+        """An infinite coordinate gives what the formula gives: NaN at tau = 0
+        (0 * inf), an infinite gap at tau > 0."""
+        g, w = gap_inputs(3, penalty.lam)
+        w[2] = np.inf
+        got, want = _kkt_score_gap(g, w, penalty, off), kkt_score_gap(g, w, penalty, off)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got) if penalty.tau == 0.0 else got == np.inf

@@ -14,10 +14,12 @@ import hubertune.data
 from hubertune import (
     Candidate,
     Dataset,
+    DegenerateFit,
     ElasticNet,
     FitOptions,
     FitResult,
     HuberLoss,
+    IllPosed,
     NoFeasibleCandidate,
     SensitivityBundle,
     SingularSystem,
@@ -370,8 +372,9 @@ class TestEvaluateGridJobs:
         assert step_bounds == [(30, 61 if intercept else 60)]
 
     def test_costliest_cells_go_first_and_come_back_in_grid_order(self, monkeypatch):
-        """Workers take the cells by smaller lambda, then smaller tau, then
-        grid index; the candidates equal the serial ones, in grid order."""
+        """Cells run by smaller lambda, then smaller tau, then grid index,
+        for every jobs count; the candidates equal the serial ones, in grid
+        order."""
         data, _ = _wide_case()
         cells = [
             GridCell(0.2, lam=0.3, tau=0.05),
@@ -401,4 +404,19 @@ class TestEvaluateGridJobs:
 
         dispatched.clear()
         evaluate_grid(data, cells, options, eta=0.1, jobs=1)
-        assert dispatched == [cells]
+        assert dispatched == [[cells[i] for i in (3, 1, 4, 2, 0)]]
+
+    def test_the_same_failing_cell_raises_for_every_jobs_count(self):
+        """A DegenerateFit cell (every residual beyond a tiny Huber scale)
+        ahead of an IllPosed one (no penalty, p + 1 > n) in grid order: the
+        cells run in the same order serially and on a pool, so both raise
+        the IllPosed cell's error."""
+        data, _ = _wide_case()
+        degenerate = GridCell(1e-6, lam=0.0, tau=1.0)
+        ill_posed = GridCell(None, lam=0.0, tau=0.0)
+        options = FitOptions(intercept=True)
+        with pytest.raises(DegenerateFit):
+            evaluate_grid(data, [degenerate], options)
+        for jobs in (1, 2):
+            with pytest.raises(IllPosed):
+                evaluate_grid(data, [degenerate, ill_posed], options, jobs=jobs)

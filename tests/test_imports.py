@@ -141,3 +141,21 @@ def test_select_loads_no_diagnostics(tmp_path):
         "import hubertune.cli": [],
         "select": [],
     }
+
+
+SUBMODULE_SCRIPT = """
+import json
+import hubertune
+print(json.dumps({
+    "thread_policy": callable(hubertune.blas.thread_policy),
+    "solver.fit": hubertune.solver.fit is hubertune.fit,
+    "no_such_name": hasattr(hubertune, "no_such_name"),
+}))
+"""
+
+
+def test_submodules_are_attributes_after_a_bare_import():
+    """`import hubertune` alone makes hubertune.blas, hubertune.solver and
+    the other submodules reachable, as an eager import of them would."""
+    doc = run_script(SUBMODULE_SCRIPT, [])
+    assert doc == {"thread_policy": True, "solver.fit": True, "no_such_name": False}

@@ -422,8 +422,11 @@ class TestRunGrid:
 
         cfg = self.small_config(replications=2)
         clean = run_grid(cfg).records
-        # Call 5 of each is replication 1, cell 1: every clean cell has a bundle.
-        raise_on_call(hubertune.criterion, "sensitivity_closed_form", 5)
+        # Replication 1, cell 1 (record 4) is call 5 of trace_sigma_A, which
+        # runs in grid order, and call 6 of sensitivity_closed_form, which runs
+        # in evaluate_grid's dispatch order (cells 2, 0, 1: smaller lambda
+        # first). Every clean cell has a bundle.
+        raise_on_call(hubertune.criterion, "sensitivity_closed_form", 6)
         singular_factor = run_grid(cfg).records
         monkeypatch.undo()
         raise_on_call(hubertune.simulate, "trace_sigma_A", 5)
