@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .blas import thread_policy
-from .criterion import DEFAULT_ETA, CriterionReport, evaluate, evaluate_grid, select
+from .criterion import DEFAULT_ETA, evaluate, evaluate_grid, select
 from .data import Dataset
 from .errors import (
     DegenerateDenominator,
@@ -293,8 +293,7 @@ def write_report(doc: dict, out) -> None:
 def _evaluate_one(args, eta: float = DEFAULT_ETA):
     """Read the inputs of fit/diagnose and evaluate their one candidate.
 
-    Non-convergence warns on stderr and keeps the best iterate. A singular
-    sensitivity system leaves the candidate without a bundle or report.
+    Non-convergence warns on stderr and keeps the best iterate.
     """
     data = _read_dataset(args)
     loss = _loss_from_args(args)
@@ -307,8 +306,7 @@ def _evaluate_one(args, eta: float = DEFAULT_ETA):
 
 
 def cmd_fit(args) -> int:
-    """Write the fit report; exit 2 when the fit did not converge or its
-    sensitivity system is singular (then sensitivity and criterion are null)."""
+    """Write the fit report; exit 2 when the fit did not converge."""
     data, cand = _evaluate_one(args, _eta_from_args(args))
     result, bundle = cand.result, cand.bundle
     doc = {
@@ -326,31 +324,23 @@ def cmd_fit(args) -> int:
         "converged": result.converged,
         "kkt_residual": result.kkt_residual,
         "objective": result.objective,
-        "sensitivity": None,
-        "criterion": None,
-    }
-    if bundle is not None:
-        doc["sensitivity"] = {
+        "sensitivity": {
             "df": bundle.df,
             "trace_v": bundle.trace_V,
             "n_hat": bundle.n_hat,
             "p_hat": bundle.p_hat,
             "tau_eff": bundle.tau_eff,
-        }
-        doc["criterion"] = asdict(cand.report)
+        },
+        "criterion": asdict(cand.report),
+    }
     write_report(doc, args.out)
     if args.beta_out is not None:
         write_csv(args.beta_out, None, ((b,) for b in result.beta_hat))
-    if bundle is None:
-        print(f"error: {cand.singular}", file=sys.stderr)
-        return EXIT_NUMERICAL
     return EXIT_OK if result.converged else EXIT_NUMERICAL
 
 
-def _select_entry(index: int, cand, eta: float) -> dict:
-    # A singular sensitivity system leaves no report: its values are null.
-    report = cand.report or CriterionReport(math.nan, math.nan, math.nan, False, eta, False)
-    criterion = asdict(report)
+def _select_entry(index: int, cand) -> dict:
+    criterion = asdict(cand.report)
     del criterion["eta"]
     return {
         "index": index,
@@ -383,7 +373,7 @@ def cmd_select(args) -> int:
         "eta": eta,
         "selected_index": selected,
         "ranking": ranking,
-        "candidates": [_select_entry(i, c, eta) for i, c in enumerate(candidates)],
+        "candidates": [_select_entry(i, c) for i, c in enumerate(candidates)],
     }
     write_report(doc, args.out)
     if selected is None:
@@ -431,9 +421,7 @@ def cmd_diagnose(args) -> int:
     if args.bins < 1:
         raise InputError("--bins must be >= 1")
     data, cand = _evaluate_one(args)
-    if cand.bundle is None:
-        raise SingularSystem(cand.singular)
-    result, bundle, loss = cand.result, cand.bundle, cand.loss
+    result, loss = cand.result, cand.loss
 
     if args.t_hat is not None:
         t_hat = args.t_hat
@@ -465,7 +453,7 @@ def cmd_diagnose(args) -> int:
         "t_hat": t_hat,
         "t_hat_source": source,
         "max_prox_gap": float(np.max(rep.gaps)),
-        "effective_observations": float(np.sum(bundle.psi_prime_diag)),
+        "effective_observations": cand.bundle.n_hat,
         "debiased_moments": {
             "mean": moments.mean,
             "variance": moments.variance,

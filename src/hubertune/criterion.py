@@ -5,8 +5,8 @@ design covariance nor the noise distribution; with the covariance known,
 ||r + trace[Sigma A] psi(r)||^2 is the oracle counterpart. Selection picks
 the feasible candidate (average psi' of the residuals at least eta) with
 the smallest adaptive criterion. evaluate() runs one candidate through
-fit -> sensitivity -> criterion and records numerical failures instead of
-raising them; evaluate_grid() does so for every cell of a grid.
+fit -> sensitivity -> criterion and records non-convergence instead of
+raising it; evaluate_grid() does so for every cell of a grid.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import NoFeasibleCandidate, NonConvergence, SingularSystem
+from .errors import NoFeasibleCandidate, NonConvergence
 from .losses import Loss
 from .penalties import ElasticNet
 from .pool import map_items
@@ -119,27 +119,22 @@ class Candidate:
     """One tuning candidate after fit -> sensitivity -> criterion.
 
     result is the converged fit or, when the iteration cap was hit, the best
-    iterate (converged False, the solver's message in warning). bundle and
-    report are None when the sensitivity system was singular, whose message
-    is then in singular.
+    iterate (converged False, the solver's message in warning).
     """
 
     loss: Loss
     penalty: ElasticNet
     result: FitResult
-    bundle: Optional[SensitivityBundle] = None
-    report: Optional[CriterionReport] = None
+    bundle: SensitivityBundle
+    report: CriterionReport
     warning: Optional[str] = None
-    singular: Optional[str] = None
 
     @property
     def feasible(self) -> bool:
-        return self.report is not None and self.report.feasible
+        return self.report.feasible
 
     @property
     def reason(self) -> Optional[str]:
-        if self.report is None:
-            return f"sensitivity system singular: {self.singular}"
         return self.report.reason
 
 
@@ -152,19 +147,16 @@ def evaluate(
 ) -> Candidate:
     """Fit one candidate, differentiate it, and score it.
 
-    Never raises on non-convergence or a singular sensitivity system: both
-    are recorded on the returned Candidate. Input errors (IllPosed) and a
-    degenerate intercept fit (DegenerateFit) still raise.
+    Never raises on non-convergence: it is recorded on the returned
+    Candidate. Input errors (IllPosed) and a degenerate intercept fit
+    (DegenerateFit) still raise.
     """
     warning = None
     try:
         result = fit(data, loss, penalty, options)
     except NonConvergence as exc:
         result, warning = exc.result, str(exc)
-    try:
-        bundle = sensitivity_closed_form(data, loss, penalty, result)
-    except SingularSystem as exc:
-        return Candidate(loss, penalty, result, warning=warning, singular=str(exc))
+    bundle = sensitivity_closed_form(data, loss, penalty, result)
     report = crit_adaptive(result, bundle, loss, eta=eta)
     return Candidate(loss, penalty, result, bundle, report, warning)
 
@@ -176,13 +168,7 @@ def _cell_candidate(data: Dataset, options: FitOptions, eta: float, cell) -> Can
     it again.
     """
     cand = evaluate(data, cell.loss(), cell.penalty(), options, eta)
-    return _bind_design(cand, None)
-
-
-def _bind_design(cand: Candidate, X) -> Candidate:
-    if cand.bundle is None:
-        return cand
-    return replace(cand, bundle=bind_design(cand.bundle, X))
+    return replace(cand, bundle=bind_design(cand.bundle, None))
 
 
 def evaluate_grid(
@@ -221,7 +207,7 @@ def evaluate_grid(
     found = map_items(_cell_candidate, shared, [cells[i] for i in order], jobs)
     candidates = [None] * len(cells)
     for i, cand in zip(order, found):
-        candidates[i] = _bind_design(cand, data.X)
+        candidates[i] = replace(cand, bundle=bind_design(cand.bundle, data.X))
     return candidates
 
 

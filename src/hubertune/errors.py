@@ -32,7 +32,7 @@ class NonConvergence(HubertuneError):
 
 
 class SingularSystem(HubertuneError):
-    """The sensitivity linear system is numerically singular."""
+    """A_hat was read where its system is singular (tau = 0, rank < p_hat)."""
 
 
 class DegenerateFit(HubertuneError):

@@ -2,7 +2,7 @@
 
 With D = diag{psi'(r)} and S the active set, the sensitivity matrix is
 
-    A_hat = (X_S' D X_S + n * tau_eff * I)^{-1}   (zero off the active set).
+    A_hat = (X_S' D X_S + n * tau * I)^{-1}   (zero off the active set).
 
 It gives the Jacobian of beta_hat in y (columns A_hat X'e_i psi'(r_i)), the
 Jacobian in single design entries, the effective degrees of freedom
@@ -10,14 +10,21 @@ df = trace[X dbeta/dy], and trace of V = diag{psi'(r)}(I - X dbeta/dy) —
 V itself is never materialized; only its trace and products are exposed.
 
 Both losses have psi' in {0, 1}, so X_S' D X_S = Z'Z for the block Z of the
-n_hat inlier rows (psi' = 1) of X_S. With c = n * tau_eff,
+n_hat inlier rows (psi' = 1) of X_S. Z'Z and ZZ' share their nonzero
+eigenvalues l, so with c = n * tau
 
-    df = p_hat - c trace[(Z'Z + cI)^{-1}] = n_hat - c trace[(ZZ' + cI)^{-1}],
+    df = sum_l l / (l + c)
 
-so df = m - c ||L^{-1}||_F^2 from one Cholesky factor L of the smaller
-side: the p_hat x p_hat primal system, or the n_hat x n_hat dual one when
-n_hat < p_hat. D^2 = D makes trace_V = n_hat - df exactly. A_hat is formed
-from the primal factor only when first read.
+from the eigenvalues of the smaller side: the p_hat x p_hat Gram Z'Z, or
+the n_hat x n_hat ZZ' when n_hat < p_hat. The sum runs over the eigenvalues
+above m * eps * max(l), m the order, whose count is the numerical rank of
+Z. At tau = 0 df is that rank exactly, the lasso's df. D^2 = D makes
+trace_V = n_hat - df exactly.
+
+A_hat is formed only when first read, by one inverse of the primal system
+Z'Z + cI. That system is singular exactly when c = 0 and rank < p_hat (for
+instance every fit with p_hat > n_hat at tau = 0); reading A_hat then
+raises SingularSystem. df and trace_V are defined for every fit.
 
 An intercept fit replaces D by Psi' = D - psi'(r) psi'(r)' / sum(psi'(r)).
 With Z column-centred, X_S' Psi' X_S = Z'Z again and X_S' Psi' is Z' on the
@@ -26,10 +33,6 @@ inlier columns (zero elsewhere), so the same formulas hold.
 A central finite-difference oracle over y provides independent verification,
 and contraction_check verifies five summed-derivative identities over the
 design entries against their closed forms.
-
-The ridge floor: sensitivity computation uses tau_eff = max(tau, 1e-10) so
-that pure-lasso fits (tau = 0) still yield a well-posed system; the floor
-used is recorded in the bundle.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.linalg import eigvalsh, inv
 
 from .data import Dataset
 from .errors import DegenerateFit, NonConvergence, SingularSystem
@@ -46,19 +50,18 @@ from .losses import HuberLoss, Loss
 from .penalties import ElasticNet
 from .solver import FitOptions, FitResult, fit
 
-TAU_FLOOR = 1e-10
-
 
 @dataclass(frozen=True)
 class SensitivityBundle:
     """Closed-form sensitivity objects for one fit.
 
     psi_diag and psi_prime_diag are psi(r_i) and psi'(r_i) at the fitted
-    residuals. system is the side factored for df ("primal", "dual", or
-    "none" on an empty active set) and system_size its order. inverse()
-    builds A_hat, the p_hat x p_hat active block of the sensitivity matrix;
-    the A_hat property calls it once, on first access (it raises
-    SingularSystem when the primal system cannot be factored).
+    residuals. tau_eff is the ridge weight tau of the system. system is
+    the Gram side whose eigenvalues gave df ("primal", "dual", or "none"
+    on an empty active set), system_size its order and rank the numerical
+    rank of Z. inverse() builds A_hat, the p_hat x p_hat active block of
+    the sensitivity matrix; the A_hat property calls it once, on first
+    access (it raises SingularSystem when tau = 0 and rank < p_hat).
     """
 
     df: float
@@ -73,6 +76,7 @@ class SensitivityBundle:
     with_intercept: bool
     system: str
     system_size: int
+    rank: int
     inverse: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
     @cached_property
@@ -92,75 +96,43 @@ def _inlier_block(X, S, d, with_intercept):
     return Z
 
 
-# Order at or below which _lower_inverse hands a diagonal block to LAPACK
-# whole.
-TRIANGULAR_BASE = 64
-
-
-def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """L^{-1} for lower triangular L, by 2 x 2 blocks.
-
-    [[A, 0], [B, C]]^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]], with
-    LAPACK's general inverse at and below order TRIANGULAR_BASE.
-    """
-    m = L.shape[0]
-    if m <= TRIANGULAR_BASE:
-        return np.tril(np.linalg.inv(L))
-    h = m // 2
-    out = np.zeros_like(L)
-    out[:h, :h] = _lower_inverse(L[:h, :h])
-    out[h:, h:] = _lower_inverse(L[h:, h:])
-    out[h:, :h] = -(out[h:, h:] @ (L[h:, :h] @ out[:h, :h]))
-    return out
-
-
-def _inverse_factor(G: np.ndarray, c: float) -> np.ndarray:
-    """L^{-1} for the Cholesky factor L of G + cI (G is overwritten)."""
-    G[np.diag_indices_from(G)] += c
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as exc:
+def _primal_inverse(X, S, d, with_intercept, c, rank) -> np.ndarray:
+    """(Z'Z + cI)^{-1}, symmetrized: the LU inverse is symmetric only to
+    rounding."""
+    if c == 0 and rank < S.size:
         raise SingularSystem(
-            f"sensitivity system singular at order {G.shape[0]}, n*tau_eff={c:g}"
-        ) from exc
-    return _lower_inverse(L)
-
-
-def _gram(Linv: np.ndarray) -> np.ndarray:
-    # Both operands share one buffer, so numpy runs one syrk: the result is
-    # exactly symmetric, and the same after Linv crosses a process boundary.
-    return Linv.T @ Linv
-
-
-def _primal_inverse(X, S, d, with_intercept, c) -> np.ndarray:
+            f"sensitivity system singular at tau = 0: rank {rank} < p_hat = {S.size}"
+        )
     Z = _inlier_block(X, S, d, with_intercept)
-    return _gram(_inverse_factor(Z.T @ Z, c))
+    G = Z.T @ Z
+    G[np.diag_indices_from(G)] += c
+    A = inv(G)
+    return 0.5 * (A + A.T)
 
 
 def sensitivity_closed_form(
     data: Dataset, loss: Loss, penalty: ElasticNet, fit_result: FitResult
 ) -> SensitivityBundle:
-    """Compute df, trace_V, n_hat, p_hat from one factorization.
+    """Compute df, trace_V, n_hat, p_hat and the rank from one spectrum.
 
-    The smaller of the primal and dual systems is factored (see the module
-    docstring); A_hat waits for its first access. An empty active set is not
-    an error: it yields an empty A_hat, df = 0, and trace_V = sum(psi'(r)).
+    The eigenvalues of the smaller Gram side give df and the rank (see the
+    module docstring); A_hat waits for its first access. An empty active
+    set is not an error: it yields an empty A_hat, df = 0, and trace_V =
+    sum(psi'(r)).
     """
     r = fit_result.residuals
     d = loss.psi_prime(r)
     n_hat = float(np.sum(d))
     S, icpt = fit_result.active_set, fit_result.with_intercept
-    tau_eff = max(penalty.tau, TAU_FLOOR)
-    c = data.n * tau_eff
-    system, Linv, inverse = "none", np.zeros((0, 0)), partial(np.zeros, (0, 0))
+    c = data.n * penalty.tau
+    system, spectrum = "none", np.zeros(0)
     if S.size:
         Z = _inlier_block(data.X, S, d, icpt)
-        if Z.shape[0] < Z.shape[1]:
-            system, Linv, inverse = "dual", _inverse_factor(Z @ Z.T, c), None
-        else:
-            system, Linv = "primal", _inverse_factor(Z.T @ Z, c)
-            inverse = partial(_gram, Linv)
-    df = Linv.shape[0] - c * float(np.sum(Linv * Linv))
+        system = "dual" if Z.shape[0] < Z.shape[1] else "primal"
+        spectrum = eigvalsh(Z @ Z.T if system == "dual" else Z.T @ Z)
+    m = spectrum.size
+    kept = spectrum[spectrum > m * np.finfo(float).eps * spectrum.max(initial=0.0)]
+    df = float(np.sum(kept / (kept + c)))
     bundle = SensitivityBundle(
         df=df,
         trace_V=n_hat - df,  # see the module docstring
@@ -169,12 +141,13 @@ def sensitivity_closed_form(
         psi_diag=loss.psi(r),
         psi_prime_diag=d,
         active_set=S,
-        tau_eff=tau_eff,
+        tau_eff=penalty.tau,
         p=data.p,
         with_intercept=icpt,
         system=system,
-        system_size=Linv.shape[0],
-        inverse=inverse,
+        system_size=m,
+        rank=kept.size,
+        inverse=None,
     )
     return bind_design(bundle, data.X)
 
@@ -182,19 +155,18 @@ def sensitivity_closed_form(
 def bind_design(
     bundle: SensitivityBundle, X: Optional[np.ndarray]
 ) -> SensitivityBundle:
-    """bundle with its dual-side A_hat reading the design X.
+    """bundle with its A_hat reading the design X.
 
-    A dual bundle forms A_hat from the primal factor, which needs the
-    design; other bundles need none and come back as they are. X = None
-    gives a bundle that holds no copy of the design, as a pool worker
-    returns it (see criterion.evaluate_grid); its A_hat cannot be read
-    until the design is bound again.
+    A_hat is formed from the design on first read. X = None gives a bundle
+    that holds no copy of the design, as a pool worker returns it (see
+    criterion.evaluate_grid); its A_hat cannot be read until the design is
+    bound again.
     """
-    if bundle.system != "dual":
-        return bundle
     S, d = bundle.active_set, bundle.psi_prime_diag
-    c = d.shape[0] * bundle.tau_eff  # n * tau_eff, as factored
-    inverse = partial(_primal_inverse, X, S, d, bundle.with_intercept, c)
+    c = d.shape[0] * bundle.tau_eff  # n * tau, as in sensitivity_closed_form
+    inverse = partial(
+        _primal_inverse, X, S, d, bundle.with_intercept, c, bundle.rank
+    )
     return replace(bundle, inverse=inverse)
 
 

@@ -304,8 +304,8 @@ def generate(
 class GridRecord:
     """One (cell, replication) fit.
 
-    The defaults describe a fit whose sensitivity system was singular: no
-    derived quantity, and failed.
+    The defaults describe a fit whose A_hat was singular: no derived
+    quantity, and failed.
     """
 
     lam: float
@@ -382,25 +382,24 @@ def _replication_records(config: SimConfig, options: FitOptions, rep: int):
             solver_iterations=result.iterations,
             newton_attempts=result.newton_attempts,
         )
-        if bundle is not None:
-            # After a dual solve A_hat is first formed here, and its primal
-            # factor can still be singular: the record then stays failed.
-            try:
-                t_hat = trace_sigma_A(bundle, Sigma)
-                record = replace(
-                    record,
-                    df=bundle.df,
-                    trace_v=bundle.trace_V,
-                    n_hat=bundle.n_hat,
-                    p_hat=bundle.p_hat,
-                    trace_sigma_a=t_hat,
-                    crit_adaptive=cand.report.crit_adaptive,
-                    crit_oracle=crit_oracle_sigma(result, cand.loss, t_hat),
-                    constraint_value=cand.report.constraint_value,
-                    failed=not result.converged,
-                )
-            except SingularSystem:
-                pass
+        # A_hat is first formed here; at tau = 0 it can be singular, and
+        # the record then stays failed.
+        try:
+            t_hat = trace_sigma_A(bundle, Sigma)
+            record = replace(
+                record,
+                df=bundle.df,
+                trace_v=bundle.trace_V,
+                n_hat=bundle.n_hat,
+                p_hat=bundle.p_hat,
+                trace_sigma_a=t_hat,
+                crit_adaptive=cand.report.crit_adaptive,
+                crit_oracle=crit_oracle_sigma(result, cand.loss, t_hat),
+                constraint_value=cand.report.constraint_value,
+                failed=not result.converged,
+            )
+        except SingularSystem:
+            pass
         out.append(record)
     return out
 

@@ -19,7 +19,6 @@ from hubertune import (
     Dataset,
     ElasticNet,
     FitOptions,
-    SingularSystem,
     crit_adaptive,
     evaluate,
     fit,
@@ -136,24 +135,6 @@ def assert_input_error_names(capsys, *parts) -> None:
         assert part in err
 
 
-@pytest.fixture
-def singular_at_lambda(monkeypatch):
-    """Make the sensitivity system singular on every cell with one lambda."""
-    import hubertune.criterion
-
-    original = hubertune.criterion.sensitivity_closed_form
-
-    def install(lam):
-        def patched(data, loss, penalty, fit_result):
-            if penalty.lam == lam:
-                raise SingularSystem(f"injected at lambda={lam}")
-            return original(data, loss, penalty, fit_result)
-
-        monkeypatch.setattr(hubertune.criterion, "sensitivity_closed_form", patched)
-
-    return install
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
@@ -257,27 +238,21 @@ class TestFit:
         )
         assert doc["criterion"]["eta"] == report.eta
 
-    def test_singular_system_writes_a_partial_report(
-        self, tmp_path, capsys, singular_at_lambda
-    ):
-        """The fit fields are written as on success; sensitivity and
-        criterion are null, the error is printed, and the exit code is 2."""
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_lasso_report_gives_the_rank_as_df(self, tmp_path, intercept):
+        """At tau = 0 the report validates with tau_eff = 0, and df is the
+        number of active coefficients, a unique lasso fit's rank."""
         design, response, _, _ = make_regression_files(tmp_path)
-        argv = ["fit", str(design), str(response), "--lambda", "0.05", "--tau", "0.02"]
-        clean, out, beta = tmp_path / "clean.json", tmp_path / "out.json", tmp_path / "b.csv"
-        assert main(argv + ["--out", str(clean)]) == 0
-        capsys.readouterr()
-
-        singular_at_lambda(0.05)
-        assert main(argv + ["--out", str(out), "--beta-out", str(beta)]) == 2
-        assert_input_error_names(capsys, "injected at lambda=0.05")
+        out = tmp_path / "report.json"
+        argv = ["fit", str(design), str(response), "--lambda", "0.05"]
+        argv += ["--out", str(out)] + (["--intercept"] if intercept else [])
+        assert main(argv) == 0
         doc = read_json(out)
         validate(doc, "fit_report.schema.json")
-        assert doc.pop("sensitivity") is None and doc.pop("criterion") is None
-        expected = read_json(clean)
-        del expected["sensitivity"], expected["criterion"]
-        assert doc == expected
-        assert len(beta.read_text().splitlines()) == 5
+        sens = doc["sensitivity"]
+        assert sens["tau_eff"] == 0.0
+        assert sens["df"] == sens["p_hat"] == len(doc["active_set"]) > 0
+        assert sens["trace_v"] == sens["n_hat"] - sens["df"]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         design, response, _, _ = make_regression_files(tmp_path)
@@ -577,31 +552,6 @@ class TestSelect:
             result = fit(data, loss, penalty, FitOptions(intercept=intercept))
             assert entry["iterations"] == result.iterations
 
-    def test_singular_cell_is_reported_and_the_rest_ranked(
-        self, tmp_path, singular_at_lambda
-    ):
-        design, response, _, _ = make_regression_files(tmp_path, n=40, p=6, seed=3)
-        grid = write_grid(tmp_path)
-        argv = ["select", str(design), str(response), str(grid), "--out"]
-        assert main(argv + [str(tmp_path / "clean.json")]) == 0
-        clean = read_json(tmp_path / "clean.json")
-
-        singular_at_lambda(GRID_3[1]["lambda"])
-        out = tmp_path / "selection.json"
-        assert main(argv + [str(out)]) == 0
-        doc = read_json(out)
-        validate(doc, "select_report.schema.json")
-        entry = doc["candidates"][1]
-        assert entry["reason"] == "sensitivity system singular: injected at lambda=0.1"
-        assert entry["feasible"] is False
-        assert entry["constraint_ok"] is False and entry["crit_defined"] is False
-        assert entry["crit_adaptive"] is None
-        assert entry["ratio"] is None and entry["constraint_value"] is None
-        assert entry["iterations"] == clean["candidates"][1]["iterations"]
-        assert doc["ranking"] == [i for i in clean["ranking"] if i != 1]
-        for k in (0, 2):
-            assert doc["candidates"][k] == clean["candidates"][k]
-
     @pytest.mark.parametrize("intercept", [False, True])
     def test_one_cell_entry_equals_the_fit_criterion_block(self, tmp_path, intercept):
         design, response, _, _ = make_regression_files(tmp_path, n=40, p=6, seed=3)
@@ -801,11 +751,17 @@ class TestSimulate:
         assert "wrote 6 records" in err
         assert "0 failed fits" in err
 
-    def test_singular_cell_is_a_failed_nan_record(
-        self, tmp_path, capsys, singular_at_lambda
-    ):
-        singular_at_lambda(0.05)
-        config = write_sim_config(tmp_path)
+    def test_singular_cell_is_a_failed_nan_record(self, tmp_path, capsys):
+        """The lasso cell (tau = 0) leaves more active coefficients than the
+        8 rows of this +-1 design, so its A_hat is singular and trace[Sigma A]
+        cannot be formed: each of its records is failed, with NaN values."""
+        doc = sim_config_doc()
+        doc.update(n=8, p=40, design_kind="rademacher")
+        doc["grid"] = [
+            {"huber_scale": None, "lambda": 0.05, "tau": 0.0},
+            {"huber_scale": None, "lambda": 0.1, "tau": 0.1},
+        ]
+        config = write_sim_config(tmp_path, doc)
         out = tmp_path / "records.csv"
         assert main(["simulate", str(config), "--out", str(out)]) == 0
         assert "wrote 6 records (3 failed fits)" in capsys.readouterr().err

@@ -22,7 +22,6 @@ from hubertune import (
     IllPosed,
     NoFeasibleCandidate,
     SensitivityBundle,
-    SingularSystem,
     SquareLoss,
     crit_adaptive,
     crit_oracle_sigma,
@@ -78,11 +77,12 @@ def synth_candidate(residuals, df, trace_v, n_hat=None, loss=None):
         psi_diag=loss.psi(r),
         psi_prime_diag=loss.psi_prime(r),
         active_set=np.array([0]),
-        tau_eff=1e-10,
+        tau_eff=0.0,
         p=1,
         with_intercept=False,
         system="primal",
         system_size=1,
+        rank=1,
         inverse=lambda: np.eye(1),
     )
     report = crit_adaptive(fit_result, bundle, loss)
@@ -266,7 +266,7 @@ class TestEvaluate:
             7, loss=HuberLoss(scale=0.8), penalty=ElasticNet(lam=0.04, tau=0.08)
         )
         cand = evaluate(data, loss, penalty, FitOptions(kkt_tolerance=1e-11), eta=0.2)
-        assert cand.warning is None and cand.singular is None
+        assert cand.warning is None
         assert np.array_equal(cand.result.beta_hat, result.beta_hat)
         assert cand.bundle.df == bundle.df and cand.bundle.trace_V == bundle.trace_V
         assert cand.report == crit_adaptive(result, bundle, loss, eta=0.2)
@@ -279,22 +279,6 @@ class TestEvaluate:
         assert not cand.result.converged
         assert cand.warning.startswith("iteration cap 2 reached")
         assert cand.report is not None and cand.bundle is not None
-
-    def test_singular_system_is_recorded(self, monkeypatch):
-        import hubertune.criterion
-
-        def singular(*args):
-            raise SingularSystem("injected")
-
-        monkeypatch.setattr(hubertune.criterion, "sensitivity_closed_form", singular)
-        data, loss, penalty, _, _ = _fit_case(9)
-        cand = evaluate(data, loss, penalty)
-        assert cand.bundle is None and cand.report is None
-        assert cand.result.converged
-        assert not cand.feasible
-        assert cand.reason == "sensitivity system singular: injected"
-        with pytest.raises(NoFeasibleCandidate):
-            select([cand])
 
     @pytest.mark.parametrize("intercept", [False, True])
     def test_grid_fits_as_each_cell_alone(self, intercept):
@@ -343,7 +327,7 @@ class TestEvaluateGridJobs:
         assert [c.bundle.system for c in parallel] == ["dual", "primal", "dual"]
         for a, b in zip(serial, parallel):
             assert (a.loss, a.penalty, a.report) == (b.loss, b.penalty, b.report)
-            assert (a.warning, a.singular) == (b.warning, b.singular)
+            assert a.warning == b.warning
             _assert_same_fields(a.result, b.result)
             _assert_same_fields(a.bundle, b.bundle)
             assert "A_hat" not in vars(b.bundle)
@@ -398,7 +382,7 @@ class TestEvaluateGridJobs:
         assert [c.penalty for c in parallel] == [c.penalty() for c in cells]
         for a, b in zip(serial, parallel):
             assert (a.loss, a.penalty, a.report) == (b.loss, b.penalty, b.report)
-            assert (a.warning, a.singular) == (b.warning, b.singular)
+            assert a.warning == b.warning
             _assert_same_fields(a.result, b.result)
             _assert_same_fields(a.bundle, b.bundle)
 

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import hubertune.sensitivity
 from hubertune import (
@@ -29,14 +28,7 @@ from hubertune import (
     sensitivity_closed_form,
     trace_sigma_A,
 )
-from hubertune.sensitivity import (
-    TAU_FLOOR,
-    TRIANGULAR_BASE,
-    _fd_safe_fixture,
-    _inverse_factor,
-    _lower_inverse,
-    sensitivity_fd_oracle,
-)
+from hubertune.sensitivity import _fd_safe_fixture, sensitivity_fd_oracle
 from oracles import dense_df, dense_system, fit_with_intercept, intercept_psi_matrix
 
 TIGHT = FitOptions(kkt_tolerance=1e-11)
@@ -252,15 +244,6 @@ class TestEmptyActiveSet:
         np.testing.assert_array_equal(
             apply_V(self.bundle, self.data, v), self.bundle.psi_prime_diag * v
         )
-
-
-class TestTauFloor:
-    def test_lasso_uses_floor(self):
-        rng = np.random.default_rng(31)
-        X = rng.normal(size=(25, 5))
-        y = X @ np.array([1.0, -1.0, 0.5, 0.0, 0.0]) + 0.3 * rng.standard_normal(25)
-        _, bundle = _fit_and_bundle(Dataset(X=X, y=y), SquareLoss(), lasso(0.1))
-        assert bundle.tau_eff == TAU_FLOOR
 
 
 class TestJacobians:
@@ -510,16 +493,22 @@ def _dense_inverse(data, loss, result, bundle):
 
 
 @pytest.fixture
-def cho_shapes(monkeypatch):
-    """Record the shape of every matrix sensitivity factors."""
+def factor_shapes(monkeypatch):
+    """Record the shape of every matrix sensitivity factors: the Gram
+    whose eigenvalues give df, and the primal system A_hat inverts."""
     shapes = []
-    original = hubertune.sensitivity._inverse_factor
 
-    def recording(G, c):
-        shapes.append(G.shape)
-        return original(G, c)
+    def record(name):
+        original = getattr(hubertune.sensitivity, name)
 
-    monkeypatch.setattr(hubertune.sensitivity, "_inverse_factor", recording)
+        def recording(G):
+            shapes.append(G.shape)
+            return original(G)
+
+        monkeypatch.setattr(hubertune.sensitivity, name, recording)
+
+    record("eigvalsh")
+    record("inv")
     return shapes
 
 
@@ -539,14 +528,14 @@ class TestSmallerSide:
         assert bundle.trace_V == pytest.approx(bundle.n_hat - ref, rel=1e-10)
 
     def test_factors_one_matrix_of_the_smaller_order(
-        self, wide, intercept, loss_name, cho_shapes
+        self, wide, intercept, loss_name, factor_shapes
     ):
         data, loss, result, bundle = _side_case(wide, intercept, loss_name)
         m = int(min(bundle.p_hat, bundle.n_hat))
-        assert cho_shapes == [(m, m)]
+        assert factor_shapes == [(m, m)]
         assert "A_hat" not in vars(bundle)  # not formed yet
         assert bundle.A_hat is bundle.A_hat  # formed on first access, then cached
-        assert cho_shapes == [(m, m)] + ([(bundle.p_hat,) * 2] if wide else [])
+        assert factor_shapes == [(m, m), (bundle.p_hat, bundle.p_hat)]
 
     def test_lazy_a_hat_matches_full_inverse(self, wide, intercept, loss_name):
         data, loss, result, bundle = _side_case(wide, intercept, loss_name)
@@ -573,15 +562,15 @@ class TestSmallerSide:
 
 
 class TestWorkGates:
-    def test_grid_selection_never_forms_a_hat(self, cho_shapes):
+    def test_grid_selection_never_forms_a_hat(self, factor_shapes):
         data, *_ = _side_case(True, False, "huber")
-        cho_shapes.clear()
+        factor_shapes.clear()
         cells = [GridCell(huber_scale=0.2, lam=lam, tau=0.05) for lam in (0.02, 0.05)]
         candidates = evaluate_grid(data, cells, FitOptions(kkt_tolerance=1e-11))
         select(candidates)
         bundles = [cand.bundle for cand in candidates]
         assert [b.system for b in bundles] == ["dual", "dual"]
-        assert cho_shapes == [(b.n_hat, b.n_hat) for b in bundles]
+        assert factor_shapes == [(b.n_hat, b.n_hat) for b in bundles]
         assert not any("A_hat" in vars(b) for b in bundles)
 
     def test_all_outliers_with_intercept_is_degenerate(self):
@@ -604,37 +593,121 @@ class TestWorkGates:
             )
 
 
-INVERSE_ORDERS = [1, 2, 63, 64, 65, 129, 500]
+def _constructed_fit(X, inliers, active, intercept):
+    """A FitResult for HuberLoss(scale=1.0) on X: the first `inliers`
+    residuals are 0 (psi' = 1), the others 5 (psi' = 0)."""
+    beta = np.zeros(X.shape[1])
+    beta[active] = 0.5
+    return FitResult(
+        beta_hat=beta,
+        intercept_hat=0.0,
+        residuals=np.r_[np.zeros(inliers), np.full(X.shape[0] - inliers, 5.0)],
+        active_set=np.asarray(active),
+        iterations=1,
+        kkt_residual=0.0,
+        converged=True,
+        with_intercept=intercept,
+        objective=0.0,
+    )
 
 
-class TestInverseFactor:
-    """L^{-1} by 2 x 2 blocks, on both sides of the base case, against LAPACK's
-    triangular inverse."""
+def _rank_case(name):
+    """(X, y, loss, fit result at tau = 0, the rank of its inlier block).
 
-    def test_orders_straddle_the_base_case(self):
-        assert {TRIANGULAR_BASE, TRIANGULAR_BASE + 1} <= set(INVERSE_ORDERS)
+    The three fitted cases are unique lasso fits, whose inlier block has
+    full column rank p_hat: 16 of 60 rows (square), 14 of 41 (Huber) and,
+    with an intercept, 22 of 27 on the 30 x 60 design.
+    """
+    fitted = {
+        "lasso-primal": ((60, 20), SquareLoss(), False),
+        "huber-primal": ((60, 20), HuberLoss(scale=0.8), False),
+        "intercept-primal": ((30, 60), HuberLoss(scale=0.2), True),
+    }
+    if name in fitted:
+        (n, p), loss, intercept = fitted[name]
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((n, p))
+        y = X[:, :5] @ np.ones(5) + rng.standard_t(3, n) + (0.5 if intercept else 0.0)
+        options = FitOptions(kkt_tolerance=1e-11, intercept=intercept)
+        result = fit(Dataset(X=X, y=y), loss, lasso(0.02), options)
+        return X, y, loss, result, result.active_set.size
+    if name == "intercept-dual":
+        # 5 centred inlier rows: rank 4 < n_hat = 5 < p_hat = 8.
+        X = np.random.default_rng(41).normal(size=(12, 8))
+        result, rank = _constructed_fit(X, 5, np.arange(8), True), 4
+    else:
+        # Every residual outside the Huber scale: an empty inlier block.
+        X = np.random.default_rng(71).normal(size=(4, 2))
+        result, rank = _constructed_fit(X, 0, [0], False), 0
+    return X, np.zeros(X.shape[0]), HuberLoss(scale=1.0), result, rank
 
-    @pytest.mark.parametrize("m", INVERSE_ORDERS)
-    def test_matches_lapack_triangular_inverse(self, m):
-        A = np.random.default_rng(m).normal(size=(m + 5, m))
-        L = np.linalg.cholesky(A.T @ A + np.eye(m))
-        expected = np.tril(scipy.linalg.lapack.dtrtri(L, lower=1)[0])
-        got = _lower_inverse(L)
-        np.testing.assert_array_equal(got, np.tril(got))
-        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
-    def test_inverse_factor_adds_the_shift(self):
-        A = np.random.default_rng(3).normal(size=(90, 80))
-        G = A.T @ A
-        Linv = _inverse_factor(G.copy(), 0.5)
-        np.testing.assert_allclose(
-            Linv.T @ Linv, np.linalg.inv(G + 0.5 * np.eye(80)), rtol=1e-10, atol=1e-12
+RANK_CASES = [
+    "lasso-primal", "huber-primal", "intercept-primal", "intercept-dual", "all-outliers"
+]
+
+
+@pytest.mark.parametrize("name", RANK_CASES)
+class TestRankAtTauZero:
+    """At tau = 0, df is the rank of the inlier block, the lasso's df."""
+
+    def test_df_is_the_integer_rank(self, name):
+        X, y, loss, result, rank = _rank_case(name)
+        bundle = sensitivity_closed_form(Dataset(X=X, y=y), loss, lasso(0.02), result)
+        primal = name.endswith("primal")
+        assert bundle.system == ("primal" if primal else "dual")
+        assert bundle.rank == rank
+        assert bundle.df == float(rank)  # bit for bit
+        assert bundle.trace_V == bundle.n_hat - rank
+        if primal:
+            assert rank == bundle.p_hat > 0
+
+    @pytest.mark.parametrize("tau", [0.0, 0.05])
+    @pytest.mark.parametrize("k", [10, -10])
+    def test_design_scaling_leaves_df_bit_identical(self, name, tau, k):
+        """X -> 2^k X with tau -> 4^k tau leaves the same fit's df, rank and
+        trace_V unchanged, bit for bit."""
+        X, y, loss, result, _ = _rank_case(name)
+        base = sensitivity_closed_form(Dataset(X=X, y=y), loss, ridge(tau), result)
+        scaled = sensitivity_closed_form(
+            Dataset(X=X * 2.0**k, y=y), loss, ridge(tau * 4.0**k), result
         )
+        assert scaled.df == base.df and scaled.trace_V == base.trace_V
+        assert scaled.rank == base.rank
 
-    def test_indefinite_system_is_singular(self):
-        G = np.diag([1.0, -2.0, 3.0])
-        with pytest.raises(SingularSystem):
-            _inverse_factor(G, 1.0)
+
+@pytest.mark.parametrize("tau", [0.0, 0.05])
+@pytest.mark.parametrize("name", RANK_CASES)
+class TestAHatRule:
+    def test_singular_exactly_at_tau_zero_below_full_rank(self, name, tau):
+        """Reading A_hat raises SingularSystem when tau = 0 and rank <
+        p_hat; otherwise it is the dense inverse of the primal system."""
+        X, y, loss, result, _ = _rank_case(name)
+        data = Dataset(X=X, y=y)
+        bundle = sensitivity_closed_form(data, loss, ridge(tau), result)
+        if tau == 0 and bundle.rank < bundle.p_hat:
+            assert not name.endswith("primal")
+            with pytest.raises(SingularSystem, match="rank"):
+                bundle.A_hat
+            return
+        expected, _ = _dense_inverse(data, loss, result, bundle)
+        assert np.abs(bundle.A_hat - expected).max() <= 1e-12 * np.abs(expected).max()
+        np.testing.assert_array_equal(bundle.A_hat, bundle.A_hat.T)
+
+    @pytest.mark.parametrize("k", [10, -10])
+    def test_design_scaling_scales_a_hat_exactly(self, name, tau, k):
+        """X -> 2^k X with tau -> 4^k tau scales A_hat by 4^-k, bit for bit,
+        and leaves a singular system singular."""
+        X, y, loss, result, _ = _rank_case(name)
+        base = sensitivity_closed_form(Dataset(X=X, y=y), loss, ridge(tau), result)
+        scaled = sensitivity_closed_form(
+            Dataset(X=X * 2.0**k, y=y), loss, ridge(tau * 4.0**k), result
+        )
+        if tau == 0 and base.rank < base.p_hat:
+            with pytest.raises(SingularSystem):
+                scaled.A_hat
+            return
+        np.testing.assert_array_equal(scaled.A_hat * 4.0**k, base.A_hat)
 
 
 class TestFdOracleWork:

@@ -25,6 +25,7 @@ from hubertune.simulate import (
     GRID_METRICS,
     GaussianNoise,
     GridCell,
+    GridRecord,
     GridResult,
     StudentTNoise,
     pivot_table,
@@ -404,38 +405,40 @@ class TestRunGrid:
             assert np.isfinite(rec.oos_error)
 
     def test_singular_a_hat_read_is_a_failed_record(self, monkeypatch):
-        """A_hat raising SingularSystem on first read fails that record only,
-        exactly as a singular sensitivity factor does."""
-        import hubertune.criterion
+        """A_hat raising SingularSystem on first read fails that record only:
+        it keeps the fit's own fields and NaN for everything derived."""
         import hubertune.simulate
 
-        def raise_on_call(module, name, k):
-            original, calls = getattr(module, name), []
+        original, calls = hubertune.simulate.trace_sigma_A, []
 
-            def patched(*args):
-                calls.append(None)
-                if len(calls) == k:
-                    raise SingularSystem("injected")
-                return original(*args)
-
-            monkeypatch.setattr(module, name, patched)
+        def patched(*args):
+            calls.append(None)
+            if len(calls) == 5:
+                raise SingularSystem("injected")
+            return original(*args)
 
         cfg = self.small_config(replications=2)
         clean = run_grid(cfg).records
         # Replication 1, cell 1 (record 4) is call 5 of trace_sigma_A, which
-        # runs in grid order, and call 6 of sensitivity_closed_form, which runs
-        # in evaluate_grid's dispatch order (cells 2, 0, 1: smaller lambda
-        # first). Every clean cell has a bundle.
-        raise_on_call(hubertune.criterion, "sensitivity_closed_form", 6)
-        singular_factor = run_grid(cfg).records
-        monkeypatch.undo()
-        raise_on_call(hubertune.simulate, "trace_sigma_A", 5)
-        singular_a_hat = run_grid(cfg).records
+        # runs in grid order.
+        monkeypatch.setattr(hubertune.simulate, "trace_sigma_A", patched)
+        records = run_grid(cfg).records
 
         assert not any(rec.failed for rec in clean)
-        assert singular_a_hat[4].failed and math.isnan(singular_a_hat[4].df)
-        assert repr(singular_a_hat[4].row()) == repr(singular_factor[4].row())
-        for i, rec in enumerate(singular_a_hat):
+        c = clean[4]
+        expected = GridRecord(
+            c.lam,
+            c.tau,
+            c.huber_scale,
+            c.replication,
+            oos_error=c.oos_error,
+            eps_norm_sq_over_n=c.eps_norm_sq_over_n,
+            solver_iterations=c.solver_iterations,
+            newton_attempts=c.newton_attempts,
+        )
+        assert expected.failed and math.isnan(expected.df)
+        assert repr(records[4]) == repr(expected)
+        for i, rec in enumerate(records):
             if i != 4:
                 assert rec.row() == clean[i].row()
 

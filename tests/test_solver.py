@@ -7,6 +7,7 @@ from hubertune import (
     Dataset,
     ElasticNet,
     FitOptions,
+    FitResult,
     HuberLoss,
     IllPosed,
     NonConvergence,
@@ -18,8 +19,8 @@ from hubertune import (
     lasso,
     objective_value,
     ridge,
+    sensitivity_closed_form,
 )
-from hubertune.sensitivity import TRIANGULAR_BASE, _inverse_factor, _lower_inverse
 from hubertune.solver import _kkt_score_gap
 
 from oracles import fit_with_intercept
@@ -431,55 +432,55 @@ class TestNewtonPolish:
         ]
 
 
-# Orders on both sides of the base case of the blocked inverse.
+# Orders of the sensitivity system, from a scalar to select_wide's sizes.
 FACTOR_ORDERS = [1, 2, 63, 64, 65, 129, 500]
 
 
-def spd_matrix(m, seed):
-    A = np.random.default_rng(seed).normal(size=(m + 5, m))
-    return A.T @ A + np.eye(m)
+def factor_case(m, inliers, tau):
+    """(Z, bundle) of a Huber fit (scale 1) with p_hat = m on m + 7 rows:
+    the first `inliers` residuals are 0 (psi' = 1, the rows of Z), the
+    others 5."""
+    X = np.random.default_rng(m).normal(size=(m + 7, m))
+    result = FitResult(
+        beta_hat=np.full(m, 0.5),
+        intercept_hat=0.0,
+        residuals=np.r_[np.zeros(inliers), np.full(m + 7 - inliers, 5.0)],
+        active_set=np.arange(m),
+        iterations=1,
+        kkt_residual=0.0,
+        converged=True,
+        with_intercept=False,
+        objective=0.0,
+    )
+    data = Dataset(X=X, y=np.zeros(m + 7))
+    bundle = sensitivity_closed_form(data, HuberLoss(scale=1.0), ridge(tau), result)
+    return X[:inliers], bundle
 
 
 class TestFactorHelpers:
-    """The package's own factor routines, both in sensitivity.py:
-    _inverse_factor (numpy's Cholesky, then the inverse factor) and the
-    blocked triangular inverse _lower_inverse."""
-
-    def test_orders_straddle_the_base_case(self):
-        assert {TRIANGULAR_BASE, TRIANGULAR_BASE + 1} <= set(FACTOR_ORDERS)
+    """The package's own factor routines, both in sensitivity.py: the
+    eigenvalues of the smaller Gram side (df and the rank) and the inverse
+    of the primal system (A_hat)."""
 
     @pytest.mark.parametrize("m", FACTOR_ORDERS)
-    def test_cholesky_is_a_lower_factor(self, m):
-        """L^{-1} is lower triangular with a positive diagonal, and
-        L^{-1} G L^{-T} = I."""
-        G = spd_matrix(m, m)
-        Linv = _inverse_factor(G.copy(), 0.0)
-        np.testing.assert_array_equal(Linv, np.tril(Linv))
-        assert np.all(np.diag(Linv) > 0)
-        assert np.abs(Linv @ G @ Linv.T - np.eye(m)).max() <= 1e-12
+    def test_a_hat_inverts_the_primal_system(self, m):
+        """Z of full rank m: df = m at tau = 0, and with c = n tau = 1,
+        A_hat (Z'Z + I) = I and df = m - trace A_hat."""
+        Z, bundle = factor_case(m, m + 5, 0.0)
+        assert (bundle.system, bundle.rank, bundle.df) == ("primal", m, float(m))
+        Z, bundle = factor_case(m, m + 5, 1.0 / (m + 7))
+        G = Z.T @ Z + np.eye(m)
+        assert np.abs(bundle.A_hat @ G - np.eye(m)).max() <= 1e-12
+        assert bundle.df == pytest.approx(m - np.trace(bundle.A_hat), rel=1e-12)
 
     @pytest.mark.parametrize("m", FACTOR_ORDERS)
     def test_not_positive_definite_raises(self, m):
-        G = spd_matrix(m, m)
-        G[-1, -1] = -1.0  # e_m' G e_m < 0
+        """m - 1 inlier rows leave Z'Z of rank m - 1, singular at tau = 0:
+        df is that rank, and reading A_hat raises SingularSystem."""
+        _, bundle = factor_case(m, m - 1, 0.0)
+        assert (bundle.rank, bundle.df) == (m - 1, float(m - 1))
         with pytest.raises(SingularSystem):
-            _inverse_factor(G, 0.0)
-
-    @pytest.mark.parametrize("m", FACTOR_ORDERS)
-    @pytest.mark.parametrize("lower", [True, False], ids=["forward", "back"])
-    @pytest.mark.parametrize("columns", [None, 3], ids=["vector", "matrix"])
-    def test_blocked_solve_matches_dense_solve(self, m, lower, columns):
-        """The blocked inverse of L (or its transpose) solves L x = b (or
-        L' x = b) as LAPACK's dense solve does."""
-        L = np.linalg.cholesky(spd_matrix(m, m))
-        Linv = _lower_inverse(L)
-        T, T_inv = (L, Linv) if lower else (L.T, Linv.T)
-        shape = (m,) if columns is None else (m, columns)
-        b = np.random.default_rng(m + 1).normal(size=shape)
-        expected = np.linalg.solve(T, b)
-        got = T_inv @ b
-        assert got.shape == expected.shape
-        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+            bundle.A_hat
 
 
 class TestKktResidual:
