@@ -84,9 +84,8 @@ def get_threads() -> Optional[int]:
 def set_threads(count: Optional[int]) -> None:
     """Set every loaded OpenBLAS to ``count`` threads; None leaves them as they are.
 
-    Also run by every worker of a ``hubertune.pool`` pool, so that workers
-    started by spawn or forkserver run with their parent's count, as forked
-    ones already do.
+    Also run by every worker that ``hubertune.pool`` forks, with the count
+    its parent read when it started the workers.
     """
     if count is None:
         return

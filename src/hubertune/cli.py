@@ -5,13 +5,14 @@ commands are deterministic given their flags and seeds. JSON reports follow
 the schemas shipped under hubertune/schemas/.
 
 Threads: for the length of a main() call, every loaded OpenBLAS runs one
-thread, and so does each worker of `select --jobs` and `simulate --jobs`;
-the previous count is restored on return. A user who sets
+thread, and so does each worker that `select --jobs` and `simulate --jobs`
+fork; the previous count is restored on return. A user who sets
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS keeps the thread
-count those give instead. `--jobs` defaults to the usable CPU count divided
-by that thread count, one worker per CPU under the policy; no more workers
-start than there are grid cells or replications, and the reports are the
-same for every `--jobs` value.
+count those give instead. `--jobs N` counts this process and N - 1 forked
+workers; it defaults to the usable CPU count divided by that thread count,
+one process per CPU under the policy. No more processes work than there
+are grid cells or replications, and the reports are the same for every
+`--jobs` value.
 
 Output paths are checked before any input is read: a parent directory that
 does not exist, or an output file that is a directory, ends the call
@@ -569,8 +570,8 @@ def _add_jobs_flag(p, unit: str):
         "--jobs",
         type=int,
         default=None,
-        help=f"worker processes, at most one per {unit} (default: one per usable "
-        "CPU); each runs one BLAS thread unless OPENBLAS_NUM_THREADS, "
+        help=f"processes, this one included, at most one per {unit} (default: one "
+        "per usable CPU); each runs one BLAS thread unless OPENBLAS_NUM_THREADS, "
         "OMP_NUM_THREADS or MKL_NUM_THREADS is set",
     )
 

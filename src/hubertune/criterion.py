@@ -162,7 +162,7 @@ def evaluate(
 
 
 def _cell_candidate(data: Dataset, options: FitOptions, eta: float, cell) -> Candidate:
-    """evaluate() one grid cell, as a pool worker runs it.
+    """evaluate() one grid cell, the item evaluate_grid maps.
 
     The returned bundle holds no copy of the design; evaluate_grid binds
     it again.
@@ -182,16 +182,16 @@ def evaluate_grid(
 
     Each fit runs exactly as it would alone. The design's step bound is
     computed here, once, and kept on the Dataset for every fit. With jobs >
-    1 the cells run on up to that many worker processes (hubertune.pool):
-    the Dataset, with its step bound, the options and eta reach each worker
-    once, and each candidate comes back without a copy of the design.
-    Cells are independent and each worker runs its parent's BLAS thread
-    count, so the candidates are the same for every jobs count. The cells
-    run the likely costliest first (smaller lambda, then smaller tau, then
-    grid order), so a slow cell does not run alone at the end; the
-    candidates come back in grid order. The order is the same for every
-    jobs count, so a grid with failing cells raises the same exception,
-    the first in that order.
+    1 the cells run on up to that many processes, this one included
+    (hubertune.pool): forked workers inherit the Dataset, with its step
+    bound, the options and eta, and each candidate comes back without a
+    copy of the design. Cells are independent and every process runs this
+    one's BLAS thread count, so the candidates are the same for every jobs
+    count. The cells run the likely costliest first (smaller lambda, then
+    smaller tau, then grid order), so a slow cell does not run alone at the
+    end; the candidates come back in grid order. The order is the same for
+    every jobs count, so a grid with failing cells raises the same
+    exception, the first in that order.
     """
     if options is None:
         options = FitOptions()

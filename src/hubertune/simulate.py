@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Union
 
@@ -280,16 +281,18 @@ def generate(
     noise_kind: NoiseKind,
     seed: int,
     design_kind: str = "gaussian",
+    factor: Optional[np.ndarray] = None,
 ):
     """Draw (Dataset, eps) with X rows N(0, Sigma) and y = X beta* + eps.
 
     Draw order is fixed (design first, then noise) so equal seeds reproduce
-    (X, eps) bit-identically. design_kind='rademacher' replaces the rows by
-    independent +/-1 entries (identity covariance; extension only).
+    (X, eps) bit-identically. ``factor``, Sigma's lower Cholesky factor, is
+    computed here when not given. design_kind='rademacher' replaces the
+    rows by independent +/-1 entries (identity covariance; extension only).
     """
     rng = np.random.default_rng(seed)
     if design_kind == "gaussian":
-        L = np.linalg.cholesky(np.asarray(Sigma, dtype=float))
+        L = np.linalg.cholesky(np.asarray(Sigma, dtype=float)) if factor is None else factor
         X = rng.standard_normal((n, p)) @ L.T
     elif design_kind == "rademacher":
         X = 2.0 * rng.integers(0, 2, size=(n, p)).astype(float) - 1.0
@@ -351,12 +354,27 @@ class GridResult:
         return np.array([rec.row()[pos] for rec in self.records], dtype=float)
 
 
+@lru_cache(maxsize=1)
+def _covariance(p: int, seed: int, design_kind: str):
+    """make_covariance(p, seed), read-only, and the Cholesky factor a
+    Gaussian design draws through (None for other designs).
+
+    The last pair is kept, so replications that share Sigma draw it once.
+    """
+    Sigma = make_covariance(p, seed)
+    factor = np.linalg.cholesky(Sigma) if design_kind == "gaussian" else None
+    for array in (Sigma, factor):
+        if array is not None:
+            array.flags.writeable = False
+    return Sigma, factor
+
+
 def _replication_records(config: SimConfig, options: FitOptions, rep: int):
-    """All grid-cell records of one replication (worker for the pool)."""
+    """All grid-cell records of one replication (the item map_items runs)."""
     sigma_seed = (
         config.sigma_seed ^ rep if config.redraw_sigma_per_replication else config.sigma_seed
     )
-    Sigma = make_covariance(config.p, sigma_seed)
+    Sigma, factor = _covariance(config.p, sigma_seed, config.design_kind)
     beta_star = config.signal()
     data, eps = generate(
         config.n,
@@ -366,6 +384,7 @@ def _replication_records(config: SimConfig, options: FitOptions, rep: int):
         config.noise_kind,
         config.base_seed ^ rep,
         config.design_kind,
+        factor,
     )
     eps_term = float(eps @ eps) / config.n
 
@@ -412,11 +431,15 @@ def run_grid(
     Non-converged cells are recorded with failed=True (using the best
     iterate), never dropped. Records come back sorted by (replication,
     cell order). With jobs > 1 the replications run on up to that many
-    worker processes (hubertune.pool), which receive config and options
-    once each; the jobs count changes wall time only, not any value.
+    processes, this one included (hubertune.pool); forked workers inherit
+    config and options. Unless Sigma is redrawn per replication, it and
+    its Cholesky factor are drawn once, here, before any worker starts.
+    The jobs count changes wall time only, not any value.
     """
     if options is None:
         options = FitOptions()
+    if not config.redraw_sigma_per_replication:
+        _covariance(config.p, config.sigma_seed, config.design_kind)
     reps = range(config.replications)
     per_rep = map_items(_replication_records, (config, options), reps, jobs)
     records = tuple(rec for rep_records in per_rep for rec in rep_records)

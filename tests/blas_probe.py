@@ -1,21 +1,25 @@
 """Run one `hubertune` CLI call and report the OpenBLAS thread counts it sees.
 
-    python tests/blas_probe.py [--set N] [--start-method M] CLI_ARGS...
+    python tests/blas_probe.py [--set N] [--start-method M] [--no-fork] CLI_ARGS...
 
 --set gives every loaded OpenBLAS N threads before the call, as an
-in-process caller might. --start-method picks how `select --jobs` and
-`simulate --jobs` start their workers. Prints one JSON object per line:
+in-process caller might. --start-method sets multiprocessing's global start
+method before the call. --no-fork makes multiprocessing report that the
+platform cannot fork. Prints one JSON object per line:
 
     {"at": "before", "pid": ..., "threads": [...]}
+    {"at": "start", "pid": ..., "threads": [...]}  one per process of a pool
     {"at": "call", "pid": ..., "threads": [...]}   one per simulate replication
     {"at": "cell", "pid": ..., "threads": [...]}   one per grid cell
     {"at": "after", "pid": ..., "threads": [...]}
     {"exit": code}
 
-"call" lines come from inside the replication worker and "cell" lines from
-inside the per-cell worker of a `select` grid (and of each replication's
-grid), in the worker process under --jobs. The counts are read here with
-ctypes, one per loaded OpenBLAS, independently of the code under test.
+A "start" line comes from every process that takes items under --jobs,
+the calling one and each forked worker, once, before its first item.
+"call" lines come from inside each replication and "cell" lines from inside
+each cell of a `select` grid (and of each replication's grid), in whichever
+process runs it. The counts are read here with ctypes, one per loaded
+OpenBLAS, independently of the code under test.
 """
 
 import argparse
@@ -26,6 +30,7 @@ import os
 import sys
 
 import hubertune.criterion
+import hubertune.pool
 import hubertune.simulate
 from hubertune.cli import main
 
@@ -39,6 +44,7 @@ _SET = tuple(name.replace("_get_", "_set_") for name in _GET)
 
 _replication_records = hubertune.simulate._replication_records
 _cell_candidate = hubertune.criterion._cell_candidate
+_take = hubertune.pool._take
 
 
 def _libraries():
@@ -82,19 +88,28 @@ def probed_cell(data, options, eta, cell):
     return _cell_candidate(data, options, eta, cell)
 
 
+def probed_take(*args):
+    report(at="start", pid=os.getpid(), threads=threads())
+    return _take(*args)
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser()
     parser.add_argument("--set", type=int, default=None)
     parser.add_argument("--start-method", default=None)
+    parser.add_argument("--no-fork", action="store_true")
     parser.add_argument("cli_args", nargs=argparse.REMAINDER)
     args = parser.parse_args()
     if args.start_method is not None:
         multiprocessing.set_start_method(args.start_method)
+    if args.no_fork:
+        multiprocessing.get_all_start_methods = lambda: ["spawn", "forkserver"]
     if args.set is not None:
         for lib in _libraries():
             _call(lib, _SET, args.set)
     hubertune.simulate._replication_records = probed_records
     hubertune.criterion._cell_candidate = probed_cell
+    hubertune.pool._take = probed_take
     report(at="before", pid=os.getpid(), threads=threads())
     code = main(args.cli_args)
     report(at="after", pid=os.getpid(), threads=threads())

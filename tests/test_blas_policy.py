@@ -3,9 +3,10 @@
 Every test starts the CLI in a subprocess whose environment holds none of
 the thread variables unless the test sets one, so each run begins with the
 libraries' default thread count. tests/blas_probe.py reads the count of
-every loaded OpenBLAS through ctypes before the call, inside each
-`simulate` replication and each `select` grid cell (in the worker under
---jobs) and after the call.
+every loaded OpenBLAS through ctypes before the call, in every process of
+a --jobs pool as it starts taking items, inside each `simulate` replication
+and each `select` grid cell (in whichever process runs it) and after the
+call.
 """
 
 import json
@@ -85,36 +86,36 @@ def select_inputs(tmp_path_factory):
     return [str(root / name) for name in ("x.csv", "y.csv", "grid.json")]
 
 
-def probe(config, tmp_path, jobs, env=None, set_threads=None, start_method=None):
-    """Run `simulate` under the probe; return (before, calls, after, main pid)."""
+def probe(config, tmp_path, jobs, env=None, set_threads=None, probe_flags=()):
+    """Run `simulate` under the probe; return (before, calls, after, main
+    pid, pool starts)."""
     cli_args = ["simulate", str(config), "--out", str(tmp_path / "records.csv")]
     before, by_at, after, pid = run_probe(
-        cli_args + ["--jobs", str(jobs)], env, set_threads, start_method
+        cli_args + ["--jobs", str(jobs)], env, set_threads, probe_flags
     )
     calls = by_at["call"]
     assert len(calls) == SMALL_CONFIG["replications"]
-    return before, calls, after, pid
+    return before, calls, after, pid, by_at.get("start", [])
 
 
-def probe_select(inputs, tmp_path, jobs, env=None, start_method=None):
-    """Run `select` under the probe; return (before, cells, after, main pid)."""
+def probe_select(inputs, tmp_path, jobs, env=None, probe_flags=()):
+    """Run `select` under the probe; return (before, cells, after, main pid,
+    pool starts)."""
     cli_args = ["select", *inputs, "--out", str(tmp_path / "report.json")]
     before, by_at, after, pid = run_probe(
-        cli_args + ["--jobs", str(jobs)], env, None, start_method
+        cli_args + ["--jobs", str(jobs)], env, None, probe_flags
     )
     cells = by_at["cell"]
     assert len(cells) == 3
-    return before, cells, after, pid
+    return before, cells, after, pid, by_at.get("start", [])
 
 
-def run_probe(cli_args, env=None, set_threads=None, start_method=None):
+def run_probe(cli_args, env=None, set_threads=None, probe_flags=()):
     """Run one CLI call under the probe; return (before, lines by "at",
     after, main pid)."""
-    cmd = [sys.executable, str(PROBE)]
+    cmd = [sys.executable, str(PROBE), *probe_flags]
     if set_threads is not None:
         cmd += ["--set", str(set_threads)]
-    if start_method is not None:
-        cmd += ["--start-method", start_method]
     cmd += cli_args
     proc = subprocess.run(
         cmd, env=env or clean_env(), capture_output=True, text=True, timeout=300
@@ -131,39 +132,62 @@ def run_probe(cli_args, env=None, set_threads=None, start_method=None):
     return before["threads"], by_at, after["threads"], before["pid"]
 
 
+def assert_pool_threads(starts, items, main_pid, jobs, threads):
+    """The caller and jobs - 1 forked workers each started taking items at
+    `threads`, and every item ran in one of them at that count."""
+    assert len(starts) == jobs
+    assert [start["pid"] for start in starts].count(main_pid) == 1
+    assert {item["pid"] for item in items} <= {start["pid"] for start in starts}
+    for line in starts + items:
+        assert line["threads"] == threads
+
+
+# The pool forks its workers whatever start method the caller chose, so
+# "spawn" checks that a global start method changes nothing.
 @pytest.mark.parametrize("start_method", [None, "spawn"])
 def test_simulate_workers_run_one_thread_by_default(config, tmp_path, start_method):
-    _, calls, _, main_pid = probe(config, tmp_path, jobs=2, start_method=start_method)
-    assert all(call["pid"] != main_pid for call in calls)
-    for call in calls:
-        assert set(call["threads"]) == {1}
+    flags = ["--start-method", start_method] if start_method else []
+    before, calls, _, main_pid, starts = probe(
+        config, tmp_path, jobs=2, probe_flags=flags
+    )
+    assert_pool_threads(starts, calls, main_pid, 2, [1] * len(before))
 
 
 @pytest.mark.parametrize("start_method", [None, "spawn"])
 def test_select_workers_run_one_thread_by_default(
     select_inputs, tmp_path, start_method
 ):
-    _, cells, _, main_pid = probe_select(
-        select_inputs, tmp_path, jobs=2, start_method=start_method
+    flags = ["--start-method", start_method] if start_method else []
+    before, cells, _, main_pid, starts = probe_select(
+        select_inputs, tmp_path, jobs=2, probe_flags=flags
     )
-    assert all(cell["pid"] != main_pid for cell in cells)
-    for cell in cells:
-        assert set(cell["threads"]) == {1}
+    assert_pool_threads(starts, cells, main_pid, 2, [1] * len(before))
 
 
 def test_select_workers_keep_a_user_thread_count(select_inputs, tmp_path):
     env = clean_env(OPENBLAS_NUM_THREADS="2")
-    before, cells, after, main_pid = probe_select(select_inputs, tmp_path, 2, env)
+    before, cells, after, main_pid, starts = probe_select(
+        select_inputs, tmp_path, 2, env
+    )
     assert set(before) == {min(2, os.cpu_count())}
-    assert all(cell["pid"] != main_pid for cell in cells)
-    for cell in cells:
-        assert cell["threads"] == before
+    assert_pool_threads(starts, cells, main_pid, 2, before)
+    assert after == before
+
+
+def test_without_fork_every_item_runs_in_the_caller(config, tmp_path):
+    before, calls, after, main_pid, starts = probe(
+        config, tmp_path, jobs=2, set_threads=3, probe_flags=["--no-fork"]
+    )
+    assert starts == []
+    for call in calls:
+        assert call["pid"] == main_pid
+        assert set(call["threads"]) == {1}
     assert after == before
 
 
 def test_user_openblas_variable_is_left_in_force(config, tmp_path):
     env = clean_env(OPENBLAS_NUM_THREADS="2")
-    before, calls, after, _ = probe(config, tmp_path, jobs=2, env=env)
+    before, calls, after, _, _ = probe(config, tmp_path, jobs=2, env=env)
     assert set(before) == {min(2, os.cpu_count())}
     for call in calls:
         assert call["threads"] == before
@@ -175,7 +199,7 @@ def test_any_user_thread_variable_switches_the_policy_off(config, tmp_path, vari
     # The probe sets 3 threads by hand, a count no default gives on a
     # small machine; with the variable set the CLI must keep it.
     env = clean_env(**{variable: "1"})
-    before, calls, after, _ = probe(config, tmp_path, jobs=2, env=env, set_threads=3)
+    before, calls, after, _, _ = probe(config, tmp_path, jobs=2, env=env, set_threads=3)
     assert set(before) == {3}
     for call in calls:
         assert set(call["threads"]) == {3}
@@ -183,7 +207,7 @@ def test_any_user_thread_variable_switches_the_policy_off(config, tmp_path, vari
 
 
 def test_in_process_main_restores_the_callers_thread_count(config, tmp_path):
-    before, calls, after, main_pid = probe(config, tmp_path, jobs=1, set_threads=3)
+    before, calls, after, main_pid, _ = probe(config, tmp_path, jobs=1, set_threads=3)
     assert set(before) == {3}
     for call in calls:
         assert call["pid"] == main_pid

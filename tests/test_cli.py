@@ -679,7 +679,7 @@ def mixed_grid_files(tmp_path):
 
 
 class TestSelectJobs:
-    """The cells of a grid run in worker processes; only wall time changes."""
+    """The cells of a grid run on several processes; only wall time changes."""
 
     @pytest.mark.parametrize("intercept", [False, True])
     def test_reports_are_identical_across_jobs(self, tmp_path, capsys, intercept):

@@ -316,7 +316,7 @@ def _assert_same_fields(a, b):
 
 
 class TestEvaluateGridJobs:
-    """Cells on worker processes give the candidates of the serial run."""
+    """Cells on several processes give the candidates of the serial run."""
 
     @pytest.mark.parametrize("intercept", [False, True])
     def test_parallel_candidates_equal_serial(self, intercept):

@@ -81,17 +81,19 @@ import json, sys
 def loaded(prefixes):
     return sorted(name for name in sys.modules if name.startswith(prefixes))
 
-POOL = ("multiprocessing", "concurrent.futures.process")
+POOL = ("multiprocessing", "concurrent.futures")
 import hubertune.cli
 seen = {
     "layers": loaded("hubertune."),
     "import hubertune.cli": loaded(POOL),
 }
 design, response, grid, out, _ = sys.argv[1:]
-argv = ["select", design, response, grid, "--out", out, "--jobs", "1"]
-code = hubertune.cli.main(argv)
+argv = ["select", design, response, grid, "--out", out, "--jobs"]
+codes = [hubertune.cli.main(argv + ["1"])]
 seen["select --jobs 1"] = loaded(POOL)
-print(json.dumps({"code": code, "seen": seen}))
+codes.append(hubertune.cli.main(argv + ["2"]))
+seen["select --jobs 2"] = loaded(POOL)
+print(json.dumps({"codes": codes, "seen": seen}))
 """
 
 
@@ -100,14 +102,19 @@ def test_cli_import_loads_every_traced_layer_and_no_pool(tmp_path):
     criterion, simulate and formatting, and rebinds the wrappers only in
     modules already loaded when it installs them, right after `import
     hubertune.cli`. A layer loaded later would run untraced, so importing
-    the CLI must load all six. The process pool is imported only when one
-    starts: a serial `select` loads none of it."""
+    the CLI must load all six. multiprocessing is imported only when
+    workers may start: a serial `select` loads none of it. The workers are
+    forked through multiprocessing alone, so `concurrent.futures` is never
+    loaded."""
     doc = run_script(POOL_SCRIPT, write_inputs(tmp_path))
-    assert doc["code"] == 0
+    assert doc["codes"] == [0, 0]
     layers = ["cli", "solver", "sensitivity", "criterion", "simulate", "formatting"]
     assert {f"hubertune.{name}" for name in layers} <= set(doc["seen"]["layers"])
     assert doc["seen"]["import hubertune.cli"] == []
     assert doc["seen"]["select --jobs 1"] == []
+    pool = doc["seen"]["select --jobs 2"]
+    assert "multiprocessing" in pool
+    assert not [name for name in pool if name.startswith("concurrent.futures")]
 
 
 SELECT_SCRIPT = """

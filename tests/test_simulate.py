@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -459,6 +460,36 @@ class TestRunGrid:
         rows_redraw = [rec.row() for rec in redraw.records]
         assert rows_base[:3] == rows_redraw[:3]
         assert rows_base[3:] != rows_redraw[3:]
+
+    @pytest.mark.parametrize("redraw, draws", [(False, 1), (True, 4)])
+    def test_sigma_is_drawn_once_unless_redrawn(
+        self, tmp_path, monkeypatch, redraw, draws
+    ):
+        """A shared Sigma is drawn once, in the calling process, and forked
+        workers inherit it; a redrawn one once per replication. The records
+        equal those of a serial run."""
+        import hubertune.simulate
+
+        log = tmp_path / "draws.log"
+        original = hubertune.simulate.make_covariance
+
+        def logged(p, seed):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return original(p, seed)
+
+        cfg = self.small_config(redraw_sigma_per_replication=redraw)
+        fresh = run_grid(cfg, jobs=1)
+        monkeypatch.setattr(hubertune.simulate, "make_covariance", logged)
+        hubertune.simulate._covariance.cache_clear()
+        cached = run_grid(cfg, jobs=2)
+        pids = log.read_text().split()
+        assert len(pids) == draws
+        if not redraw:
+            assert pids == [str(os.getpid())]
+        assert [rec.row() for rec in cached.records] == [
+            rec.row() for rec in fresh.records
+        ]
 
     def test_production_scale_smoke(self):
         """One (1001, 1000) cell at the reference tuning stays in range."""
