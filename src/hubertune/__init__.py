@@ -69,7 +69,6 @@ _EXPORTS = {
     ),
     "simulate": (
         "GridCell",
-        "GridRecord",
         "GridResult",
         "SimConfig",
         "aggregate",

@@ -6,7 +6,9 @@ as soon as the package is imported: from then on the
 bundles a second one, loaded only when a library caller imports scipy. The
 thread count is therefore read and set through each loaded library's own
 ``*_get_num_threads*`` and ``*_set_num_threads*`` symbols with ctypes, which
-covers scipy's too when it is there.
+covers scipy's too when it is there. A forked child keeps its parent's
+counts, which ``hubertune.pool`` relies on: its workers run at the thread
+count the caller had when it forked them.
 Where no OpenBLAS is found (another BLAS, or no ``/proc/self/maps``), every
 function here does nothing.
 """
@@ -79,18 +81,6 @@ def get_threads() -> Optional[int]:
     """Largest thread count among the loaded OpenBLAS libraries (None if none)."""
     counts = [get() for get, _ in _openblas_libraries()]
     return max(counts) if counts else None
-
-
-def set_threads(count: Optional[int]) -> None:
-    """Set every loaded OpenBLAS to ``count`` threads; None leaves them as they are.
-
-    Also run by every worker that ``hubertune.pool`` forks, with the count
-    its parent read when it started the workers.
-    """
-    if count is None:
-        return
-    for _, set_ in _openblas_libraries():
-        set_(count)
 
 
 @contextmanager

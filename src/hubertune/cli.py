@@ -29,7 +29,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +290,19 @@ def write_report(doc: dict, out) -> None:
 # ---------------------------------------------------------------------------
 
 
+# Candidate.summary() keys of each report block, in its schema's
+# "required" order; a select entry starts with index, loss and penalty.
+FIT_SENSITIVITY_KEYS = ("df", "trace_v", "n_hat", "p_hat", "tau_eff")
+FIT_CRITERION_KEYS = (
+    "crit_adaptive", "ratio", "constraint_value", "constraint_ok", "eta", "crit_defined"
+)
+SELECT_ENTRY_KEYS = (
+    "converged", "iterations",
+    "crit_adaptive", "ratio", "constraint_value", "constraint_ok", "crit_defined",
+    "feasible", "reason",
+)
+
+
 def _evaluate_one(args, eta: float = DEFAULT_ETA):
     """Read the inputs of fit/diagnose and evaluate their one candidate.
 
@@ -309,7 +321,7 @@ def _evaluate_one(args, eta: float = DEFAULT_ETA):
 def cmd_fit(args) -> int:
     """Write the fit report; exit 2 when the fit did not converge."""
     data, cand = _evaluate_one(args, _eta_from_args(args))
-    result, bundle = cand.result, cand.bundle
+    result, summary = cand.result, cand.summary()
     doc = {
         "command": "fit",
         "n": data.n,
@@ -325,14 +337,8 @@ def cmd_fit(args) -> int:
         "converged": result.converged,
         "kkt_residual": result.kkt_residual,
         "objective": result.objective,
-        "sensitivity": {
-            "df": bundle.df,
-            "trace_v": bundle.trace_V,
-            "n_hat": bundle.n_hat,
-            "p_hat": bundle.p_hat,
-            "tau_eff": bundle.tau_eff,
-        },
-        "criterion": asdict(cand.report),
+        "sensitivity": {key: summary[key] for key in FIT_SENSITIVITY_KEYS},
+        "criterion": {key: summary[key] for key in FIT_CRITERION_KEYS},
     }
     write_report(doc, args.out)
     if args.beta_out is not None:
@@ -341,17 +347,12 @@ def cmd_fit(args) -> int:
 
 
 def _select_entry(index: int, cand) -> dict:
-    criterion = asdict(cand.report)
-    del criterion["eta"]
+    summary = cand.summary()
     return {
         "index": index,
         "loss": _loss_doc(cand.loss),
         "penalty": _penalty_doc(cand.penalty),
-        "converged": cand.result.converged,
-        "iterations": cand.result.iterations,
-        **criterion,
-        "feasible": cand.feasible,
-        "reason": cand.reason,
+        **{key: summary[key] for key in SELECT_ENTRY_KEYS},
     }
 
 
@@ -399,7 +400,7 @@ def cmd_simulate(args) -> int:
         pivot_dir.mkdir(parents=True, exist_ok=True)
         for metric in GRID_METRICS:
             write_pivot_csv(result, metric, pivot_dir / f"pivot_{metric}.csv")
-    n_failed = sum(1 for rec in result.records if rec.failed)
+    n_failed = sum(1 for rec in result.records if rec["failed"])
     print(
         f"wrote {len(result.records)} records ({n_failed} failed fits) to {args.out}",
         file=sys.stderr,
@@ -422,17 +423,17 @@ def cmd_diagnose(args) -> int:
     if args.bins < 1:
         raise InputError("--bins must be >= 1")
     data, cand = _evaluate_one(args)
-    result, loss = cand.result, cand.loss
+    result, loss, summary = cand.result, cand.loss, cand.summary()
 
     if args.t_hat is not None:
         t_hat = args.t_hat
         source = "flag"
     else:
-        if not cand.report.crit_defined:
+        if not summary["crit_defined"]:
             raise DegenerateDenominator(
                 "trace of V is numerically zero; pass --t-hat explicitly"
             )
-        t_hat = cand.report.ratio
+        t_hat = summary["ratio"]
         source = "adaptive"
 
     rep = residual_representation_check(result, loss, t_hat)
@@ -450,11 +451,11 @@ def cmd_diagnose(args) -> int:
         "p": data.p,
         "loss": _loss_doc(loss),
         "penalty": _penalty_doc(cand.penalty),
-        "converged": result.converged,
+        "converged": summary["converged"],
         "t_hat": t_hat,
         "t_hat_source": source,
         "max_prox_gap": float(np.max(rep.gaps)),
-        "effective_observations": cand.bundle.n_hat,
+        "effective_observations": summary["n_hat"],
         "debiased_moments": {
             "mean": moments.mean,
             "variance": moments.variance,

@@ -12,7 +12,7 @@ raising it; evaluate_grid() does so for every cell of a grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -119,7 +119,8 @@ class Candidate:
     """One tuning candidate after fit -> sensitivity -> criterion.
 
     result is the converged fit or, when the iteration cap was hit, the best
-    iterate (converged False, the solver's message in warning).
+    iterate (converged False, the solver's message in warning). summary()
+    holds every number a command reports about it.
     """
 
     loss: Loss
@@ -136,6 +137,25 @@ class Candidate:
     @property
     def reason(self) -> Optional[str]:
         return self.report.reason
+
+    def summary(self) -> dict:
+        """The fit's convergence and counters, the sensitivity quantities
+        (trace_v is trace V), the criterion report's fields and the
+        feasibility, by name in one flat dict."""
+        result, bundle = self.result, self.bundle
+        return {
+            "converged": result.converged,
+            "iterations": result.iterations,
+            "newton_attempts": result.newton_attempts,
+            "df": bundle.df,
+            "trace_v": bundle.trace_V,
+            "n_hat": bundle.n_hat,
+            "p_hat": bundle.p_hat,
+            "tau_eff": bundle.tau_eff,
+            **asdict(self.report),
+            "feasible": self.feasible,
+            "reason": self.reason,
+        }
 
 
 def evaluate(

@@ -23,7 +23,7 @@ import os
 import pickle
 from typing import Callable, Iterable
 
-from .blas import get_threads, set_threads
+from .blas import get_threads
 
 
 def default_jobs() -> int:
@@ -57,9 +57,8 @@ def _take(fn, shared, items, tickets, step) -> list:
     return done
 
 
-def _work(threads, fn, shared, items, tickets, step, out) -> None:
+def _work(fn, shared, items, tickets, step, out) -> None:
     """A forked worker: its share of the items, pickled once to ``out``."""
-    set_threads(threads)
     data = pickle.dumps(_take(fn, shared, items, tickets, step), pickle.HIGHEST_PROTOCOL)
     with open(out, "wb") as pipe:
         pipe.write(data)
@@ -90,7 +89,7 @@ def map_items(fn: Callable, shared: tuple, items: Iterable, jobs: int = 1) -> li
     os.write(write, b"".join(i.to_bytes(4, "little") for i in range(0, len(items), step)))
     os.close(write)
     context = multiprocessing.get_context("fork")
-    args = (get_threads(), fn, shared, items, tickets, step)
+    args = (fn, shared, items, tickets, step)
     workers, reads = [], []
     try:
         for _ in range(jobs - 1):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Union
@@ -303,55 +303,41 @@ def generate(
     return Dataset(X, y), eps
 
 
-@dataclass(frozen=True)
-class GridRecord:
-    """One (cell, replication) fit.
-
-    The defaults describe a fit whose A_hat was singular: no derived
-    quantity, and failed.
-    """
-
-    lam: float
-    tau: float
-    huber_scale: Optional[float]
-    replication: int
-    df: float = math.nan
-    trace_v: float = math.nan
-    n_hat: float = math.nan
-    p_hat: int = 0
-    trace_sigma_a: float = math.nan
-    crit_adaptive: float = math.nan
-    crit_oracle: float = math.nan
-    oos_error: float = math.nan
-    eps_norm_sq_over_n: float = math.nan
-    constraint_value: float = math.nan
-    solver_iterations: int = 0
-    failed: bool = True
-    # Solver counter kept out of the CSV (GRID_COLUMNS and row() skip it).
-    newton_attempts: int = field(default=0, metadata={"csv": False})
-
-    def row(self) -> tuple:
-        values = (getattr(self, f.name) for f in _CSV_FIELDS)
-        return tuple("" if v is None else v for v in values)
-
-
-_CSV_FIELDS = [f for f in fields(GridRecord) if f.metadata.get("csv", True)]
-GRID_COLUMNS = ["lambda" if f.name == "lam" else f.name for f in _CSV_FIELDS]
+# One record per (cell, replication): a dict keyed by these columns, plus
+# the solver's newton_attempts, which the CSV leaves out.
+GRID_COLUMNS = [
+    "lambda", "tau", "huber_scale", "replication",
+    "df", "trace_v", "n_hat", "p_hat", "trace_sigma_a",
+    "crit_adaptive", "crit_oracle", "oos_error", "eps_norm_sq_over_n",
+    "constraint_value", "solver_iterations", "failed",
+]
 
 # Metrics that aggregate() summarizes and cmd_simulate pivots.
 GRID_METRICS = GRID_COLUMNS[4:15]
 
+# The columns a record takes from Candidate.summary() under the same name.
+SUMMARY_COLUMNS = ("df", "trace_v", "n_hat", "p_hat", "crit_adaptive", "constraint_value")
+
+# A fit whose A_hat was singular: no derived quantity, and failed.
+SINGULAR_RECORD = {
+    "df": math.nan, "trace_v": math.nan, "n_hat": math.nan, "p_hat": 0,
+    "trace_sigma_a": math.nan, "crit_adaptive": math.nan, "crit_oracle": math.nan,
+    "constraint_value": math.nan, "failed": True,
+}
+
 
 @dataclass(frozen=True)
 class GridResult:
+    """The records of run_grid, in (replication, cell) order."""
+
     records: tuple
 
     def to_csv(self, path) -> None:
-        write_csv(path, GRID_COLUMNS, (rec.row() for rec in self.records))
-
-    def metric(self, name: str) -> np.ndarray:
-        pos = GRID_COLUMNS.index(name)
-        return np.array([rec.row()[pos] for rec in self.records], dtype=float)
+        rows = (
+            ["" if rec[col] is None else rec[col] for col in GRID_COLUMNS]
+            for rec in self.records
+        )
+        write_csv(path, GRID_COLUMNS, rows)
 
 
 @lru_cache(maxsize=1)
@@ -390,35 +376,28 @@ def _replication_records(config: SimConfig, options: FitOptions, rep: int):
 
     out = []
     for cell, cand in zip(config.grid, evaluate_grid(data, config.grid, options)):
-        result, bundle = cand.result, cand.bundle
-        record = GridRecord(
-            cell.lam,
-            cell.tau,
-            cell.huber_scale,
-            rep,
-            oos_error=out_of_sample_error(result.beta_hat, beta_star, Sigma),
-            eps_norm_sq_over_n=eps_term,
-            solver_iterations=result.iterations,
-            newton_attempts=result.newton_attempts,
-        )
+        summary = cand.summary()
+        record = {
+            "lambda": cell.lam,
+            "tau": cell.tau,
+            "huber_scale": cell.huber_scale,
+            "replication": rep,
+            "oos_error": out_of_sample_error(cand.result.beta_hat, beta_star, Sigma),
+            "eps_norm_sq_over_n": eps_term,
+            "solver_iterations": summary["iterations"],
+            "newton_attempts": summary["newton_attempts"],
+        }
         # A_hat is first formed here; at tau = 0 it can be singular, and
-        # the record then stays failed.
+        # the record then fails with NaN for every derived column.
         try:
-            t_hat = trace_sigma_A(bundle, Sigma)
-            record = replace(
-                record,
-                df=bundle.df,
-                trace_v=bundle.trace_V,
-                n_hat=bundle.n_hat,
-                p_hat=bundle.p_hat,
-                trace_sigma_a=t_hat,
-                crit_adaptive=cand.report.crit_adaptive,
-                crit_oracle=crit_oracle_sigma(result, cand.loss, t_hat),
-                constraint_value=cand.report.constraint_value,
-                failed=not result.converged,
-            )
+            t_hat = trace_sigma_A(cand.bundle, Sigma)
         except SingularSystem:
-            pass
+            record.update(SINGULAR_RECORD)
+        else:
+            record.update({col: summary[col] for col in SUMMARY_COLUMNS})
+            record["trace_sigma_a"] = t_hat
+            record["crit_oracle"] = crit_oracle_sigma(cand.result, cand.loss, t_hat)
+            record["failed"] = not summary["converged"]
         out.append(record)
     return out
 
@@ -428,7 +407,8 @@ def run_grid(
 ) -> GridResult:
     """Fit every (cell, replication) pair and record all criteria.
 
-    Non-converged cells are recorded with failed=True (using the best
+    A record is a dict keyed by GRID_COLUMNS, plus newton_attempts.
+    Non-converged cells are recorded with failed True (using the best
     iterate), never dropped. Records come back sorted by (replication,
     cell order). With jobs > 1 the replications run on up to that many
     processes, this one included (hubertune.pool); forked workers inherit
@@ -466,7 +446,7 @@ def aggregate(result: GridResult):
     order = []
     groups = {}
     for rec in result.records:
-        key = (rec.lam, rec.tau, rec.huber_scale)
+        key = (rec["lambda"], rec["tau"], rec["huber_scale"])
         if key not in groups:
             groups[key] = []
             order.append(key)
@@ -475,7 +455,7 @@ def aggregate(result: GridResult):
     rows = []
     for key in order:
         recs = groups[key]
-        ok = [r for r in recs if not r.failed]
+        ok = [r for r in recs if not r["failed"]]
         row = [
             key[0],
             key[1],
@@ -485,7 +465,7 @@ def aggregate(result: GridResult):
         ]
         sample = ok if ok else recs
         for metric in GRID_METRICS:
-            vals = np.array([getattr(r, metric) for r in sample], dtype=float)
+            vals = np.array([r[metric] for r in sample], dtype=float)
             row.extend(
                 [
                     float(np.mean(vals)),
@@ -513,8 +493,8 @@ def pivot_table(result: GridResult, metric: str):
         raise ValueError(f"unknown metric: {metric!r}")
     cells = {}
     for rec in result.records:
-        if not rec.failed:
-            cells.setdefault((rec.lam, rec.tau), []).append(getattr(rec, metric))
+        if not rec["failed"]:
+            cells.setdefault((rec["lambda"], rec["tau"]), []).append(rec[metric])
     lams = sorted({k[0] for k in cells})
     taus = sorted({k[1] for k in cells})
     header = ["lambda"] + [format_value(t) for t in taus]

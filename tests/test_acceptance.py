@@ -66,9 +66,9 @@ def feasible_records(result):
     return [
         rec
         for rec in result.records
-        if not rec.failed
-        and np.isfinite(rec.crit_adaptive)
-        and rec.constraint_value >= FEASIBILITY_ETA
+        if not rec["failed"]
+        and np.isfinite(rec["crit_adaptive"])
+        and rec["constraint_value"] >= FEASIBILITY_ETA
     ]
 
 
@@ -186,7 +186,9 @@ class TestCriterionTracksRisk:
             recs = feasible_records(result)
             assert len(recs) >= 50
             return float(
-                np.median([abs(r.trace_sigma_a - r.df / r.trace_v) for r in recs])
+                np.median(
+                    [abs(r["trace_sigma_a"] - r["df"] / r["trace_v"]) for r in recs]
+                )
             )
 
         gap_400 = median_gap(heavy_tail_sim_400)
@@ -202,9 +204,9 @@ class TestCriterionTracksRisk:
         n = 400
         oracle_rel, adaptive_rel = [], []
         for rec in recs:
-            target = rec.oos_error + rec.eps_norm_sq_over_n
-            oracle_rel.append(abs(rec.crit_oracle / n - target) / target)
-            adaptive_rel.append(abs(rec.crit_adaptive / n - target) / target)
+            target = rec["oos_error"] + rec["eps_norm_sq_over_n"]
+            oracle_rel.append(abs(rec["crit_oracle"] / n - target) / target)
+            adaptive_rel.append(abs(rec["crit_adaptive"] / n - target) / target)
         assert float(np.median(oracle_rel)) <= 0.10  # measured 0.019
         assert float(np.median(adaptive_rel)) <= 0.15  # measured 0.020
 
@@ -267,7 +269,7 @@ class TestSelectionQuality:
 
         by_rep = {}
         for rec in result.records:
-            by_rep.setdefault(rec.replication, []).append(rec)
+            by_rep.setdefault(rec["replication"], []).append(rec)
         assert len(by_rep) == 50
 
         margins = []
@@ -276,13 +278,13 @@ class TestSelectionQuality:
             feasible = [
                 r
                 for r in recs
-                if not r.failed
-                and np.isfinite(r.crit_adaptive)
-                and r.constraint_value >= FEASIBILITY_ETA
+                if not r["failed"]
+                and np.isfinite(r["crit_adaptive"])
+                and r["constraint_value"] >= FEASIBILITY_ETA
             ]
             assert feasible, rep
-            selected = min(feasible, key=lambda r: r.crit_adaptive)
-            margins.append(selected.oos_error - min(r.oos_error for r in recs))
+            selected = min(feasible, key=lambda r: r["crit_adaptive"])
+            margins.append(selected["oos_error"] - min(r["oos_error"] for r in recs))
 
         within = sum(1 for m in margins if m <= 0.1)
         assert within >= 45  # measured 50/50, worst margin 0.091

@@ -651,6 +651,30 @@ class TestSelect:
         assert_input_error_names(capsys, f"grid[1]: {field}")
 
 
+class TestReportKeyOrder:
+    def test_blocks_list_their_schemas_required_keys_in_order(self, tmp_path):
+        """fit's sensitivity and criterion blocks and every select candidate
+        hold exactly their schema's required keys, in that order."""
+        design, response, _, _ = make_regression_files(tmp_path, n=40, p=6, seed=3)
+        inputs = [str(design), str(response)]
+        fit_out, select_out = tmp_path / "fit.json", tmp_path / "select.json"
+        grid = str(write_grid(tmp_path))
+        assert main(["fit", *inputs, "--out", str(fit_out)]) == 0
+        assert main(["select", *inputs, grid, "--out", str(select_out)]) == 0
+
+        fit_schema = load_schema("fit_report.schema.json")
+        fit_doc = read_json(fit_out)
+        sensitivity = fit_schema["properties"]["sensitivity"]["required"]
+        assert list(fit_doc["sensitivity"]) == sensitivity
+        criterion = fit_schema["$defs"]["criterion"]["required"]
+        assert list(fit_doc["criterion"]) == criterion
+        candidate = load_schema("select_report.schema.json")["$defs"]["candidate"]
+        entries = read_json(select_out)["candidates"]
+        assert len(entries) == len(GRID_3)
+        for entry in entries:
+            assert list(entry) == candidate["required"]
+
+
 def mixed_grid_files(tmp_path):
     """A 1e6-scaled problem and a grid of four kinds of cell at
     --max-iterations 5: square loss at lambda 1e7 stops at b = 0 on

@@ -294,6 +294,65 @@ class TestEvaluate:
             assert np.array_equal(cand.result.beta_hat, alone.beta_hat)
 
 
+class TestSummary:
+    """Candidate.summary() holds each reported number under one name."""
+
+    @staticmethod
+    def candidates():
+        data, loss, penalty, _, _ = _fit_case(7, loss=HuberLoss(scale=0.8))
+        converged = evaluate(data, loss, penalty, FitOptions(kkt_tolerance=1e-11))
+        capped = evaluate(data, loss, penalty, FitOptions(max_iterations=1))
+        undefined = synth_candidate([1.0, 2.0], df=1.0, trace_v=0.0)
+        assert converged.result.converged and not capped.result.converged
+        assert not undefined.report.crit_defined
+        return [converged, capped, undefined]
+
+    def test_every_value_is_its_source(self):
+        for cand in self.candidates():
+            result, bundle, report = cand.result, cand.bundle, cand.report
+            sources = {
+                "converged": result.converged,
+                "iterations": result.iterations,
+                "newton_attempts": result.newton_attempts,
+                "df": bundle.df,
+                "trace_v": bundle.trace_V,
+                "n_hat": bundle.n_hat,
+                "p_hat": bundle.p_hat,
+                "tau_eff": bundle.tau_eff,
+                **{f.name: getattr(report, f.name) for f in fields(report)},
+                "feasible": cand.feasible,
+                "reason": cand.reason,
+            }
+            summary = cand.summary()
+            assert list(summary) == list(sources)
+            for key, value in sources.items():
+                if isinstance(value, float) and math.isnan(value):
+                    assert math.isnan(summary[key]), key
+                else:
+                    assert type(summary[key]) is type(value), key
+                    assert summary[key] == value, key
+
+    def test_every_listed_name_is_a_key(self):
+        """The names fit, select and simulate take are all keys, and
+        newton_attempts is one that none of their lists writes."""
+        import hubertune.cli as cli
+        import hubertune.simulate as simulate
+
+        lists = [
+            cli.FIT_SENSITIVITY_KEYS,
+            cli.FIT_CRITERION_KEYS,
+            cli.SELECT_ENTRY_KEYS,
+            simulate.SUMMARY_COLUMNS,
+        ]
+        for cand in self.candidates():
+            summary = cand.summary()
+            for names in lists:
+                assert set(names) <= set(summary), names
+            assert "newton_attempts" in summary
+        for names in lists + [simulate.GRID_COLUMNS]:
+            assert "newton_attempts" not in names
+
+
 def _wide_case():
     """30 x 60 design: Huber scale 0.2 keeps more active columns than inliers
     (a dual bundle), square loss at lambda 0.3 fewer (a primal one)."""

@@ -1,6 +1,7 @@
 """What importing the package and running a command load, from fresh
 processes: never a scipy module (the installed runtime is numpy and the
-standard library), and no process-pool machinery until a pool starts."""
+standard library), and no process-pool machinery until a pool starts; and
+that every name the package exports resolves."""
 
 import json
 import os
@@ -166,3 +167,30 @@ def test_submodules_are_attributes_after_a_bare_import():
     the other submodules reachable, as an eager import of them would."""
     doc = run_script(SUBMODULE_SCRIPT, [])
     assert doc == {"thread_policy": True, "solver.fit": True, "no_such_name": False}
+
+
+EXPORTS_SCRIPT = """
+import json, sys
+if sys.argv[1] == "star":
+    namespace = {}
+    exec("from hubertune import *", namespace)
+    import hubertune
+    unresolved = sorted(set(hubertune.__all__) - set(namespace))
+else:
+    import hubertune
+    unresolved = []
+    for name in hubertune.__all__:
+        try:
+            getattr(hubertune, name)
+        except AttributeError as exc:
+            unresolved.append(f"{name}: {exc}")
+print(json.dumps({"names": len(hubertune.__all__), "unresolved": unresolved}))
+"""
+
+
+def test_every_exported_name_resolves():
+    """On a fresh import, getattr(hubertune, name) succeeds for every name
+    in hubertune.__all__, and `from hubertune import *` binds them all."""
+    for mode in ("getattr", "star"):
+        doc = run_script(EXPORTS_SCRIPT, [mode])
+        assert doc["names"] > 0 and doc["unresolved"] == [], mode

@@ -26,13 +26,17 @@ from hubertune.simulate import (
     GRID_METRICS,
     GaussianNoise,
     GridCell,
-    GridRecord,
     GridResult,
     StudentTNoise,
     pivot_table,
     write_aggregate_csv,
     write_pivot_csv,
 )
+
+
+def csv_row(rec):
+    """The record's CSV columns, in order."""
+    return [rec[col] for col in GRID_COLUMNS]
 
 
 def minimal_config_doc(**overrides):
@@ -328,7 +332,7 @@ class TestRunGrid:
         ):
             monkeypatch.setattr(module, "trace_sigma_A", counting, raising=False)
         records = run_grid(self.small_config(replications=1)).records
-        assert len(records) == 3 and not any(rec.failed for rec in records)
+        assert len(records) == 3 and not any(rec["failed"] for rec in records)
         assert len(calls) == 3
 
     def test_record_layout(self):
@@ -337,21 +341,23 @@ class TestRunGrid:
         assert len(result.records) == 12
         # Canonical (replication, cell) order.
         expected = [(rep, cell.lam) for rep in range(4) for cell in cfg.grid]
-        actual = [(rec.replication, rec.lam) for rec in result.records]
+        actual = [(rec["replication"], rec["lambda"]) for rec in result.records]
         assert actual == expected
 
     def test_rerun_bit_identical(self):
         cfg = self.small_config()
         a = run_grid(cfg)
         b = run_grid(cfg)
-        assert [rec.row() for rec in a.records] == [rec.row() for rec in b.records]
+        assert [csv_row(rec) for rec in a.records] == [
+            csv_row(rec) for rec in b.records
+        ]
 
     def test_jobs_do_not_change_values(self):
         cfg = self.small_config()
         serial = run_grid(cfg, jobs=1)
         parallel = run_grid(cfg, jobs=3)
-        assert [rec.row() for rec in serial.records] == [
-            rec.row() for rec in parallel.records
+        assert [csv_row(rec) for rec in serial.records] == [
+            csv_row(rec) for rec in parallel.records
         ]
 
     def test_newton_attempts_repeat_across_runs_and_jobs(self):
@@ -368,42 +374,42 @@ class TestRunGrid:
         serial = run_grid(cfg, jobs=1)
         again = run_grid(cfg, jobs=1)
         parallel = run_grid(cfg, jobs=2)
-        attempts = [rec.newton_attempts for rec in serial.records]
+        attempts = [rec["newton_attempts"] for rec in serial.records]
         assert sum(attempts) > 0
-        assert [rec.newton_attempts for rec in again.records] == attempts
-        assert [rec.newton_attempts for rec in parallel.records] == attempts
+        assert [rec["newton_attempts"] for rec in again.records] == attempts
+        assert [rec["newton_attempts"] for rec in parallel.records] == attempts
         assert "newton_attempts" not in GRID_COLUMNS
-        assert len(serial.records[0].row()) == len(GRID_COLUMNS)
+        assert set(serial.records[0]) == {*GRID_COLUMNS, "newton_attempts"}
 
     def test_noise_term_constant_within_replication(self):
         result = run_grid(self.small_config())
         for rep in range(4):
             vals = {
-                rec.eps_norm_sq_over_n
+                rec["eps_norm_sq_over_n"]
                 for rec in result.records
-                if rec.replication == rep
+                if rec["replication"] == rep
             }
             assert len(vals) == 1
 
     def test_criteria_fields_populated(self):
         result = run_grid(self.small_config())
         for rec in result.records:
-            assert not rec.failed
-            assert rec.df >= 0
-            assert rec.trace_v > 0
-            assert 0 <= rec.constraint_value <= 1
-            assert rec.crit_adaptive >= 0
-            assert rec.crit_oracle >= 0
-            assert rec.oos_error >= 0
-            assert rec.trace_sigma_a >= 0
+            assert not rec["failed"]
+            assert rec["df"] >= 0
+            assert rec["trace_v"] > 0
+            assert 0 <= rec["constraint_value"] <= 1
+            assert rec["crit_adaptive"] >= 0
+            assert rec["crit_oracle"] >= 0
+            assert rec["oos_error"] >= 0
+            assert rec["trace_sigma_a"] >= 0
 
     def test_nonconvergence_recorded_not_dropped(self):
         cfg = self.small_config(replications=2)
         result = run_grid(cfg, options=FitOptions(max_iterations=1, kkt_tolerance=1e-14))
         assert len(result.records) == 6
-        assert all(rec.failed for rec in result.records)
+        assert all(rec["failed"] for rec in result.records)
         for rec in result.records:  # best-iterate metrics still present
-            assert np.isfinite(rec.oos_error)
+            assert np.isfinite(rec["oos_error"])
 
     def test_singular_a_hat_read_is_a_failed_record(self, monkeypatch):
         """A_hat raising SingularSystem on first read fails that record only:
@@ -425,29 +431,28 @@ class TestRunGrid:
         monkeypatch.setattr(hubertune.simulate, "trace_sigma_A", patched)
         records = run_grid(cfg).records
 
-        assert not any(rec.failed for rec in clean)
+        assert not any(rec["failed"] for rec in clean)
         c = clean[4]
-        expected = GridRecord(
-            c.lam,
-            c.tau,
-            c.huber_scale,
-            c.replication,
-            oos_error=c.oos_error,
-            eps_norm_sq_over_n=c.eps_norm_sq_over_n,
-            solver_iterations=c.solver_iterations,
-            newton_attempts=c.newton_attempts,
-        )
-        assert expected.failed and math.isnan(expected.df)
-        assert repr(records[4]) == repr(expected)
+        derived = [
+            "df",
+            "trace_v",
+            "n_hat",
+            "trace_sigma_a",
+            "crit_adaptive",
+            "crit_oracle",
+            "constraint_value",
+        ]
+        expected = {
+            **{col: c[col] for col in GRID_COLUMNS},
+            **dict.fromkeys(derived, math.nan),
+            "p_hat": 0,
+            "failed": True,
+            "newton_attempts": c["newton_attempts"],
+        }
+        assert repr(sorted(records[4].items())) == repr(sorted(expected.items()))
         for i, rec in enumerate(records):
             if i != 4:
-                assert rec.row() == clean[i].row()
-
-    def test_metric_extraction(self):
-        result = run_grid(self.small_config())
-        df = result.metric("df")
-        assert df.shape == (12,)
-        assert df[0] == result.records[0].df
+                assert csv_row(rec) == csv_row(clean[i])
 
     def test_redraw_sigma_changes_design(self):
         base = run_grid(self.small_config(replications=2))
@@ -456,8 +461,8 @@ class TestRunGrid:
         )
         # Replication 0 has XOR offset 0: identical covariance seed, so the
         # first replication agrees and later ones differ.
-        rows_base = [rec.row() for rec in base.records]
-        rows_redraw = [rec.row() for rec in redraw.records]
+        rows_base = [csv_row(rec) for rec in base.records]
+        rows_redraw = [csv_row(rec) for rec in redraw.records]
         assert rows_base[:3] == rows_redraw[:3]
         assert rows_base[3:] != rows_redraw[3:]
 
@@ -487,8 +492,8 @@ class TestRunGrid:
         assert len(pids) == draws
         if not redraw:
             assert pids == [str(os.getpid())]
-        assert [rec.row() for rec in cached.records] == [
-            rec.row() for rec in fresh.records
+        assert [csv_row(rec) for rec in cached.records] == [
+            csv_row(rec) for rec in fresh.records
         ]
 
     def test_production_scale_smoke(self):
@@ -513,11 +518,11 @@ class TestRunGrid:
             }
         )
         rec = run_grid(cfg).records[0]
-        assert not rec.failed
-        assert 0.0 < rec.df / n < 1.0
-        assert 0.0 < rec.n_hat / n < 1.0
-        assert rec.trace_v > 0.0
-        assert 0 < rec.p_hat < 1000
+        assert not rec["failed"]
+        assert 0.0 < rec["df"] / n < 1.0
+        assert 0.0 < rec["n_hat"] / n < 1.0
+        assert rec["trace_v"] > 0.0
+        assert 0 < rec["p_hat"] < 1000
 
 
 class TestAggregate:
@@ -551,16 +556,16 @@ class TestAggregate:
         header, rows = aggregate(result)
         assert len(rows) == 2
         row = dict(zip(header, rows[0]))
-        recs = [r for r in result.records if r.lam == 0.05]
+        recs = [r for r in result.records if r["lambda"] == 0.05]
         assert row["n_records"] == 5 and row["n_failed"] == 0
-        df_vals = np.array([r.df for r in recs])
+        df_vals = np.array([r["df"] for r in recs])
         assert row["df_mean"] == pytest.approx(float(np.mean(df_vals)), rel=1e-15)
         assert row["df_median"] == pytest.approx(float(np.median(df_vals)), rel=1e-15)
         assert row["df_q25"] == pytest.approx(
             float(np.quantile(df_vals, 0.25)), rel=1e-15
         )
         assert row["oos_error_q75"] == pytest.approx(
-            float(np.quantile([r.oos_error for r in recs], 0.75)), rel=1e-15
+            float(np.quantile([r["oos_error"] for r in recs], 0.75)), rel=1e-15
         )
 
     def test_failed_records_excluded_from_stats(self):
@@ -569,17 +574,19 @@ class TestAggregate:
         # metric; the aggregate over the cell must ignore it.
         poisoned = []
         for rec in result.records:
-            if rec.lam == 0.05 and rec.replication == 0:
-                from dataclasses import replace
-
-                poisoned.append(replace(rec, failed=True, df=1e9))
+            if rec["lambda"] == 0.05 and rec["replication"] == 0:
+                poisoned.append({**rec, "failed": True, "df": 1e9})
             else:
                 poisoned.append(rec)
         header, rows = aggregate(GridResult(records=tuple(poisoned)))
         row = dict(zip(header, rows[0]))
         assert row["n_records"] == 5
         assert row["n_failed"] == 1
-        clean = [r.df for r in result.records if r.lam == 0.05 and r.replication != 0]
+        clean = [
+            r["df"]
+            for r in result.records
+            if r["lambda"] == 0.05 and r["replication"] != 0
+        ]
         assert row["df_mean"] == pytest.approx(float(np.mean(clean)), rel=1e-15)
 
     def test_empty_raises(self):
@@ -626,19 +633,19 @@ class TestPivot:
         result = self._result()
         header, rows = pivot_table(result, "df")
         vals = [
-            rec.df
+            rec["df"]
             for rec in result.records
-            if rec.lam == 0.02 and rec.tau == 0.05
+            if rec["lambda"] == 0.02 and rec["tau"] == 0.05
         ]
         assert rows[0][2] == pytest.approx(float(np.mean(vals)), rel=1e-15)
 
     def test_missing_pair_blank(self):
         result = self._result()
-        from dataclasses import replace
-
         # Keep only three of the four (lambda, tau) pairs.
         kept = tuple(
-            rec for rec in result.records if not (rec.lam == 0.1 and rec.tau == 0.005)
+            rec
+            for rec in result.records
+            if not (rec["lambda"] == 0.1 and rec["tau"] == 0.005)
         )
         header, rows = pivot_table(GridResult(records=kept), "df")
         grid = {(row[0], float(h)): v for row in rows for h, v in zip(header[1:], row[1:])}
