@@ -52,7 +52,7 @@ _EXPORTS = {
         "SingularSystem",
     ),
     "losses": ("HuberLoss", "Loss", "SquareLoss", "make_loss"),
-    "penalties": ("ElasticNet", "lasso", "ridge"),
+    "penalties": ("ElasticNet",),
     "sensitivity": (
         "ContractionReport",
         "DerivativeCheckReport",
@@ -80,14 +80,7 @@ _EXPORTS = {
         "parse_sim_config",
         "run_grid",
     ),
-    "solver": (
-        "FitOptions",
-        "FitResult",
-        "fit",
-        "kkt_residual",
-        "largest_singular_value",
-        "objective_value",
-    ),
+    "solver": ("FitOptions", "FitResult", "fit", "largest_singular_value"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 # Submodules reachable as attributes (hubertune.blas, ...) without their own import.

@@ -437,7 +437,7 @@ def cmd_diagnose(args) -> int:
         source = "adaptive"
 
     rep = residual_representation_check(result, loss, t_hat)
-    u = result.residuals + t_hat * loss.psi(result.residuals)
+    u = rep.effective_obs
     moments = normal_summary(u)
     if moments.variance <= 0:
         raise DegenerateDenominator(

@@ -62,7 +62,8 @@ def crit_adaptive(
     loss: Loss,
     eta: float = DEFAULT_ETA,
 ) -> CriterionReport:
-    """||r + (df/trace V) psi(r)||^2 plus the feasibility fields.
+    """||r + (df/trace V) psi(r)||^2, which is crit_oracle_sigma at the
+    plug-in t_hat = df/trace V, plus the feasibility fields.
 
     When trace V is numerically zero (<= 1e-12 * n) the ratio is undefined:
     the report comes back flagged (crit_defined False, NaN values,
@@ -81,10 +82,8 @@ def crit_adaptive(
             crit_defined=False,
         )
     ratio = bundle.df / bundle.trace_V
-    combined = r + ratio * loss.psi(r)
-    value = float(combined @ combined)
     return CriterionReport(
-        crit_adaptive=value,
+        crit_adaptive=crit_oracle_sigma(fit_result, loss, ratio),
         ratio=float(ratio),
         constraint_value=float(constraint_value),
         constraint_ok=bool(constraint_value >= eta),

@@ -21,10 +21,11 @@ class Dataset:
 
     Validates shape and finiteness on construction; arrays are converted to
     float64 C-contiguous form (copied only when they are not already) so
-    later code can rely on dtype and layout. The top singular values of X
-    and of [1 X], which set the solver's step size, are computed on first
-    read and kept, so every fit on one dataset shares them; X must therefore
-    not be modified in place after the first fit.
+    later code can rely on dtype and layout. The design [1 X] of intercept
+    fits and the top singular values of X and of [1 X], which set the
+    solver's step size, are computed on first read and kept, so every fit on
+    one dataset shares them; X must therefore not be modified in place after
+    the first fit.
     """
 
     X: np.ndarray
@@ -62,5 +63,12 @@ class Dataset:
         return largest_singular_value(self.X)
 
     @cached_property
+    def X_with_intercept(self) -> np.ndarray:
+        """The read-only design [1 X] of every intercept fit."""
+        Xa = np.hstack([np.ones((self.n, 1)), self.X])
+        Xa.flags.writeable = False
+        return Xa
+
+    @cached_property
     def sigma_max_with_intercept(self) -> float:
-        return largest_singular_value(np.hstack([np.ones((self.n, 1)), self.X]))
+        return largest_singular_value(self.X_with_intercept)

@@ -22,6 +22,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .criterion import out_of_sample_error
 from .errors import DegenerateDenominator
 from .formatting import write_csv
 from .losses import Loss
@@ -96,10 +97,8 @@ def zeta_statistics(
     Simulation-only: requires the true signal and the realized noise.
     Raises DegenerateDenominator when beta_hat equals beta* exactly.
     """
-    beta_star = np.asarray(beta_star, dtype=float)
     eps = np.asarray(eps, dtype=float)
-    diff = fit_result.beta_hat - beta_star
-    denom_sq = float(diff @ (np.asarray(Sigma, dtype=float) @ diff))
+    denom_sq = out_of_sample_error(fit_result.beta_hat, beta_star, Sigma)
     if denom_sq <= 0.0:
         raise DegenerateDenominator(
             "||Sigma^(1/2)(beta_hat - beta*)|| is zero; zeta is undefined"
@@ -171,9 +170,7 @@ def square_loss_normality_stat(
     sigma_noise: float,
 ) -> SquareLossNormalityStat:
     """(sigma^2 + ||Sigma^{1/2}(beta_hat-beta*)||^2)^{-1/2} * scale * r_i."""
-    beta_star = np.asarray(beta_star, dtype=float)
-    diff = fit_result.beta_hat - beta_star
-    h_sq = float(diff @ (np.asarray(Sigma, dtype=float) @ diff))
+    h_sq = out_of_sample_error(fit_result.beta_hat, beta_star, Sigma)
     denom = np.sqrt(sigma_noise * sigma_noise + h_sq)
     if denom <= 0.0:
         raise DegenerateDenominator(

@@ -1,4 +1,4 @@
-"""Convex penalties: elastic net family (lasso and ridge as special cases).
+"""Convex penalty: the elastic net (lasso at tau = 0, ridge at lam = 0).
 
 The penalty g(b) = lam * ||b||_1 + (tau/2) * ||b||_2^2 is convex and
 minimized at zero; with tau > 0 it is tau-strongly convex. Its prox has the
@@ -32,20 +32,10 @@ class ElasticNet:
         l1 = np.add.reduce(np.abs(b), axis=None)
         return float(self.lam * l1 + 0.5 * self.tau * np.add.reduce(b * b, axis=None))
 
-    def prox(self, v, step: float):
-        """argmin_b ||b - v||^2 / (2*step) + g(b), componentwise.
-
-        Soft-threshold at step*lam, then shrink by 1/(1 + step*tau). The
-        max() produces exact zeros.
-        """
-        if step <= 0:
-            raise ValueError("prox step must be positive")
-        out = np.array(v, dtype=float)
-        self.prox_in_place(out, step)
-        return out[()]
-
     def prox_in_place(self, v: np.ndarray, step: float) -> None:
-        """Overwrite the float array v (a view will do) with prox(v, step)."""
+        """Overwrite the float array v (a view will do) with the prox
+        argmin_b ||b - v||^2 / (2*step) + g(b), step > 0: soft-threshold at
+        step*lam (exact zeros), then shrink by 1/(1 + step*tau)."""
         sign = np.sign(v)
         np.abs(v, out=v)
         v -= step * self.lam
@@ -53,12 +43,3 @@ class ElasticNet:
         v *= sign
         v /= 1.0 + step * self.tau
 
-
-def ridge(tau: float) -> ElasticNet:
-    """Pure ridge penalty (tau/2) * ||b||_2^2."""
-    return ElasticNet(lam=0.0, tau=tau)
-
-
-def lasso(lam: float) -> ElasticNet:
-    """Pure l1 penalty lam * ||b||_1."""
-    return ElasticNet(lam=lam, tau=0.0)

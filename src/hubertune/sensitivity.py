@@ -276,14 +276,11 @@ class ContractionReport:
     """Residuals of the five summed-derivative identities at one FD step.
 
     residuals[k] is the absolute gap for identity k+1 (identities 1 and 2
-    report the max gap over their free index); lhs/rhs hold the compared
-    values for inspection.
+    report the max gap over their free index).
     """
 
     step: float
     residuals: np.ndarray
-    lhs: tuple
-    rhs: tuple
 
 
 def contraction_check(
@@ -393,12 +390,7 @@ def contraction_check(
             abs(lhs5 - rhs5),
         ]
     )
-    return ContractionReport(
-        step=step,
-        residuals=residuals,
-        lhs=(lhs1, lhs2, lhs3, lhs4, lhs5),
-        rhs=(rhs1, rhs2, rhs3, rhs4, rhs5),
-    )
+    return ContractionReport(step=step, residuals=residuals)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,7 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class FitResult:
+    # kkt_residual and objective are the KKT gap and F at the returned point.
     beta_hat: np.ndarray
     intercept_hat: float
     residuals: np.ndarray
@@ -88,15 +89,6 @@ class FitResult:
     objective: float
     # Newton polish attempts, successful or not; kept out of reports and CSVs.
     newton_attempts: int = 0
-
-
-def objective_value(
-    data: Dataset, loss: Loss, penalty: ElasticNet, beta, intercept: float = 0.0
-) -> float:
-    """F(b) = mean loss of the residuals plus the penalty at b."""
-    beta = np.asarray(beta, dtype=float)
-    r = data.y - intercept - data.X @ beta
-    return float(np.mean(loss.value(r)) + penalty.value(beta))
 
 
 def _kkt_score_gap(g: np.ndarray, w: np.ndarray, penalty: ElasticNet, off=0) -> float:
@@ -114,29 +106,6 @@ def _kkt_score_gap(g: np.ndarray, w: np.ndarray, penalty: ElasticNet, off=0) -> 
     np.subtract(gap, penalty.lam, out=gap, where=b == 0.0)  # |g_j| - lam
     worst = float(np.maximum.reduce(gap, initial=0.0))
     return max(worst, abs(float(g[0]))) if off else worst
-
-
-def kkt_residual(
-    data: Dataset,
-    loss: Loss,
-    penalty: ElasticNet,
-    beta,
-    intercept: Optional[float] = None,
-) -> float:
-    """Max distance of (1/n) X'psi(r) from the penalty subdifferential.
-
-    Pass a numeric ``intercept`` to include the stationarity term
-    |(1/n)1'psi(r)| of an unpenalized intercept; ``None`` means the model
-    has none.
-    """
-    beta = np.asarray(beta, dtype=float)
-    b0 = 0.0 if intercept is None else float(intercept)
-    r = data.y - b0 - data.X @ beta
-    ps = loss.psi(r)
-    worst = _kkt_score_gap(data.X.T @ ps / data.n, beta, penalty)
-    if intercept is not None:
-        worst = max(worst, abs(float(np.sum(ps))) / data.n)
-    return worst
 
 
 def fit(
@@ -159,10 +128,7 @@ def fit(
             f"no penalty and {width} > n ({n}): the minimizer is not unique"
         )
 
-    if use_icpt:
-        Xa = np.hstack([np.ones((n, 1)), data.X])
-    else:
-        Xa = data.X
+    Xa = data.X_with_intercept if use_icpt else data.X
     y = data.y
     off = 1 if use_icpt else 0
 

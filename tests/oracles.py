@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from hubertune import DegenerateFit, FitOptions, fit
+from hubertune import DegenerateFit, FitOptions, HuberLoss, fit
 
 
 def fit_with_intercept(data, loss, penalty, options=None):
@@ -89,3 +89,34 @@ def kkt_score_gap(g, w, penalty, off=0):
     if off:
         worst = max(worst, abs(float(g[0])))
     return worst
+
+
+# The solver reports its KKT residual and objective on FitResult; these
+# recompute both from (data, beta) with the formulas above alone.
+
+
+def score(loss, r):
+    """psi(r): huber_psi for a Huber loss, r itself for the square loss."""
+    return huber_psi(r, loss.scale) if isinstance(loss, HuberLoss) else r
+
+
+def kkt_residual(data, loss, penalty, beta, intercept=None):
+    """kkt_score_gap of the score (1/n) X'psi(r) at beta.
+
+    A numeric ``intercept`` joins as the unpenalized first coordinate, with
+    score (1/n) 1'psi(r); ``None`` means the model has none.
+    """
+    beta = np.asarray(beta, dtype=float)
+    b0 = 0.0 if intercept is None else float(intercept)
+    ps = score(loss, data.y - b0 - data.X @ beta)
+    g = data.X.T @ ps / data.n
+    if intercept is None:
+        return kkt_score_gap(g, beta, penalty)
+    return kkt_score_gap(np.r_[np.sum(ps) / data.n, g], np.r_[b0, beta], penalty, off=1)
+
+
+def objective(data, loss, penalty, beta, intercept=0.0):
+    """F(b): the mean loss of the residuals plus the penalty at beta."""
+    beta = np.asarray(beta, dtype=float)
+    r = data.y - intercept - data.X @ beta
+    return mean_loss(loss, r) + elastic_net_value(penalty, beta)

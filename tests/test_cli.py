@@ -22,7 +22,6 @@ from hubertune import (
     crit_adaptive,
     evaluate,
     fit,
-    kkt_residual,
     make_loss,
     select,
     sensitivity_closed_form,
@@ -30,6 +29,8 @@ from hubertune import (
 import hubertune.cli
 from hubertune.cli import _parse_fields, main, read_matrix_csv
 from hubertune.simulate import GRID_METRICS
+
+from oracles import kkt_residual
 
 # ---------------------------------------------------------------------------
 # Helpers

@@ -28,7 +28,6 @@ from hubertune import (
     evaluate,
     evaluate_grid,
     fit,
-    lasso,
     out_of_sample_error,
     select,
     sensitivity_closed_form,
@@ -86,7 +85,7 @@ def synth_candidate(residuals, df, trace_v, n_hat=None, loss=None):
         inverse=lambda: np.eye(1),
     )
     report = crit_adaptive(fit_result, bundle, loss)
-    return Candidate(loss, lasso(0.0), fit_result, bundle, report)
+    return Candidate(loss, ElasticNet(lam=0.0), fit_result, bundle, report)
 
 
 class TestCritAdaptive:
@@ -101,7 +100,7 @@ class TestCritAdaptive:
 
     def test_zero_df_reduces_to_residual_norm(self):
         """Fully shrunk fit: df = 0, so crit is exactly ||r||^2."""
-        data, loss, penalty, result, bundle = _fit_case(2, penalty=lasso(50.0))
+        data, loss, penalty, result, bundle = _fit_case(2, penalty=ElasticNet(lam=50.0))
         assert bundle.p_hat == 0 and bundle.df == 0.0
         rep = crit_adaptive(result, bundle, loss)
         assert rep.crit_adaptive == pytest.approx(
@@ -120,6 +119,9 @@ class TestCritAdaptive:
             float(combined @ combined), rel=1e-12
         )
         assert rep.ratio == pytest.approx(bundle.df / bundle.trace_V, rel=1e-14)
+        # The same formula as the oracle criterion, at t_hat = df / trace V.
+        oracle = crit_oracle_sigma(result, loss, bundle.df / bundle.trace_V)
+        assert np.float64(rep.crit_adaptive).tobytes() == np.float64(oracle).tobytes()
 
     def test_constraint_fields(self):
         data, loss, penalty, result, bundle = _fit_case(

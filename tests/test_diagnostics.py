@@ -16,8 +16,8 @@ from hubertune import (
     histogram_table,
     ks_normal,
     normal_summary,
+    out_of_sample_error,
     qq_table,
-    ridge,
     sensitivity_closed_form,
     trace_sigma_A,
 )
@@ -117,7 +117,7 @@ class TestResidualRepresentation:
 
     def test_square_loss_effective_obs(self):
         """Square loss: u = (1 + t) r exactly."""
-        data, result, bundle = _fit_bundle(3, SquareLoss(), ridge(0.2))
+        data, result, bundle = _fit_bundle(3, SquareLoss(), ElasticNet(tau=0.2))
         t = 0.37
         rep = residual_representation_check(result, SquareLoss(), t_hat=t)
         np.testing.assert_allclose(
@@ -140,14 +140,14 @@ class TestResidualRepresentation:
         )
 
     def test_nonpositive_step_returns_identity(self):
-        data, result, bundle = _fit_bundle(5, SquareLoss(), ridge(0.2))
+        data, result, bundle = _fit_bundle(5, SquareLoss(), ElasticNet(tau=0.2))
         rep = residual_representation_check(result, SquareLoss(), t_hat=0.0)
         np.testing.assert_array_equal(rep.gaps, np.zeros(data.n))
         np.testing.assert_array_equal(rep.effective_obs, result.residuals)
 
     @pytest.mark.parametrize("t", [-0.5, np.nan, np.inf])
     def test_negative_or_non_finite_step_raises(self, t):
-        data, result, bundle = _fit_bundle(5, SquareLoss(), ridge(0.2))
+        data, result, bundle = _fit_bundle(5, SquareLoss(), ElasticNet(tau=0.2))
         with pytest.raises(ValueError, match="t_hat"):
             residual_representation_check(result, SquareLoss(), t_hat=t)
 
@@ -176,8 +176,22 @@ class TestZetaStatistics:
         assert 0.5 <= rep.variance <= 1.6
         assert rep.ks_statistic <= 0.2
 
+    def test_denominator_is_the_sigma_norm(self):
+        """zeta = (r + trace[Sigma A] psi(r) - eps) / sqrt(out_of_sample_error),
+        bit for bit."""
+        loss = HuberLoss(scale=0.8)
+        data, result, bundle = _fit_bundle(6, loss, ElasticNet(lam=0.04, tau=0.06))
+        Sigma = make_covariance(data.p, seed=3)
+        beta_star = make_signal(data.p)
+        eps = np.random.default_rng(6).standard_normal(data.n)
+        rep = zeta_statistics(result, bundle, Sigma, beta_star, eps, loss)
+        r = result.residuals
+        denom = np.sqrt(out_of_sample_error(result.beta_hat, beta_star, Sigma))
+        expected = (r + trace_sigma_A(bundle, Sigma) * loss.psi(r) - eps) / denom
+        assert rep.zetas.tobytes() == expected.tobytes()
+
     def test_exact_recovery_degenerate(self):
-        data, result, bundle = _fit_bundle(8, SquareLoss(), ridge(0.2))
+        data, result, bundle = _fit_bundle(8, SquareLoss(), ElasticNet(tau=0.2))
         with pytest.raises(DegenerateDenominator):
             zeta_statistics(
                 result, bundle, np.eye(data.p), result.beta_hat,
@@ -194,7 +208,7 @@ class TestSquareLossNormalityStat:
         Sigma = make_covariance(p, seed=123)
         L = np.linalg.cholesky(Sigma)
         beta_star = make_signal(p)
-        penalty = ridge(0.1)
+        penalty = ElasticNet(tau=0.1)
         opts = FitOptions(kkt_tolerance=1e-8)
         pooled_oracle = []
         pooled_adaptive = []
@@ -217,7 +231,7 @@ class TestSquareLossNormalityStat:
         assert np.median(ratio_gaps) <= 0.1
 
     def test_degenerate_raises(self):
-        data, result, bundle = _fit_bundle(9, SquareLoss(), ridge(0.2))
+        data, result, bundle = _fit_bundle(9, SquareLoss(), ElasticNet(tau=0.2))
         with pytest.raises(DegenerateDenominator):
             square_loss_normality_stat(
                 result, bundle, np.eye(data.p), result.beta_hat, 0.0

@@ -151,6 +151,30 @@ def test_select_loads_no_diagnostics(tmp_path):
     }
 
 
+SIMULATE_SCRIPT = """
+import json, sys
+import hubertune.cli
+config, out = sys.argv[1:]
+code = hubertune.cli.main(
+    ["simulate", config, "--out", out, "--aggregate-out", out + ".agg", "--jobs", "1"]
+)
+print(json.dumps({"code": code, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_simulate_loads_no_numpy_ma(tmp_path):
+    """np.median and np.quantile import numpy.ma (about 12 ms) on first
+    use; `simulate` takes its medians and quartiles without them."""
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({
+        "n": 30, "p": 6, "sigma_seed": 1, "base_seed": 2, "replications": 3,
+        "noise_kind": {"kind": "gaussian", "sigma": 1.0}, "signal_kind": "sparse",
+        "grid": [{"huber_scale": 1.0, "lambda": 0.05, "tau": 0.1}],
+    }))
+    doc = run_script(SIMULATE_SCRIPT, [str(config), str(tmp_path / "records.csv")])
+    assert doc == {"code": 0, "numpy.ma": False}
+
+
 SUBMODULE_SCRIPT = """
 import json
 import hubertune

@@ -21,8 +21,6 @@ from hubertune import (
     fit,
     jacobian_x_entry,
     jacobian_y,
-    lasso,
-    ridge,
     run_derivative_checks,
     select,
     sensitivity_closed_form,
@@ -49,7 +47,7 @@ class TestTinyExactCase:
     def setup_method(self):
         self.data = Dataset(X=np.array([[1.0], [1.0]]), y=np.array([1.0, 3.0]))
         self.loss = SquareLoss()
-        self.penalty = ridge(1.0)
+        self.penalty = ElasticNet(tau=1.0)
         self.result, self.bundle = _fit_and_bundle(self.data, self.loss, self.penalty)
 
     def test_beta_hat(self):
@@ -98,7 +96,7 @@ class TestRidgeClosedForm:
         X = rng.normal(size=(n, p))
         y = X @ rng.normal(size=p) + rng.normal(size=n)
         tau = 0.3
-        result, bundle = _fit_and_bundle(Dataset(X=X, y=y), SquareLoss(), ridge(tau))
+        result, bundle = _fit_and_bundle(Dataset(X=X, y=y), SquareLoss(), ElasticNet(tau=tau))
         assert bundle.p_hat == p
         direct = np.linalg.inv(X.T @ X + n * tau * np.eye(p))
         np.testing.assert_allclose(
@@ -211,7 +209,7 @@ class TestEmptyActiveSet:
         y = 0.01 * rng.standard_normal(15)
         self.data = Dataset(X=X, y=y)
         self.loss = HuberLoss(scale=1.0)
-        self.penalty = lasso(5.0)
+        self.penalty = ElasticNet(lam=5.0)
         self.result, self.bundle = _fit_and_bundle(self.data, self.loss, self.penalty)
 
     def test_fit_is_zero(self):
@@ -348,7 +346,7 @@ class TestInterceptPsiMatrix:
         X = rng.normal(size=(10, 2))
         y = rng.normal(size=10)
         result = fit_with_intercept(
-            Dataset(X=X, y=y), SquareLoss(), ridge(0.5),
+            Dataset(X=X, y=y), SquareLoss(), ElasticNet(tau=0.5),
             FitOptions(kkt_tolerance=1e-10, intercept=True),
         )
         P = intercept_psi_matrix(result, SquareLoss())
@@ -425,9 +423,9 @@ class TestContraction:
         beta_star = rng.normal(size=8) / np.sqrt(8)
         y = X @ beta_star + 0.3 * rng.standard_normal(20)
         data = Dataset(X=X, y=y)
-        result, bundle = _fit_and_bundle(data, SquareLoss(), ridge(0.2))
+        result, bundle = _fit_and_bundle(data, SquareLoss(), ElasticNet(tau=0.2))
         report = contraction_check(
-            data, SquareLoss(), ridge(0.2), result, bundle, beta_star,
+            data, SquareLoss(), ElasticNet(tau=0.2), result, bundle, beta_star,
             step=1e-4, options=TIGHT,
         )
         assert np.all(report.residuals <= 1e-5)
@@ -460,7 +458,7 @@ class TestRunDerivativeChecks:
         with pytest.raises(ValueError):
             run_derivative_checks(
                 n=10, p=4, loss=SquareLoss(),
-                penalty=ridge(0.1), seed=0, fault="no-such-fault",
+                penalty=ElasticNet(tau=0.1), seed=0, fault="no-such-fault",
             )
 
 
@@ -589,7 +587,7 @@ class TestWorkGates:
         )
         with pytest.raises(DegenerateFit):
             sensitivity_closed_form(
-                Dataset(X=X, y=np.zeros(4)), HuberLoss(scale=1.0), ridge(0.1), result
+                Dataset(X=X, y=np.zeros(4)), HuberLoss(scale=1.0), ElasticNet(tau=0.1), result
             )
 
 
@@ -629,7 +627,7 @@ def _rank_case(name):
         X = rng.standard_normal((n, p))
         y = X[:, :5] @ np.ones(5) + rng.standard_t(3, n) + (0.5 if intercept else 0.0)
         options = FitOptions(kkt_tolerance=1e-11, intercept=intercept)
-        result = fit(Dataset(X=X, y=y), loss, lasso(0.02), options)
+        result = fit(Dataset(X=X, y=y), loss, ElasticNet(lam=0.02), options)
         return X, y, loss, result, result.active_set.size
     if name == "intercept-dual":
         # 5 centred inlier rows: rank 4 < n_hat = 5 < p_hat = 8.
@@ -653,7 +651,7 @@ class TestRankAtTauZero:
 
     def test_df_is_the_integer_rank(self, name):
         X, y, loss, result, rank = _rank_case(name)
-        bundle = sensitivity_closed_form(Dataset(X=X, y=y), loss, lasso(0.02), result)
+        bundle = sensitivity_closed_form(Dataset(X=X, y=y), loss, ElasticNet(lam=0.02), result)
         primal = name.endswith("primal")
         assert bundle.system == ("primal" if primal else "dual")
         assert bundle.rank == rank
@@ -668,9 +666,9 @@ class TestRankAtTauZero:
         """X -> 2^k X with tau -> 4^k tau leaves the same fit's df, rank and
         trace_V unchanged, bit for bit."""
         X, y, loss, result, _ = _rank_case(name)
-        base = sensitivity_closed_form(Dataset(X=X, y=y), loss, ridge(tau), result)
+        base = sensitivity_closed_form(Dataset(X=X, y=y), loss, ElasticNet(tau=tau), result)
         scaled = sensitivity_closed_form(
-            Dataset(X=X * 2.0**k, y=y), loss, ridge(tau * 4.0**k), result
+            Dataset(X=X * 2.0**k, y=y), loss, ElasticNet(tau=tau * 4.0**k), result
         )
         assert scaled.df == base.df and scaled.trace_V == base.trace_V
         assert scaled.rank == base.rank
@@ -684,7 +682,7 @@ class TestAHatRule:
         p_hat; otherwise it is the dense inverse of the primal system."""
         X, y, loss, result, _ = _rank_case(name)
         data = Dataset(X=X, y=y)
-        bundle = sensitivity_closed_form(data, loss, ridge(tau), result)
+        bundle = sensitivity_closed_form(data, loss, ElasticNet(tau=tau), result)
         if tau == 0 and bundle.rank < bundle.p_hat:
             assert not name.endswith("primal")
             with pytest.raises(SingularSystem, match="rank"):
@@ -699,9 +697,9 @@ class TestAHatRule:
         """X -> 2^k X with tau -> 4^k tau scales A_hat by 4^-k, bit for bit,
         and leaves a singular system singular."""
         X, y, loss, result, _ = _rank_case(name)
-        base = sensitivity_closed_form(Dataset(X=X, y=y), loss, ridge(tau), result)
+        base = sensitivity_closed_form(Dataset(X=X, y=y), loss, ElasticNet(tau=tau), result)
         scaled = sensitivity_closed_form(
-            Dataset(X=X * 2.0**k, y=y), loss, ridge(tau * 4.0**k), result
+            Dataset(X=X * 2.0**k, y=y), loss, ElasticNet(tau=tau * 4.0**k), result
         )
         if tau == 0 and base.rank < base.p_hat:
             with pytest.raises(SingularSystem):

@@ -28,6 +28,7 @@ from hubertune.simulate import (
     GridCell,
     GridResult,
     StudentTNoise,
+    _median_quartiles,
     pivot_table,
     write_aggregate_csv,
     write_pivot_csv,
@@ -592,6 +593,26 @@ class TestAggregate:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             aggregate(GridResult(records=()))
+
+    @pytest.mark.parametrize("kind", ["random", "ties", "signed-zeros", "one-nan"])
+    def test_median_quartiles_match_numpy_bit_for_bit(self, kind):
+        """aggregate's median and quartiles against np.median and
+        np.quantile for n = 1..128, including which zero sign comes back
+        when 0.0 and -0.0 tie, and the NaN numpy returns."""
+        rng = np.random.default_rng(["random", "ties", "signed-zeros", "one-nan"].index(kind))
+        for n in range(1, 129):
+            if kind == "random":
+                values = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+            elif kind == "ties":
+                values = rng.integers(-2, 3, n) * 0.5
+            elif kind == "signed-zeros":
+                values = rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, -1.0], n)
+            else:
+                values = rng.choice([0.0, -0.0, 1.5, -2.0], n)
+                values[rng.integers(n)] = np.nan
+            expected = [np.median(values)] + [np.quantile(values, q) for q in (0.25, 0.75)]
+            got = _median_quartiles(values)
+            assert np.array(got).tobytes() == np.array(expected).tobytes(), n
 
     def test_csv_writer(self, tmp_path):
         path = tmp_path / "agg.csv"

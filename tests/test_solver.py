@@ -14,16 +14,12 @@ from hubertune import (
     SingularSystem,
     SquareLoss,
     fit,
-    kkt_residual,
     largest_singular_value,
-    lasso,
-    objective_value,
-    ridge,
     sensitivity_closed_form,
 )
 from hubertune.solver import _kkt_score_gap
 
-from oracles import fit_with_intercept
+from oracles import fit_with_intercept, kkt_residual, objective
 
 
 def golden_section(f, lo, hi, tol=1e-10):
@@ -49,7 +45,7 @@ class TestClosedFormOptima:
     def test_scalar_ridge(self):
         """1x1 design, square loss, ridge tau=1: minimizer is exactly 1/2."""
         data = Dataset(X=np.array([[1.0]]), y=np.array([1.0]))
-        result = fit(data, SquareLoss(), ridge(1.0))
+        result = fit(data, SquareLoss(), ElasticNet(tau=1.0))
         assert result.converged
         assert result.beta_hat[0] == pytest.approx(0.5, abs=1e-8)
         assert result.intercept_hat == 0.0
@@ -62,7 +58,7 @@ class TestClosedFormOptima:
         |y2|/n = 0.25 is below lam.
         """
         data = Dataset(X=np.eye(2), y=np.array([3.0, 0.5]))
-        result = fit(data, SquareLoss(), lasso(0.5), FitOptions(kkt_tolerance=1e-12))
+        result = fit(data, SquareLoss(), ElasticNet(lam=0.5), FitOptions(kkt_tolerance=1e-12))
         np.testing.assert_allclose(result.beta_hat, [2.0, 0.0], atol=1e-9)
         # The zero is exact, giving the active set without thresholding.
         assert result.beta_hat[1] == 0.0
@@ -72,10 +68,10 @@ class TestClosedFormOptima:
         """Huber location with one outlier versus golden-section search."""
         data = Dataset(X=np.ones((3, 1)), y=np.array([0.0, 0.0, 10.0]))
         loss = HuberLoss(scale=1.0)
-        penalty = ridge(0.01)
+        penalty = ElasticNet(tau=0.01)
 
         def scalar_objective(b):
-            return objective_value(data, loss, penalty, np.array([b]))
+            return objective(data, loss, penalty, np.array([b]))
 
         oracle = golden_section(scalar_objective, -2.0, 8.0)
         result = fit(data, loss, penalty, FitOptions(kkt_tolerance=1e-12))
@@ -126,7 +122,7 @@ class TestClosedFormOptima:
         assert result.converged
         np.testing.assert_array_equal(result.beta_hat, np.zeros(3))
         assert kkt_residual(data, loss, penalty, result.beta_hat) <= 1e-8
-        assert result.objective == objective_value(data, loss, penalty, np.zeros(3))
+        assert result.objective == objective(data, loss, penalty, np.zeros(3))
         assert result.objective == 3.0
 
     def test_zero_design_intercept_is_mean(self):
@@ -180,8 +176,8 @@ class TestInvariants:
         [
             (SquareLoss(), ElasticNet(lam=0.1, tau=0.05)),
             (HuberLoss(scale=1.0), ElasticNet(lam=0.1, tau=0.05)),
-            (HuberLoss(scale=0.5), lasso(0.2)),
-            (SquareLoss(), ridge(0.3)),
+            (HuberLoss(scale=0.5), ElasticNet(lam=0.2)),
+            (SquareLoss(), ElasticNet(tau=0.3)),
         ],
     )
     def test_kkt_and_result_consistency(self, seed, loss, penalty):
@@ -200,7 +196,7 @@ class TestInvariants:
             result.residuals, data.y - data.X @ result.beta_hat, atol=1e-12
         )
         assert result.objective == pytest.approx(
-            objective_value(data, loss, penalty, result.beta_hat), rel=1e-12
+            objective(data, loss, penalty, result.beta_hat), rel=1e-12
         )
 
     def test_objective_not_worse_than_candidates(self):
@@ -210,11 +206,11 @@ class TestInvariants:
         penalty = ElasticNet(lam=0.1, tau=0.05)
         result = fit(data, loss, penalty, FitOptions(kkt_tolerance=1e-10))
         f_hat = result.objective
-        assert f_hat <= objective_value(data, loss, penalty, np.zeros(data.p)) + 1e-12
+        assert f_hat <= objective(data, loss, penalty, np.zeros(data.p)) + 1e-12
         rng = np.random.default_rng(99)
         for _ in range(20):
             other = rng.normal(size=data.p)
-            assert f_hat <= objective_value(data, loss, penalty, other) + 1e-12
+            assert f_hat <= objective(data, loss, penalty, other) + 1e-12
 
     def test_inactive_score_bound(self):
         """Inactive coordinates satisfy |(1/n) x_j' psi(r)| <= lam."""
@@ -251,15 +247,25 @@ class TestInvariants:
         assert again.iterations == 0
         np.testing.assert_array_equal(again.beta_hat, first.beta_hat)
 
-    def test_fits_on_one_dataset_share_one_power_iteration(self, step_bounds):
+    def test_fits_on_one_dataset_share_one_power_iteration(self, step_bounds, monkeypatch):
         """Each intercept flag computes one step bound per Dataset, and the
-        cached value gives fits bit-identical to those on a fresh Dataset."""
+        cached value gives fits bit-identical to those on a fresh Dataset.
+        The design [1 X] is stacked once per Dataset, read-only, and its
+        step bound and both intercept fits read that one array."""
+        stacks = []
+        original_hstack = np.hstack
+
+        def counting(arrays):
+            stacks.append(len(arrays))
+            return original_hstack(arrays)
+
+        monkeypatch.setattr(np, "hstack", counting)
         data = self._random_instance(43)
         cases = [
             (loss, penalty, intercept)
             for loss, penalty in [
                 (HuberLoss(scale=1.1), ElasticNet(lam=0.05, tau=0.02)),
-                (SquareLoss(), lasso(0.1)),
+                (SquareLoss(), ElasticNet(lam=0.1)),
             ]
             for intercept in (False, True)
         ]
@@ -268,6 +274,10 @@ class TestInvariants:
             for loss, penalty, intercept in cases
         ]
         assert step_bounds == [(data.n, data.p), (data.n, data.p + 1)]
+        assert stacks == [2]
+        Xa = data.X_with_intercept
+        assert not Xa.flags.writeable
+        np.testing.assert_array_equal(Xa, np.column_stack([np.ones(data.n), data.X]))
         for (loss, penalty, intercept), got in zip(cases, shared):
             fresh = Dataset(data.X, data.y)
             alone = fit(fresh, loss, penalty, FitOptions(intercept=intercept))
@@ -311,7 +321,7 @@ class TestNewtonPolish:
     def test_h1_reaches_machine_precision_quickly(self):
         """Near-interpolating lasso that took FISTA alone 88,822 iterations."""
         data = heavy_tail_lasso_data(50, 100)
-        result = fit(data, HuberLoss(scale=0.3), lasso(0.005), FitOptions(kkt_tolerance=1e-12))
+        result = fit(data, HuberLoss(scale=0.3), ElasticNet(lam=0.005), FitOptions(kkt_tolerance=1e-12))
         assert result.converged
         assert result.kkt_residual <= 1e-12
         assert result.iterations < 5_000
@@ -320,7 +330,7 @@ class TestNewtonPolish:
     def test_h2_converges(self):
         """Certified well inside the cap; the flop budget bounds the attempts."""
         data = heavy_tail_lasso_data(100, 300)
-        loss, penalty, cap = HuberLoss(scale=0.5), lasso(0.002), 20_000
+        loss, penalty, cap = HuberLoss(scale=0.5), ElasticNet(lam=0.002), 20_000
         result = fit(data, loss, penalty, FitOptions(max_iterations=cap))
         assert result.converged
         assert result.kkt_residual <= 1e-8
@@ -335,7 +345,7 @@ class TestNewtonPolish:
     @pytest.mark.parametrize("loss", [SquareLoss(), HuberLoss(scale=1.0)], ids=["square", "huber"])
     @pytest.mark.parametrize(
         "n,p,penalty",
-        [(40, 20, ElasticNet(lam=0.05, tau=0.01)), (30, 60, lasso(0.05))],
+        [(40, 20, ElasticNet(lam=0.05, tau=0.01)), (30, 60, ElasticNet(lam=0.05))],
         ids=["ridge-n>p", "lasso-p>n"],
     )
     def test_polished_fit_is_certified_and_exact(self, n, p, penalty, loss, intercept):
@@ -357,7 +367,7 @@ class TestNewtonPolish:
 
     def test_attempts_repeat_across_reruns(self):
         data = heavy_tail_lasso_data(60, 120)
-        runs = [fit(data, HuberLoss(scale=0.5), lasso(0.01)) for _ in range(2)]
+        runs = [fit(data, HuberLoss(scale=0.5), ElasticNet(lam=0.01)) for _ in range(2)]
         assert runs[0].newton_attempts > 0
         assert runs[0].newton_attempts == runs[1].newton_attempts
         assert runs[0].iterations == runs[1].iterations
@@ -385,7 +395,7 @@ class TestNewtonPolish:
         X = rng.normal(size=(30, 5))
         X = np.column_stack([X, X[:, 0]])
         data = Dataset(X=X, y=2.0 * X[:, 0] + X[:, 1] + 0.1 * rng.normal(size=30))
-        penalty = lasso(0.05)
+        penalty = ElasticNet(lam=0.05)
         result = fit(data, SquareLoss(), penalty)
         assert "singular" in solves
         assert result.converged
@@ -453,7 +463,7 @@ def factor_case(m, inliers, tau):
         objective=0.0,
     )
     data = Dataset(X=X, y=np.zeros(m + 7))
-    bundle = sensitivity_closed_form(data, HuberLoss(scale=1.0), ridge(tau), result)
+    bundle = sensitivity_closed_form(data, HuberLoss(scale=1.0), ElasticNet(tau=tau), result)
     return X[:inliers], bundle
 
 
@@ -489,7 +499,7 @@ class TestKktResidual:
         X = np.array([[1.0], [1.0]])
         y = np.array([0.7, 0.7])
         data = Dataset(X=X, y=y)
-        penalty = lasso(1.0)
+        penalty = ElasticNet(lam=1.0)
         assert kkt_residual(data, SquareLoss(), penalty, np.zeros(1)) == 0.0
         result = fit(data, SquareLoss(), penalty)
         assert result.iterations == 0
@@ -502,7 +512,7 @@ class TestKktResidual:
         term is tau*b = 1/2 + delta, so the KKT residual is 2*delta.
         """
         data = Dataset(X=np.array([[1.0]]), y=np.array([1.0]))
-        penalty = ridge(1.0)
+        penalty = ElasticNet(tau=1.0)
         delta = 1e-3
         res = kkt_residual(data, SquareLoss(), penalty, np.array([0.5 + delta]))
         assert res == pytest.approx(2 * delta, rel=1e-9)
@@ -511,7 +521,7 @@ class TestKktResidual:
     def test_intercept_term_included(self):
         data = Dataset(X=np.array([[1.0], [2.0]]), y=np.array([1.0, 3.0]))
         loss = SquareLoss()
-        penalty = ridge(0.5)
+        penalty = ElasticNet(tau=0.5)
         # With intercept=None only the coordinate terms count; passing a
         # non-stationary intercept must raise the residual.
         base = kkt_residual(data, loss, penalty, np.zeros(1), intercept=None)
@@ -579,5 +589,5 @@ class TestFailureModes:
     def test_initial_point_length_mismatch(self):
         data = Dataset(X=np.ones((3, 2)), y=np.zeros(3))
         with pytest.raises(ValueError):
-            fit(data, SquareLoss(), ridge(0.1),
+            fit(data, SquareLoss(), ElasticNet(tau=0.1),
                 FitOptions(initial_point=np.zeros(5)))
