@@ -57,6 +57,7 @@ _EXPORTS = {
         "ContractionReport",
         "DerivativeCheckReport",
         "SensitivityBundle",
+        "a_hat",
         "a_hat_full",
         "apply_V",
         "contraction_check",

@@ -12,7 +12,7 @@ raising it; evaluate_grid() does so for every cell of a grid.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import NoFeasibleCandidate, NonConvergence
 from .losses import Loss
 from .penalties import ElasticNet
 from .pool import map_items
-from .sensitivity import SensitivityBundle, bind_design, sensitivity_closed_form
+from .sensitivity import SensitivityBundle, sensitivity_closed_form
 from .solver import FitOptions, FitResult, fit
 
 DEFAULT_ETA = 0.05
@@ -181,13 +181,8 @@ def evaluate(
 
 
 def _cell_candidate(data: Dataset, options: FitOptions, eta: float, cell) -> Candidate:
-    """evaluate() one grid cell, the item evaluate_grid maps.
-
-    The returned bundle holds no copy of the design; evaluate_grid binds
-    it again.
-    """
-    cand = evaluate(data, cell.loss(), cell.penalty(), options, eta)
-    return replace(cand, bundle=bind_design(cand.bundle, None))
+    """evaluate() one grid cell, the item evaluate_grid maps."""
+    return evaluate(data, cell.loss(), cell.penalty(), options, eta)
 
 
 def evaluate_grid(
@@ -203,14 +198,14 @@ def evaluate_grid(
     computed here, once, and kept on the Dataset for every fit. With jobs >
     1 the cells run on up to that many processes, this one included
     (hubertune.pool): forked workers inherit the Dataset, with its step
-    bound, the options and eta, and each candidate comes back without a
-    copy of the design. Cells are independent and every process runs this
-    one's BLAS thread count, so the candidates are the same for every jobs
-    count. The cells run the likely costliest first (smaller lambda, then
-    smaller tau, then grid order), so a slow cell does not run alone at the
-    end; the candidates come back in grid order. The order is the same for
-    every jobs count, so a grid with failing cells raises the same
-    exception, the first in that order.
+    bound, the options and eta, and a candidate holds no copy of the
+    design, so it comes back as small as its fit. Cells are independent
+    and every process runs this one's BLAS thread count, so the candidates
+    are the same for every jobs count. The cells run the likely costliest
+    first (smaller lambda, then smaller tau, then grid order), so a slow
+    cell does not run alone at the end; the candidates come back in grid
+    order. The order is the same for every jobs count, so a grid with
+    failing cells raises the same exception, the first in that order.
     """
     if options is None:
         options = FitOptions()
@@ -224,10 +219,8 @@ def evaluate_grid(
     )
     shared = (data, options, eta)
     found = map_items(_cell_candidate, shared, [cells[i] for i in order], jobs)
-    candidates = [None] * len(cells)
-    for i, cand in zip(order, found):
-        candidates[i] = replace(cand, bundle=bind_design(cand.bundle, data.X))
-    return candidates
+    by_index = dict(zip(order, found))
+    return [by_index[i] for i in range(len(cells))]
 
 
 @dataclass(frozen=True)

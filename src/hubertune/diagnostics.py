@@ -87,6 +87,7 @@ class ZetaReport:
 def zeta_statistics(
     fit_result: FitResult,
     bundle: SensitivityBundle,
+    X: np.ndarray,
     Sigma: np.ndarray,
     beta_star: np.ndarray,
     eps: np.ndarray,
@@ -94,8 +95,9 @@ def zeta_statistics(
 ) -> ZetaReport:
     """Per-observation zeta statistics and their normal-approximation summary.
 
-    Simulation-only: requires the true signal and the realized noise.
-    Raises DegenerateDenominator when beta_hat equals beta* exactly.
+    Simulation-only: requires the true signal and the realized noise. X is
+    the fitted design, from which trace_sigma_A forms A_hat. Raises
+    DegenerateDenominator when beta_hat equals beta* exactly.
     """
     eps = np.asarray(eps, dtype=float)
     denom_sq = out_of_sample_error(fit_result.beta_hat, beta_star, Sigma)
@@ -104,7 +106,7 @@ def zeta_statistics(
             "||Sigma^(1/2)(beta_hat - beta*)|| is zero; zeta is undefined"
         )
     denom = np.sqrt(denom_sq)
-    t_hat = trace_sigma_A(bundle, Sigma)
+    t_hat = trace_sigma_A(bundle, X, Sigma)
     r = fit_result.residuals
     zetas = (r + t_hat * loss.psi(r) - eps) / denom
     summ = normal_summary(zetas)
@@ -165,11 +167,13 @@ class SquareLossNormalityStat:
 def square_loss_normality_stat(
     fit_result: FitResult,
     bundle: SensitivityBundle,
+    X: np.ndarray,
     Sigma: np.ndarray,
     beta_star: np.ndarray,
     sigma_noise: float,
 ) -> SquareLossNormalityStat:
-    """(sigma^2 + ||Sigma^{1/2}(beta_hat-beta*)||^2)^{-1/2} * scale * r_i."""
+    """(sigma^2 + ||Sigma^{1/2}(beta_hat-beta*)||^2)^{-1/2} * scale * r_i,
+    X the fitted design."""
     h_sq = out_of_sample_error(fit_result.beta_hat, beta_star, Sigma)
     denom = np.sqrt(sigma_noise * sigma_noise + h_sq)
     if denom <= 0.0:
@@ -178,7 +182,7 @@ def square_loss_normality_stat(
         )
     r = fit_result.residuals
     n = r.shape[0]
-    oracle_scale = 1.0 + trace_sigma_A(bundle, Sigma)
+    oracle_scale = 1.0 + trace_sigma_A(bundle, X, Sigma)
     adaptive_scale = 1.0 / (1.0 - bundle.df / n)
     return SquareLossNormalityStat(
         oracle=oracle_scale * r / denom,

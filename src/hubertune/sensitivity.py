@@ -21,10 +21,11 @@ above m * eps * max(l), m the order, whose count is the numerical rank of
 Z. At tau = 0 df is that rank exactly, the lasso's df. D^2 = D makes
 trace_V = n_hat - df exactly.
 
-A_hat is formed only when first read, by one inverse of the primal system
-Z'Z + cI. That system is singular exactly when c = 0 and rank < p_hat (for
-instance every fit with p_hat > n_hat at tau = 0); reading A_hat then
-raises SingularSystem. df and trace_V are defined for every fit.
+A bundle holds no design. a_hat(bundle, X) forms A_hat where a reader
+needs it, by one inverse of the primal system Z'Z + cI. That system is
+singular exactly when c = 0 and rank < p_hat (for instance every fit with
+p_hat > n_hat at tau = 0); a_hat then raises SingularSystem. df and
+trace_V are defined for every fit.
 
 An intercept fit replaces D by Psi' = D - psi'(r) psi'(r)' / sum(psi'(r)).
 With Z column-centred, X_S' Psi' X_S = Z'Z again and X_S' Psi' is Z' on the
@@ -37,9 +38,8 @@ design entries against their closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 from numpy.linalg import eigvalsh, inv
@@ -59,9 +59,8 @@ class SensitivityBundle:
     residuals. tau_eff is the ridge weight tau of the system. system is
     the Gram side whose eigenvalues gave df ("primal", "dual", or "none"
     on an empty active set), system_size its order and rank the numerical
-    rank of Z. inverse() builds A_hat, the p_hat x p_hat active block of
-    the sensitivity matrix; the A_hat property calls it once, on first
-    access (it raises SingularSystem when tau = 0 and rank < p_hat).
+    rank of Z. A plain value: it holds no design, and a_hat(bundle, X)
+    forms A_hat from the design it is given.
     """
 
     df: float
@@ -77,11 +76,6 @@ class SensitivityBundle:
     system: str
     system_size: int
     rank: int
-    inverse: Callable[[], np.ndarray] = field(repr=False, compare=False)
-
-    @cached_property
-    def A_hat(self) -> np.ndarray:
-        return self.inverse()
 
 
 def _inlier_block(X, S, d, with_intercept):
@@ -96,29 +90,14 @@ def _inlier_block(X, S, d, with_intercept):
     return Z
 
 
-def _primal_inverse(X, S, d, with_intercept, c, rank) -> np.ndarray:
-    """(Z'Z + cI)^{-1}, symmetrized: the LU inverse is symmetric only to
-    rounding."""
-    if c == 0 and rank < S.size:
-        raise SingularSystem(
-            f"sensitivity system singular at tau = 0: rank {rank} < p_hat = {S.size}"
-        )
-    Z = _inlier_block(X, S, d, with_intercept)
-    G = Z.T @ Z
-    G[np.diag_indices_from(G)] += c
-    A = inv(G)
-    return 0.5 * (A + A.T)
-
-
 def sensitivity_closed_form(
     data: Dataset, loss: Loss, penalty: ElasticNet, fit_result: FitResult
 ) -> SensitivityBundle:
     """Compute df, trace_V, n_hat, p_hat and the rank from one spectrum.
 
     The eigenvalues of the smaller Gram side give df and the rank (see the
-    module docstring); A_hat waits for its first access. An empty active
-    set is not an error: it yields an empty A_hat, df = 0, and trace_V =
-    sum(psi'(r)).
+    module docstring); A_hat is left to a_hat. An empty active set is not
+    an error: it yields an empty A_hat, df = 0, and trace_V = sum(psi'(r)).
     """
     r = fit_result.residuals
     d = loss.psi_prime(r)
@@ -133,7 +112,7 @@ def sensitivity_closed_form(
     m = spectrum.size
     kept = spectrum[spectrum > m * np.finfo(float).eps * spectrum.max(initial=0.0)]
     df = float(np.sum(kept / (kept + c)))
-    bundle = SensitivityBundle(
+    return SensitivityBundle(
         df=df,
         trace_V=n_hat - df,  # see the module docstring
         n_hat=n_hat,
@@ -147,50 +126,48 @@ def sensitivity_closed_form(
         system=system,
         system_size=m,
         rank=kept.size,
-        inverse=None,
     )
-    return bind_design(bundle, data.X)
 
 
-def bind_design(
-    bundle: SensitivityBundle, X: Optional[np.ndarray]
-) -> SensitivityBundle:
-    """bundle with its A_hat reading the design X.
+def a_hat(bundle: SensitivityBundle, X: np.ndarray) -> np.ndarray:
+    """A_hat = (Z'Z + n tau I)^{-1}, the p_hat x p_hat active block of the
+    sensitivity matrix of the bundle's fit on the design X.
 
-    A_hat is formed from the design on first read. X = None gives a bundle
-    that holds no copy of the design, as a pool worker returns it (see
-    criterion.evaluate_grid); its A_hat cannot be read until the design is
-    bound again.
+    Symmetrized: the LU inverse is symmetric only to rounding. Raises
+    SingularSystem when tau = 0 and rank < p_hat.
     """
     S, d = bundle.active_set, bundle.psi_prime_diag
     c = d.shape[0] * bundle.tau_eff  # n * tau, as in sensitivity_closed_form
-    inverse = partial(
-        _primal_inverse, X, S, d, bundle.with_intercept, c, bundle.rank
-    )
-    return replace(bundle, inverse=inverse)
+    if c == 0 and bundle.rank < S.size:
+        raise SingularSystem(
+            f"sensitivity system singular at tau = 0: rank {bundle.rank} < p_hat = {S.size}"
+        )
+    Z = _inlier_block(X, S, d, bundle.with_intercept)
+    G = Z.T @ Z
+    G[np.diag_indices_from(G)] += c
+    A = inv(G)
+    return 0.5 * (A + A.T)
 
 
-def a_hat_full(bundle: SensitivityBundle) -> np.ndarray:
-    """A_hat embedded into the full p x p matrix (zero off the active set)."""
-    A = np.zeros((bundle.p, bundle.p))
-    A[np.ix_(bundle.active_set, bundle.active_set)] = bundle.A_hat
-    return A
+def a_hat_full(bundle: SensitivityBundle, A: np.ndarray) -> np.ndarray:
+    """A_hat (A) embedded into the full p x p matrix (zero off the active set)."""
+    full = np.zeros((bundle.p, bundle.p))
+    full[np.ix_(bundle.active_set, bundle.active_set)] = A
+    return full
 
 
-def jacobian_y(
-    bundle: SensitivityBundle, data: Dataset, fit_result: FitResult
-) -> np.ndarray:
+def jacobian_y(bundle: SensitivityBundle, data: Dataset, A: np.ndarray) -> np.ndarray:
     """p x n Jacobian of beta_hat in y; rows off the active set are zero.
 
     X_S' Psi' (X_S' D without an intercept) is Z' on the inlier columns and
-    zero elsewhere, so the active rows are A_hat Z' there.
+    zero elsewhere, so the active rows are A_hat Z' there (A is A_hat).
     """
     J = np.zeros((bundle.p, data.n))
     if bundle.p_hat == 0:
         return J
     d = bundle.psi_prime_diag
     Z = _inlier_block(data.X, bundle.active_set, d, bundle.with_intercept)
-    J[np.ix_(bundle.active_set, np.flatnonzero(d))] = bundle.A_hat @ Z.T
+    J[np.ix_(bundle.active_set, np.flatnonzero(d))] = A @ Z.T
     return J
 
 
@@ -198,39 +175,41 @@ def jacobian_x_entry(
     bundle: SensitivityBundle,
     data: Dataset,
     fit_result: FitResult,
+    A: np.ndarray,
     i: int,
     j: int,
 ) -> np.ndarray:
-    """Derivative of beta_hat in the single design entry x_ij.
+    """Derivative of beta_hat in the single design entry x_ij (A is A_hat).
 
     A_hat e_j psi(r_i) - beta_j d beta/d y_i, which is the identity
     d beta/d x_ij + beta_j * d beta/d y_i = A_hat e_j psi(r_i).
     """
-    out = a_hat_full(bundle)[:, j] * bundle.psi_diag[i]
-    return out - fit_result.beta_hat[j] * jacobian_y(bundle, data, fit_result)[:, i]
+    out = a_hat_full(bundle, A)[:, j] * bundle.psi_diag[i]
+    return out - fit_result.beta_hat[j] * jacobian_y(bundle, data, A)[:, i]
 
 
-def trace_sigma_A(bundle: SensitivityBundle, Sigma: np.ndarray) -> float:
-    """trace[Sigma A] restricted to the active block (A vanishes elsewhere)."""
+def trace_sigma_A(bundle: SensitivityBundle, X: np.ndarray, Sigma: np.ndarray) -> float:
+    """trace[Sigma A] restricted to the active block (A vanishes elsewhere),
+    with A_hat formed from the design X by a_hat (which may raise)."""
     Sigma = np.asarray(Sigma, dtype=float)
     if Sigma.shape != (bundle.p, bundle.p):
         raise ValueError(
             f"covariance shape {Sigma.shape} does not match p={bundle.p}"
         )
     block = Sigma[np.ix_(bundle.active_set, bundle.active_set)]
-    return float(np.sum(block * bundle.A_hat))
+    return float(np.sum(block * a_hat(bundle, X)))
 
 
 def apply_V(
-    bundle: SensitivityBundle, data: Dataset, vec: np.ndarray
+    bundle: SensitivityBundle, data: Dataset, A: np.ndarray, vec: np.ndarray
 ) -> np.ndarray:
-    """V @ vec with V = D(I - X dbeta/dy), without forming V."""
+    """V @ vec with V = D(I - X dbeta/dy), without forming V (A is A_hat)."""
     d = bundle.psi_prime_diag
     out = d * vec
     if bundle.p_hat:
         S = bundle.active_set
         Z = _inlier_block(data.X, S, d, bundle.with_intercept)
-        out -= d * (data.X[:, S] @ (bundle.A_hat @ (Z.T @ vec[d != 0])))
+        out -= d * (data.X[:, S] @ (A @ (Z.T @ vec[d != 0])))
     return out
 
 
@@ -289,6 +268,7 @@ def contraction_check(
     penalty: ElasticNet,
     fit_result: FitResult,
     bundle: SensitivityBundle,
+    A: np.ndarray,
     beta_star: np.ndarray,
     step: float = 1e-4,
     options: Optional[FitOptions] = None,
@@ -296,7 +276,8 @@ def contraction_check(
     """Verify five identities for sums of derivatives over design entries.
 
     Identity-white-board, with h = beta_hat - beta_star, G = X, A the full
-    sensitivity matrix, D = diag{psi'(r)}, V = D(I - GAG'D):
+    sensitivity matrix (the argument A is its active block, A_hat),
+    D = diag{psi'(r)}, V = D(I - GAG'D):
 
       1. sum_j d h_j / d g_ij        = trace[A] psi_i - (D G A h)_i
       2. sum_i d psi_i / d g_ij      = -(A G'D psi)_j - trace[V] h_j
@@ -321,15 +302,15 @@ def contraction_check(
     G = data.X
     ps = bundle.psi_diag
     d = bundle.psi_prime_diag
-    A = a_hat_full(bundle)
-    trA = float(np.trace(bundle.A_hat))
+    trA = float(np.trace(A))
     trV = bundle.trace_V
     df = bundle.df
+    Vps = apply_V(bundle, data, A, ps)
+    A = a_hat_full(bundle, A)  # the full p x p matrix of the identities
 
     Ah = A @ h
     Gh = G @ h
     AGtDps = A @ (G.T @ (d * ps))
-    Vps = apply_V(bundle, data, ps)
     Gtps = G.T @ ps
 
     rhs1 = trA * ps - d * (G @ Ah)
@@ -493,19 +474,21 @@ def run_derivative_checks(
 
     Generates a synthetic fixture, fits it tightly, then checks the
     response Jacobian, df, trace V, and the five design-derivative
-    identities. fault='corrupt-a-hat' multiplies the sensitivity matrix
-    by 1.37 before checking — a negative control that must fail.
+    identities. A_hat is formed once, and every closed form reads it.
+    fault='corrupt-a-hat' multiplies it by 1.37 before checking — a
+    negative control that must fail.
     """
     options = FitOptions(kkt_tolerance=1e-11)
     data, beta_star, result = _fd_safe_fixture(n, p, loss, penalty, seed, options)
     bundle = sensitivity_closed_form(data, loss, penalty, result)
+    A = a_hat(bundle, data.X)
 
     if fault == "corrupt-a-hat":
-        bundle = replace(bundle, inverse=partial(np.multiply, 1.37, bundle.A_hat))
+        A = 1.37 * A
     elif fault is not None:
         raise ValueError(f"unknown fault: {fault!r}")
 
-    J_closed = jacobian_y(bundle, data, result)
+    J_closed = jacobian_y(bundle, data, A)
     J_fd, df_fd, trace_v_fd = sensitivity_fd_oracle(
         data, loss, penalty, options, step=FD_STEP
     )
@@ -516,7 +499,7 @@ def run_derivative_checks(
 
     contraction_reports = tuple(
         contraction_check(
-            data, loss, penalty, result, bundle, beta_star, step=s, options=options
+            data, loss, penalty, result, bundle, A, beta_star, step=s, options=options
         )
         for s in contraction_steps
     )

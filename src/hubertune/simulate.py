@@ -387,10 +387,10 @@ def _replication_records(config: SimConfig, options: FitOptions, rep: int):
             "solver_iterations": summary["iterations"],
             "newton_attempts": summary["newton_attempts"],
         }
-        # A_hat is first formed here; at tau = 0 it can be singular, and
-        # the record then fails with NaN for every derived column.
+        # A_hat is formed here, from the design; at tau = 0 it can be
+        # singular, and the record then fails with NaN for every derived column.
         try:
-            t_hat = trace_sigma_A(cand.bundle, Sigma)
+            t_hat = trace_sigma_A(cand.bundle, data.X, Sigma)
         except SingularSystem:
             record.update(SINGULAR_RECORD)
         else:

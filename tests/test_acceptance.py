@@ -22,6 +22,7 @@ from hubertune import (
     Dataset,
     ElasticNet,
     FitOptions,
+    a_hat,
     crit_adaptive,
     fit,
     generate,
@@ -170,7 +171,7 @@ class TestRidgeClosedForm:
 
             assert bundle.p_hat == p
             direct = np.linalg.inv(X.T @ X + tau * n * np.eye(p))
-            gap = np.linalg.norm(bundle.A_hat - direct) / np.linalg.norm(direct)
+            gap = np.linalg.norm(a_hat(bundle, X) - direct) / np.linalg.norm(direct)
             assert gap <= 1e-10, seed
 
 
@@ -233,7 +234,7 @@ class TestResidualNormality:
             bundle = sensitivity_closed_form(data, loss, penalty, result)
             if bundle.n_hat / n < FEASIBILITY_ETA:
                 continue
-            report = zeta_statistics(result, bundle, Sigma, beta_star, eps, loss)
+            report = zeta_statistics(result, bundle, data.X, Sigma, beta_star, eps, loss)
             samples.append(report.zetas[0])
 
         z = np.array(samples)

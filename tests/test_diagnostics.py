@@ -167,7 +167,7 @@ class TestZetaStatistics:
         penalty = ElasticNet(lam=0.05, tau=0.05)
         result = fit(data, loss, penalty)
         bundle = sensitivity_closed_form(data, loss, penalty, result)
-        rep = zeta_statistics(result, bundle, Sigma, beta_star, eps, loss)
+        rep = zeta_statistics(result, bundle, X, Sigma, beta_star, eps, loss)
         assert rep.zetas.shape == (n,)
         assert np.all(np.isfinite(rep.zetas))
         # Loose sanity bands; the sharp distributional claims live in the
@@ -184,17 +184,17 @@ class TestZetaStatistics:
         Sigma = make_covariance(data.p, seed=3)
         beta_star = make_signal(data.p)
         eps = np.random.default_rng(6).standard_normal(data.n)
-        rep = zeta_statistics(result, bundle, Sigma, beta_star, eps, loss)
+        rep = zeta_statistics(result, bundle, data.X, Sigma, beta_star, eps, loss)
         r = result.residuals
         denom = np.sqrt(out_of_sample_error(result.beta_hat, beta_star, Sigma))
-        expected = (r + trace_sigma_A(bundle, Sigma) * loss.psi(r) - eps) / denom
+        expected = (r + trace_sigma_A(bundle, data.X, Sigma) * loss.psi(r) - eps) / denom
         assert rep.zetas.tobytes() == expected.tobytes()
 
     def test_exact_recovery_degenerate(self):
         data, result, bundle = _fit_bundle(8, SquareLoss(), ElasticNet(tau=0.2))
         with pytest.raises(DegenerateDenominator):
             zeta_statistics(
-                result, bundle, np.eye(data.p), result.beta_hat,
+                result, bundle, data.X, np.eye(data.p), result.beta_hat,
                 np.zeros(data.n), SquareLoss(),
             )
 
@@ -220,10 +220,10 @@ class TestSquareLossNormalityStat:
             data = Dataset(X=X, y=X @ beta_star + eps)
             result = fit(data, SquareLoss(), penalty, opts)
             bundle = sensitivity_closed_form(data, SquareLoss(), penalty, result)
-            stat = square_loss_normality_stat(result, bundle, Sigma, beta_star, 1.0)
+            stat = square_loss_normality_stat(result, bundle, X, Sigma, beta_star, 1.0)
             pooled_oracle.append(stat.oracle)
             pooled_adaptive.append(stat.adaptive)
-            tsa = trace_sigma_A(bundle, Sigma)
+            tsa = trace_sigma_A(bundle, X, Sigma)
             ratio_gaps.append(abs((1.0 - bundle.df / n) * (1.0 + tsa) - 1.0))
         assert ks_normal(np.concatenate(pooled_oracle)) <= 0.05
         assert ks_normal(np.concatenate(pooled_adaptive)) <= 0.05
@@ -234,7 +234,7 @@ class TestSquareLossNormalityStat:
         data, result, bundle = _fit_bundle(9, SquareLoss(), ElasticNet(tau=0.2))
         with pytest.raises(DegenerateDenominator):
             square_loss_normality_stat(
-                result, bundle, np.eye(data.p), result.beta_hat, 0.0
+                result, bundle, data.X, np.eye(data.p), result.beta_hat, 0.0
             )
 
 

@@ -14,6 +14,7 @@ from hubertune import (
     HuberLoss,
     SingularSystem,
     SquareLoss,
+    a_hat,
     a_hat_full,
     apply_V,
     contraction_check,
@@ -54,8 +55,9 @@ class TestTinyExactCase:
         assert self.result.beta_hat[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_a_hat(self):
-        assert self.bundle.A_hat.shape == (1, 1)
-        assert self.bundle.A_hat[0, 0] == pytest.approx(0.25, abs=1e-10)
+        A = a_hat(self.bundle, self.data.X)
+        assert A.shape == (1, 1)
+        assert A[0, 0] == pytest.approx(0.25, abs=1e-10)
 
     def test_df(self):
         assert self.bundle.df == pytest.approx(0.5, abs=1e-9)
@@ -70,13 +72,13 @@ class TestTinyExactCase:
 
     def test_jacobian_y_columns(self):
         """d beta / d y_i = A x_i psi'(r_i) = 1/4 for both observations."""
-        J = jacobian_y(self.bundle, self.data, self.result)
+        J = jacobian_y(self.bundle, self.data, a_hat(self.bundle, self.data.X))
         np.testing.assert_allclose(J, [[0.25, 0.25]], atol=1e-9)
 
     def test_trace_sigma_a(self):
-        assert trace_sigma_A(self.bundle, np.array([[2.0]])) == pytest.approx(
-            0.5, abs=1e-10
-        )
+        assert trace_sigma_A(
+            self.bundle, self.data.X, np.array([[2.0]])
+        ) == pytest.approx(0.5, abs=1e-10)
 
     def test_fd_oracle_df(self):
         _, df_fd, trace_V_fd = sensitivity_fd_oracle(
@@ -100,7 +102,7 @@ class TestRidgeClosedForm:
         assert bundle.p_hat == p
         direct = np.linalg.inv(X.T @ X + n * tau * np.eye(p))
         np.testing.assert_allclose(
-            bundle.A_hat[np.argsort(bundle.active_set)][:, np.argsort(bundle.active_set)],
+            a_hat(bundle, X)[np.argsort(bundle.active_set)][:, np.argsort(bundle.active_set)],
             direct,
             rtol=1e-10,
         )
@@ -144,7 +146,7 @@ class TestAlgebraicIdentities:
         data, result, bundle = self._random_case(
             11, HuberLoss(scale=1.0), ElasticNet(lam=0.05, tau=0.1)
         )
-        J = jacobian_y(bundle, data, result)
+        J = jacobian_y(bundle, data, a_hat(bundle, data.X))
         assert bundle.df == pytest.approx(float(np.trace(data.X @ J)), abs=1e-10)
 
     def test_bounds(self):
@@ -167,7 +169,7 @@ class TestAlgebraicIdentities:
         W = rng.normal(size=(2 * p, p))
         Sigma = W.T @ W / (2 * p)
         root = np.linalg.cholesky(Sigma + 1e-12 * np.eye(p))
-        A = a_hat_full(bundle)
+        A = a_hat_full(bundle, a_hat(bundle, data.X))
         M = root.T @ A @ root
         top = np.linalg.eigvalsh(0.5 * (M + M.T))[-1]
         bound = np.linalg.eigvalsh(Sigma)[-1] / (data.n * bundle.tau_eff)
@@ -177,27 +179,29 @@ class TestAlgebraicIdentities:
         data, result, bundle = self._random_case(
             17, HuberLoss(scale=1.0), ElasticNet(lam=0.05, tau=0.1)
         )
-        np.testing.assert_array_equal(bundle.A_hat, bundle.A_hat.T)
-        assert np.all(np.linalg.eigvalsh(bundle.A_hat) > 0)
+        A = a_hat(bundle, data.X)
+        np.testing.assert_array_equal(A, A.T)
+        assert np.all(np.linalg.eigvalsh(A) > 0)
 
     def test_apply_v_matches_dense(self):
         data, result, bundle = self._random_case(
             19, HuberLoss(scale=1.0), ElasticNet(lam=0.05, tau=0.1)
         )
         d = bundle.psi_prime_diag
-        A = a_hat_full(bundle)
+        A_hat = a_hat(bundle, data.X)
+        A = a_hat_full(bundle, A_hat)
         V = np.diag(d) @ (np.eye(data.n) - data.X @ A @ data.X.T @ np.diag(d))
         rng = np.random.default_rng(0)
         for _ in range(3):
             v = rng.normal(size=data.n)
-            np.testing.assert_allclose(apply_V(bundle, data, v), V @ v, atol=1e-12)
+            np.testing.assert_allclose(apply_V(bundle, data, A_hat, v), V @ v, atol=1e-12)
 
     def test_trace_v_equals_dense_trace(self):
         data, result, bundle = self._random_case(
             23, HuberLoss(scale=1.0), ElasticNet(lam=0.05, tau=0.1)
         )
         d = bundle.psi_prime_diag
-        A = a_hat_full(bundle)
+        A = a_hat_full(bundle, a_hat(bundle, data.X))
         V = np.diag(d) @ (np.eye(data.n) - data.X @ A @ data.X.T @ np.diag(d))
         assert bundle.trace_V == pytest.approx(float(np.trace(V)), abs=1e-10)
 
@@ -211,6 +215,7 @@ class TestEmptyActiveSet:
         self.loss = HuberLoss(scale=1.0)
         self.penalty = ElasticNet(lam=5.0)
         self.result, self.bundle = _fit_and_bundle(self.data, self.loss, self.penalty)
+        self.A = a_hat(self.bundle, X)
 
     def test_fit_is_zero(self):
         np.testing.assert_array_equal(self.result.beta_hat, np.zeros(4))
@@ -219,28 +224,28 @@ class TestEmptyActiveSet:
         b = self.bundle
         assert b.p_hat == 0
         assert (b.system, b.system_size) == ("none", 0)
-        assert b.A_hat.shape == (0, 0)
+        assert self.A.shape == (0, 0)
         assert b.df == 0.0
         assert b.trace_V == b.n_hat == 15.0  # all residuals tiny: psi' = 1
 
     def test_jacobian_zero(self):
-        J = jacobian_y(self.bundle, self.data, self.result)
+        J = jacobian_y(self.bundle, self.data, self.A)
         np.testing.assert_array_equal(J, np.zeros((4, 15)))
 
     def test_trace_sigma_a_zero(self):
-        assert trace_sigma_A(self.bundle, np.eye(4)) == 0.0
+        assert trace_sigma_A(self.bundle, self.data.X, np.eye(4)) == 0.0
 
     def test_a_hat_full_is_zero(self):
-        np.testing.assert_array_equal(a_hat_full(self.bundle), np.zeros((4, 4)))
+        np.testing.assert_array_equal(a_hat_full(self.bundle, self.A), np.zeros((4, 4)))
 
     def test_trace_sigma_a_rejects_a_covariance_of_the_wrong_shape(self):
         with pytest.raises(ValueError, match=r"covariance shape \(3, 3\)"):
-            trace_sigma_A(self.bundle, np.eye(3))
+            trace_sigma_A(self.bundle, self.data.X, np.eye(3))
 
     def test_apply_v_reduces_to_diagonal(self):
         v = np.arange(15.0)
         np.testing.assert_array_equal(
-            apply_V(self.bundle, self.data, v), self.bundle.psi_prime_diag * v
+            apply_V(self.bundle, self.data, self.A, v), self.bundle.psi_prime_diag * v
         )
 
 
@@ -255,7 +260,7 @@ class TestJacobians:
         loss = HuberLoss(scale=1.0)
         result, bundle = _fit_and_bundle(data, loss, ElasticNet(lam=0.05, tau=0.1))
         assert abs(result.residuals[3]) > loss.scale
-        J = jacobian_y(bundle, data, result)
+        J = jacobian_y(bundle, data, a_hat(bundle, X))
         np.testing.assert_array_equal(J[:, 3], np.zeros(4))
 
     def test_jacobian_y_matches_fd(self):
@@ -268,7 +273,7 @@ class TestJacobians:
         opts = FitOptions(kkt_tolerance=1e-10)
         result = fit(data, SquareLoss(), penalty, opts)
         bundle = sensitivity_closed_form(data, SquareLoss(), penalty, result)
-        J = jacobian_y(bundle, data, result)
+        J = jacobian_y(bundle, data, a_hat(bundle, X))
         J_fd, df_fd, trace_V_fd = sensitivity_fd_oracle(
             data, SquareLoss(), penalty, opts, step=1e-4
         )
@@ -289,7 +294,7 @@ class TestJacobians:
         # The fixture keeps residuals clear of the kink so FD is smooth.
         assert np.min(np.abs(np.abs(result.residuals) - loss.scale)) > 1e-2
         bundle = sensitivity_closed_form(data, loss, penalty, result)
-        J = jacobian_y(bundle, data, result)
+        J = jacobian_y(bundle, data, a_hat(bundle, X))
         J_fd, df_fd, trace_V_fd = sensitivity_fd_oracle(
             data, loss, penalty, opts, step=1e-4
         )
@@ -306,12 +311,13 @@ class TestJacobians:
         loss = HuberLoss(scale=1.2)
         penalty = ElasticNet(lam=0.05, tau=0.1)
         result, bundle = _fit_and_bundle(data, loss, penalty)
-        J_y = jacobian_y(bundle, data, result)
-        A = a_hat_full(bundle)
+        A_hat = a_hat(bundle, X)
+        J_y = jacobian_y(bundle, data, A_hat)
+        A = a_hat_full(bundle, A_hat)
         for i in (0, 7, 19):
             for j in range(5):
                 lhs = (
-                    jacobian_x_entry(bundle, data, result, i, j)
+                    jacobian_x_entry(bundle, data, result, A_hat, i, j)
                     + result.beta_hat[j] * J_y[:, i]
                 )
                 rhs = A[:, j] * bundle.psi_diag[i]
@@ -327,9 +333,9 @@ class TestJacobians:
         opts = FitOptions(kkt_tolerance=1e-11)
         result = fit(data, SquareLoss(), penalty, opts)
         bundle = sensitivity_closed_form(data, SquareLoss(), penalty, result)
-        step = 1e-5
+        A_hat, step = a_hat(bundle, X), 1e-5
         for i, j in [(0, 0), (5, 2), (12, 4)]:
-            closed = jacobian_x_entry(bundle, data, result, i, j)
+            closed = jacobian_x_entry(bundle, data, result, A_hat, i, j)
             Xp = X.copy()
             Xp[i, j] += step
             Xm = X.copy()
@@ -411,7 +417,8 @@ class TestContraction:
         # Residuals clear the kink by more than the FD step.
         assert np.min(np.abs(np.abs(result.residuals) - loss.scale)) > 1e-2
         report = contraction_check(
-            data, loss, penalty, result, bundle, beta_star, step=1e-3, options=TIGHT
+            data, loss, penalty, result, bundle, a_hat(bundle, X), beta_star,
+            step=1e-3, options=TIGHT,
         )
         assert report.residuals.shape == (5,)
         assert np.all(report.residuals <= 1e-3)
@@ -425,8 +432,8 @@ class TestContraction:
         data = Dataset(X=X, y=y)
         result, bundle = _fit_and_bundle(data, SquareLoss(), ElasticNet(tau=0.2))
         report = contraction_check(
-            data, SquareLoss(), ElasticNet(tau=0.2), result, bundle, beta_star,
-            step=1e-4, options=TIGHT,
+            data, SquareLoss(), ElasticNet(tau=0.2), result, bundle, a_hat(bundle, X),
+            beta_star, step=1e-4, options=TIGHT,
         )
         assert np.all(report.residuals <= 1e-5)
 
@@ -530,9 +537,8 @@ class TestSmallerSide:
     ):
         data, loss, result, bundle = _side_case(wide, intercept, loss_name)
         m = int(min(bundle.p_hat, bundle.n_hat))
-        assert factor_shapes == [(m, m)]
-        assert "A_hat" not in vars(bundle)  # not formed yet
-        assert bundle.A_hat is bundle.A_hat  # formed on first access, then cached
+        assert factor_shapes == [(m, m)]  # A_hat not formed
+        a_hat(bundle, data.X)
         assert factor_shapes == [(m, m), (bundle.p_hat, bundle.p_hat)]
 
     def test_lazy_a_hat_matches_full_inverse(self, wide, intercept, loss_name):
@@ -540,10 +546,10 @@ class TestSmallerSide:
         inv, inner = _dense_inverse(data, loss, result, bundle)
         Sigma = np.cov(np.random.default_rng(1).standard_normal((3 * data.p, data.p)).T)
         S = bundle.active_set
-        assert trace_sigma_A(bundle, Sigma) == pytest.approx(
+        assert trace_sigma_A(bundle, data.X, Sigma) == pytest.approx(
             float(np.sum(Sigma[np.ix_(S, S)] * inv)), rel=1e-12
         )
-        J = jacobian_y(bundle, data, result)
+        J = jacobian_y(bundle, data, a_hat(bundle, data.X))
         J_dense = inv @ inner
         assert np.linalg.norm(J[S] - J_dense) <= 1e-12 * np.linalg.norm(J_dense)
         assert not np.any(np.delete(J, S, axis=0))
@@ -556,20 +562,28 @@ class TestSmallerSide:
         V = np.diag(bundle.psi_prime_diag) @ (np.eye(data.n) - XS @ inv @ inner)
         assert bundle.trace_V == pytest.approx(float(np.trace(V)), rel=1e-10)
         v = np.random.default_rng(2).normal(size=data.n)
-        np.testing.assert_allclose(apply_V(bundle, data, v), V @ v, atol=1e-12)
+        A_hat = a_hat(bundle, data.X)
+        np.testing.assert_allclose(apply_V(bundle, data, A_hat, v), V @ v, atol=1e-12)
 
 
 class TestWorkGates:
-    def test_grid_selection_never_forms_a_hat(self, factor_shapes):
+    def test_grid_selection_never_forms_a_hat(self, factor_shapes, monkeypatch):
         data, *_ = _side_case(True, False, "huber")
         factor_shapes.clear()
+        original, calls = hubertune.sensitivity.a_hat, []
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(hubertune.sensitivity, "a_hat", counting)
         cells = [GridCell(huber_scale=0.2, lam=lam, tau=0.05) for lam in (0.02, 0.05)]
         candidates = evaluate_grid(data, cells, FitOptions(kkt_tolerance=1e-11))
         select(candidates)
         bundles = [cand.bundle for cand in candidates]
         assert [b.system for b in bundles] == ["dual", "dual"]
         assert factor_shapes == [(b.n_hat, b.n_hat) for b in bundles]
-        assert not any("A_hat" in vars(b) for b in bundles)
+        assert calls == []
 
     def test_all_outliers_with_intercept_is_degenerate(self):
         """n_hat = 0 leaves the intercept's centring undefined."""
@@ -678,7 +692,7 @@ class TestRankAtTauZero:
 @pytest.mark.parametrize("name", RANK_CASES)
 class TestAHatRule:
     def test_singular_exactly_at_tau_zero_below_full_rank(self, name, tau):
-        """Reading A_hat raises SingularSystem when tau = 0 and rank <
+        """a_hat raises SingularSystem when tau = 0 and rank <
         p_hat; otherwise it is the dense inverse of the primal system."""
         X, y, loss, result, _ = _rank_case(name)
         data = Dataset(X=X, y=y)
@@ -686,11 +700,12 @@ class TestAHatRule:
         if tau == 0 and bundle.rank < bundle.p_hat:
             assert not name.endswith("primal")
             with pytest.raises(SingularSystem, match="rank"):
-                bundle.A_hat
+                a_hat(bundle, X)
             return
         expected, _ = _dense_inverse(data, loss, result, bundle)
-        assert np.abs(bundle.A_hat - expected).max() <= 1e-12 * np.abs(expected).max()
-        np.testing.assert_array_equal(bundle.A_hat, bundle.A_hat.T)
+        A = a_hat(bundle, X)
+        assert np.abs(A - expected).max() <= 1e-12 * np.abs(expected).max()
+        np.testing.assert_array_equal(A, A.T)
 
     @pytest.mark.parametrize("k", [10, -10])
     def test_design_scaling_scales_a_hat_exactly(self, name, tau, k):
@@ -703,9 +718,9 @@ class TestAHatRule:
         )
         if tau == 0 and base.rank < base.p_hat:
             with pytest.raises(SingularSystem):
-                scaled.A_hat
+                a_hat(scaled, X * 2.0**k)
             return
-        np.testing.assert_array_equal(scaled.A_hat * 4.0**k, base.A_hat)
+        np.testing.assert_array_equal(a_hat(scaled, X * 2.0**k) * 4.0**k, a_hat(base, X))
 
 
 class TestFdOracleWork:

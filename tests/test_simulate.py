@@ -336,6 +336,21 @@ class TestRunGrid:
         assert len(records) == 3 and not any(rec["failed"] for rec in records)
         assert len(calls) == 3
 
+    def test_one_a_hat_per_record(self, monkeypatch):
+        """A_hat is formed once per record, inside trace_sigma_A."""
+        import hubertune.sensitivity
+
+        calls, original = [], hubertune.sensitivity.a_hat
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(hubertune.sensitivity, "a_hat", counting)
+        records = run_grid(self.small_config(replications=2)).records
+        assert len(records) == 6 and not any(rec["failed"] for rec in records)
+        assert len(calls) == 6
+
     def test_record_layout(self):
         cfg = self.small_config()
         result = run_grid(cfg)

@@ -13,6 +13,7 @@ from hubertune import (
     NonConvergence,
     SingularSystem,
     SquareLoss,
+    a_hat,
     fit,
     largest_singular_value,
     sensitivity_closed_form,
@@ -447,7 +448,7 @@ FACTOR_ORDERS = [1, 2, 63, 64, 65, 129, 500]
 
 
 def factor_case(m, inliers, tau):
-    """(Z, bundle) of a Huber fit (scale 1) with p_hat = m on m + 7 rows:
+    """(X, bundle) of a Huber fit (scale 1) with p_hat = m on m + 7 rows:
     the first `inliers` residuals are 0 (psi' = 1, the rows of Z), the
     others 5."""
     X = np.random.default_rng(m).normal(size=(m + 7, m))
@@ -464,7 +465,7 @@ def factor_case(m, inliers, tau):
     )
     data = Dataset(X=X, y=np.zeros(m + 7))
     bundle = sensitivity_closed_form(data, HuberLoss(scale=1.0), ElasticNet(tau=tau), result)
-    return X[:inliers], bundle
+    return X, bundle
 
 
 class TestFactorHelpers:
@@ -476,21 +477,22 @@ class TestFactorHelpers:
     def test_a_hat_inverts_the_primal_system(self, m):
         """Z of full rank m: df = m at tau = 0, and with c = n tau = 1,
         A_hat (Z'Z + I) = I and df = m - trace A_hat."""
-        Z, bundle = factor_case(m, m + 5, 0.0)
+        _, bundle = factor_case(m, m + 5, 0.0)
         assert (bundle.system, bundle.rank, bundle.df) == ("primal", m, float(m))
-        Z, bundle = factor_case(m, m + 5, 1.0 / (m + 7))
+        X, bundle = factor_case(m, m + 5, 1.0 / (m + 7))
+        Z, A = X[: m + 5], a_hat(bundle, X)
         G = Z.T @ Z + np.eye(m)
-        assert np.abs(bundle.A_hat @ G - np.eye(m)).max() <= 1e-12
-        assert bundle.df == pytest.approx(m - np.trace(bundle.A_hat), rel=1e-12)
+        assert np.abs(A @ G - np.eye(m)).max() <= 1e-12
+        assert bundle.df == pytest.approx(m - np.trace(A), rel=1e-12)
 
     @pytest.mark.parametrize("m", FACTOR_ORDERS)
     def test_not_positive_definite_raises(self, m):
         """m - 1 inlier rows leave Z'Z of rank m - 1, singular at tau = 0:
-        df is that rank, and reading A_hat raises SingularSystem."""
-        _, bundle = factor_case(m, m - 1, 0.0)
+        df is that rank, and a_hat raises SingularSystem."""
+        X, bundle = factor_case(m, m - 1, 0.0)
         assert (bundle.rank, bundle.df) == (m - 1, float(m - 1))
         with pytest.raises(SingularSystem):
-            bundle.A_hat
+            a_hat(bundle, X)
 
 
 class TestKktResidual:
