@@ -1,10 +1,10 @@
 """Robust regularized regression with closed-form sensitivity analysis.
 
-Fits Huber or square loss with an elastic-net penalty, exposes the
-solution's derivatives with respect to the response (degrees of freedom,
-trace of the influence operator, full Jacobians), and builds on them an
-observable model-selection criterion, residual diagnostics, and a seeded
-Monte Carlo harness.
+Fits the Huber loss (at scale inf, the square loss) with an elastic-net
+penalty, exposes the solution's derivatives with respect to the response
+(degrees of freedom, trace of the influence operator, full Jacobians), and
+builds on them an observable model-selection criterion, residual
+diagnostics, and a seeded Monte Carlo harness.
 
 Names and submodules resolve on first use (PEP 562): ``import hubertune``
 loads no submodule, ``hubertune.fit`` imports only what the solver needs,
@@ -51,7 +51,7 @@ _EXPORTS = {
         "NonConvergence",
         "SingularSystem",
     ),
-    "losses": ("HuberLoss", "Loss", "SquareLoss", "make_loss"),
+    "losses": ("HuberLoss", "make_loss"),
     "penalties": ("ElasticNet",),
     "sensitivity": (
         "ContractionReport",
@@ -74,7 +74,6 @@ _EXPORTS = {
         "SimConfig",
         "aggregate",
         "generate",
-        "load_sim_config",
         "make_covariance",
         "make_signal",
         "parse_grid_cells",

@@ -46,14 +46,14 @@ from .errors import (
     SingularSystem,
 )
 from .formatting import write_csv
-from .losses import HuberLoss, make_loss
+from .losses import make_loss
 from .penalties import ElasticNet
 from .pool import default_jobs
 from .sensitivity import CHECK_TOLERANCES, run_derivative_checks
 from .simulate import (
     GRID_METRICS,
-    load_sim_config,
     parse_grid_cells,
+    parse_sim_config,
     run_grid,
     write_aggregate_csv,
     write_pivot_csv,
@@ -177,14 +177,17 @@ def _loss_from_args(args):
     try:
         return make_loss(args.loss, huber_scale=args.huber_scale)
     except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        # --loss has fixed choices, so the scale is what make_loss refused.
+        raise InputError(
+            f"--huber-scale must be a finite number > 0, got {args.huber_scale}"
+        ) from exc
 
 
 def _penalty_from_args(args) -> ElasticNet:
-    try:
-        return ElasticNet(lam=args.lam, tau=args.tau)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    for flag, value in (("--lambda", args.lam), ("--tau", args.tau)):
+        if not 0.0 <= value < math.inf:
+            raise InputError(f"{flag} must be a finite number >= 0, got {value}")
+    return ElasticNet(lam=args.lam, tau=args.tau)
 
 
 def _options_from_args(args) -> FitOptions:
@@ -214,9 +217,9 @@ def _eta_from_args(args) -> float:
 
 
 def _loss_doc(loss) -> dict:
-    if isinstance(loss, HuberLoss):
-        return {"kind": "huber", "huber_scale": loss.scale}
-    return {"kind": "square"}
+    if math.isinf(loss.scale):
+        return {"kind": "square"}
+    return {"kind": "huber", "huber_scale": loss.scale}
 
 
 def _penalty_doc(penalty: ElasticNet) -> dict:
@@ -306,12 +309,13 @@ SELECT_ENTRY_KEYS = (
 def _evaluate_one(args, eta: float = DEFAULT_ETA):
     """Read the inputs of fit/diagnose and evaluate their one candidate.
 
-    Non-convergence warns on stderr and keeps the best iterate.
+    Every flag is checked before the inputs are read. Non-convergence warns
+    on stderr and keeps the best iterate.
     """
-    data = _read_dataset(args)
     loss = _loss_from_args(args)
     penalty = _penalty_from_args(args)
     options = _options_from_args(args)
+    data = _read_dataset(args)
     cand = evaluate(data, loss, penalty, options, eta=eta)
     if cand.warning is not None:
         print(f"warning: {cand.warning}", file=sys.stderr)
@@ -359,9 +363,10 @@ def _select_entry(index: int, cand) -> dict:
 def cmd_select(args) -> int:
     eta = _eta_from_args(args)
     jobs = _jobs_from_args(args)
-    data = _read_dataset(args)
     options = _options_from_args(args)
-    candidates = evaluate_grid(data, _load_grid(args.grid), options, eta, jobs)
+    cells = _load_grid(args.grid)
+    data = _read_dataset(args)
+    candidates = evaluate_grid(data, cells, options, eta, jobs)
     try:
         sel = select(candidates)
         selected, ranking = sel.selected_index, list(sel.ranking)
@@ -389,7 +394,7 @@ def cmd_select(args) -> int:
 
 def cmd_simulate(args) -> int:
     jobs = _jobs_from_args(args)
-    config = load_sim_config(args.config)
+    config = parse_sim_config(_load_json(args.config))
     options = _options_from_args(args)
     result = run_grid(config, options=options, jobs=jobs)
     result.to_csv(args.out)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NoFeasibleCandidate, NonConvergence
-from .losses import Loss
+from .losses import HuberLoss
 from .penalties import ElasticNet
 from .pool import map_items
 from .sensitivity import SensitivityBundle, sensitivity_closed_form
@@ -59,7 +59,7 @@ class CriterionReport:
 def crit_adaptive(
     fit_result: FitResult,
     bundle: SensitivityBundle,
-    loss: Loss,
+    loss: HuberLoss,
     eta: float = DEFAULT_ETA,
 ) -> CriterionReport:
     """||r + (df/trace V) psi(r)||^2, which is crit_oracle_sigma at the
@@ -92,7 +92,7 @@ def crit_adaptive(
     )
 
 
-def crit_oracle_sigma(fit_result: FitResult, loss: Loss, t_hat: float) -> float:
+def crit_oracle_sigma(fit_result: FitResult, loss: HuberLoss, t_hat: float) -> float:
     """||r + t_hat psi(r)||^2 (unnormalized; divide by n as needed).
 
     ``t_hat`` is trace[Sigma A] (trace_sigma_A) for the known covariance.
@@ -122,7 +122,7 @@ class Candidate:
     holds every number a command reports about it.
     """
 
-    loss: Loss
+    loss: HuberLoss
     penalty: ElasticNet
     result: FitResult
     bundle: SensitivityBundle
@@ -159,7 +159,7 @@ class Candidate:
 
 def evaluate(
     data: Dataset,
-    loss: Loss,
+    loss: HuberLoss,
     penalty: ElasticNet,
     options: Optional[FitOptions] = None,
     eta: float = DEFAULT_ETA,

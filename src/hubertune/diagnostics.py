@@ -25,7 +25,7 @@ import numpy as np
 from .criterion import out_of_sample_error
 from .errors import DegenerateDenominator
 from .formatting import write_csv
-from .losses import Loss
+from .losses import HuberLoss
 from .sensitivity import SensitivityBundle, trace_sigma_A
 from .solver import FitResult
 
@@ -91,7 +91,7 @@ def zeta_statistics(
     Sigma: np.ndarray,
     beta_star: np.ndarray,
     eps: np.ndarray,
-    loss: Loss,
+    loss: HuberLoss,
 ) -> ZetaReport:
     """Per-observation zeta statistics and their normal-approximation summary.
 
@@ -131,7 +131,7 @@ class ProxRepresentationReport:
 
 
 def residual_representation_check(
-    fit_result: FitResult, loss: Loss, t_hat: float
+    fit_result: FitResult, loss: HuberLoss, t_hat: float
 ) -> ProxRepresentationReport:
     """gap_i = |r_i - prox[t rho](r_i + t psi(r_i))| — exactly zero in exact
     arithmetic for any t > 0, so the gaps certify numerical assembly.

@@ -1,52 +1,25 @@
-"""Robust loss functions: value, score psi, derivative psi', and scalar prox.
+"""The Huber loss: score psi, derivative psi', mean loss and scalar prox.
 
-Losses form a closed enumeration (square and Huber) so downstream code can
-dispatch to closed-form sensitivity expressions. Every operation is a pure
+One class covers both losses: the square loss is the Huber loss with scale
+Lambda = inf. Either way psi' takes values in {0, 1}, which the closed-form
+sensitivity expressions downstream rely on. Every operation is a pure
 function of immutable inputs and accepts scalars or numpy arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class SquareLoss:
-    """Square loss rho(u) = u^2 / 2."""
-
-    def value(self, u):
-        u = np.asarray(u, dtype=float)
-        return 0.5 * u * u
-
-    def psi(self, u):
-        """Score function psi = rho': the identity."""
-        return np.asarray(u, dtype=float) + 0.0
-
-    def psi_prime(self, u):
-        """Derivative of psi: identically one."""
-        return np.ones_like(np.asarray(u, dtype=float))
-
-    def mean_value_and_psi(self, u: np.ndarray):
-        """(mean of value(u), psi(u)) of a float vector, each bit for bit."""
-        v = 0.5 * u
-        v *= u
-        return float(np.add.reduce(v) / u.shape[0]), u + 0.0
-
-    def prox(self, u, t: float):
-        """Unique z solving z + t*psi(z) = u, here z = u / (1 + t)."""
-        if t <= 0:
-            raise ValueError("prox step t must be positive")
-        return np.asarray(u, dtype=float) / (1.0 + t)
 
 
 @dataclass(frozen=True)
 class HuberLoss:
     """Huber loss with transition scale Lambda > 0.
 
-    rho(u) = u^2/2 for |u| <= Lambda, Lambda*|u| - Lambda^2/2 beyond.
+    rho(u) = u^2/2 for |u| <= Lambda, Lambda*|u| - Lambda^2/2 beyond; at
+    Lambda = inf this is the square loss, with psi(u) = u and psi' = 1.
     The score psi clips at +/- Lambda; psi' is the indicator of the
     quadratic regime, with the closed interval |u| <= Lambda mapping to 1
     (any fixed convention at the kink is valid almost everywhere, since
@@ -56,17 +29,8 @@ class HuberLoss:
     scale: float
 
     def __post_init__(self):
-        if not (self.scale > 0 and np.isfinite(self.scale)):
-            raise ValueError("Huber scale must be a positive finite real")
-
-    def value(self, u):
-        u = np.asarray(u, dtype=float)
-        a = np.abs(u)
-        return np.where(
-            a <= self.scale,
-            0.5 * u * u,
-            self.scale * a - 0.5 * self.scale * self.scale,
-        )
+        if not self.scale > 0:
+            raise ValueError("Huber scale must be positive")
 
     def psi(self, u):
         """Score function: sign(u) * min(|u|, Lambda)."""
@@ -79,7 +43,7 @@ class HuberLoss:
         return (np.abs(u) <= self.scale).astype(float)
 
     def mean_value_and_psi(self, u: np.ndarray):
-        """(mean of value(u), psi(u)) of a float vector, each bit for bit.
+        """(mean of rho(u), psi(u)) of a float vector, each bit for bit.
 
         psi(u) equals u exactly on the quadratic regime and +/- Lambda
         beyond, where psi(u) * u is Lambda * |u| to the last bit.
@@ -99,25 +63,27 @@ class HuberLoss:
 
         Quadratic regime maps u/(1+t) back; past the transition the score
         is constant so z = u - t*Lambda*sign(u). The branch boundary is
-        |u| = (1+t)*Lambda, where both expressions agree.
+        |u| = (1+t)*Lambda, where both expressions agree. copysign keeps
+        the outer branch free of inf * 0 at Lambda = inf.
         """
         if t <= 0:
             raise ValueError("prox step t must be positive")
         u = np.asarray(u, dtype=float)
         quad = np.abs(u) <= (1.0 + t) * self.scale
-        return np.where(quad, u / (1.0 + t), u - t * self.scale * np.sign(u))
+        return np.where(quad, u / (1.0 + t), u - np.copysign(t * self.scale, u))
 
 
-Loss = Union[SquareLoss, HuberLoss]
-
-
-def make_loss(kind: str, huber_scale: float | None = None) -> Loss:
-    """Build a loss from its name; 'huber' requires a positive scale."""
+def make_loss(kind: str, huber_scale: float | None = None) -> HuberLoss:
+    """Build a loss from its name: 'square' is HuberLoss(inf), and 'huber'
+    requires a positive finite scale."""
     kind = kind.lower()
     if kind == "square":
-        return SquareLoss()
+        return HuberLoss(scale=math.inf)
     if kind == "huber":
         if huber_scale is None:
             raise ValueError("huber loss requires a scale")
-        return HuberLoss(scale=float(huber_scale))
+        scale = float(huber_scale)
+        if not 0 < scale < math.inf:
+            raise ValueError("Huber scale must be a positive finite real")
+        return HuberLoss(scale)
     raise ValueError(f"unknown loss kind: {kind!r}")

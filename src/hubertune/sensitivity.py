@@ -46,7 +46,7 @@ from numpy.linalg import eigvalsh, inv
 
 from .data import Dataset
 from .errors import DegenerateFit, NonConvergence, SingularSystem
-from .losses import HuberLoss, Loss
+from .losses import HuberLoss
 from .penalties import ElasticNet
 from .solver import FitOptions, FitResult, fit
 
@@ -91,7 +91,7 @@ def _inlier_block(X, S, d, with_intercept):
 
 
 def sensitivity_closed_form(
-    data: Dataset, loss: Loss, penalty: ElasticNet, fit_result: FitResult
+    data: Dataset, loss: HuberLoss, penalty: ElasticNet, fit_result: FitResult
 ) -> SensitivityBundle:
     """Compute df, trace_V, n_hat, p_hat and the rank from one spectrum.
 
@@ -215,7 +215,7 @@ def apply_V(
 
 def sensitivity_fd_oracle(
     data: Dataset,
-    loss: Loss,
+    loss: HuberLoss,
     penalty: ElasticNet,
     options: FitOptions,
     step: float,
@@ -264,7 +264,7 @@ class ContractionReport:
 
 def contraction_check(
     data: Dataset,
-    loss: Loss,
+    loss: HuberLoss,
     penalty: ElasticNet,
     fit_result: FitResult,
     bundle: SensitivityBundle,
@@ -404,7 +404,7 @@ class DerivativeCheckReport:
 def _fd_safe_fixture(
     n: int,
     p: int,
-    loss: Loss,
+    loss: HuberLoss,
     penalty: ElasticNet,
     seed: int,
     options: FitOptions,
@@ -430,10 +430,10 @@ def _fd_safe_fixture(
         except NonConvergence:
             continue
 
-        if isinstance(loss, HuberLoss):
-            clearance = float(np.min(np.abs(np.abs(result.residuals) - loss.scale)))
-            if clearance <= 1e-2:
-                continue
+        # At the square loss's scale inf the clearance is inf.
+        clearance = float(np.min(np.abs(np.abs(result.residuals) - loss.scale)))
+        if clearance <= 1e-2:
+            continue
         active = result.active_set
         if active.size and float(np.min(np.abs(result.beta_hat[active]))) <= 1e-4:
             continue
@@ -464,7 +464,7 @@ FD_STEP = 1e-6
 def run_derivative_checks(
     n: int,
     p: int,
-    loss: Loss,
+    loss: HuberLoss,
     penalty: ElasticNet,
     seed: int,
     contraction_steps=(1e-3, 1e-4),

@@ -18,12 +18,10 @@ order.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
@@ -32,7 +30,7 @@ from .criterion import crit_oracle_sigma, evaluate_grid, out_of_sample_error
 from .data import Dataset
 from .errors import InputError, SingularSystem
 from .formatting import format_value, write_csv
-from .losses import HuberLoss, Loss, SquareLoss
+from .losses import HuberLoss
 from .penalties import ElasticNet
 from .pool import map_items
 from .sensitivity import trace_sigma_A
@@ -62,16 +60,14 @@ NoiseKind = Union[GaussianNoise, StudentTNoise]
 
 @dataclass(frozen=True)
 class GridCell:
-    """One tuning triple; huber_scale None means square loss."""
+    """One tuning triple; huber_scale None means square loss, HuberLoss(inf)."""
 
     huber_scale: Optional[float]
     lam: float
     tau: float
 
-    def loss(self) -> Loss:
-        if self.huber_scale is None:
-            return SquareLoss()
-        return HuberLoss(scale=self.huber_scale)
+    def loss(self) -> HuberLoss:
+        return HuberLoss(math.inf if self.huber_scale is None else self.huber_scale)
 
     def penalty(self) -> ElasticNet:
         return ElasticNet(lam=self.lam, tau=self.tau)
@@ -232,18 +228,6 @@ def parse_sim_config(doc: dict) -> SimConfig:
         design_kind=str(doc.get("design_kind", "gaussian")),
         redraw_sigma_per_replication=redraw,
     )
-
-
-def load_sim_config(path) -> SimConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
-    return parse_sim_config(doc)
 
 
 def make_covariance(p: int, seed: int) -> np.ndarray:

@@ -1,21 +1,21 @@
 """Accelerated proximal-gradient solver for penalized robust regression.
 
 Minimizes F(b) = (1/n) * sum_i rho(y_i - b0 - x_i'b) + g(b) where rho is a
-square or Huber loss and g an elastic-net penalty; the optional intercept
-b0 is an extra unpenalized coordinate with a unit column, excluded from the
-penalty and from the active set. Momentum (FISTA) with a backtracking line
-search, restarting momentum whenever an accelerated step fails to decrease
-the objective (O'Donoghue & Candes, 2015), so the objective is
-non-increasing across iterations. FISTA runs until its own iterate meets
-the KKT tolerance or the KKT-certified Newton polish below, the solver's
-terminal phase, returns a solved point.
+Huber loss (at scale inf, the square loss) and g an elastic-net penalty;
+the optional intercept b0 is an extra unpenalized coordinate with a unit
+column, excluded from the penalty and from the active set. Momentum
+(FISTA) with a backtracking line search, restarting momentum whenever an
+accelerated step fails to decrease the objective (O'Donoghue & Candes,
+2015), so the objective is non-increasing across iterations. FISTA runs
+until its own iterate meets the KKT tolerance or the KKT-certified Newton
+polish below, the solver's terminal phase, returns a solved point.
 
 The stopping rule is the KKT residual rather than the objective decrement:
 the downstream sensitivity formulas assume stationarity at the returned
 point, and the penalty prox produces exact zeros, which define the active
 set with no epsilon thresholding.
 
-Active-set Newton polish. Both losses have psi' in {0, 1}, so the objective
+Active-set Newton polish. psi' takes values in {0, 1}, so the objective
 is piecewise quadratic: once the pattern (the signs of b, which residuals
 are inliers, and the signs of the outliers) is known, the minimizer solves
 one linear system with the sensitivity matrix,
@@ -48,7 +48,7 @@ import numpy as np
 # largest_singular_value is re-exported: the solver's step bound comes from it.
 from .data import Dataset, largest_singular_value
 from .errors import IllPosed, NonConvergence
-from .losses import Loss
+from .losses import HuberLoss
 from .penalties import ElasticNet
 
 # Consecutive KKT checks with an unchanged pattern before a Newton attempt.
@@ -109,7 +109,10 @@ def _kkt_score_gap(g: np.ndarray, w: np.ndarray, penalty: ElasticNet, off=0) -> 
 
 
 def fit(
-    data: Dataset, loss: Loss, penalty: ElasticNet, options: FitOptions | None = None
+    data: Dataset,
+    loss: HuberLoss,
+    penalty: ElasticNet,
+    options: FitOptions | None = None,
 ) -> FitResult:
     """Solve the penalized M-estimation problem to KKT tolerance.
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from hubertune import DegenerateFit, FitOptions, HuberLoss, fit
+from hubertune import DegenerateFit, FitOptions, fit
 
 
 def fit_with_intercept(data, loss, penalty, options=None):
@@ -55,14 +55,33 @@ def dense_df(data, fit_result, loss, tau_eff):
 # expression each; the lean versions must reproduce them bit for bit.
 
 
+def huber_value(r, scale):
+    """The Huber loss rho(r): r^2/2 for |r| <= scale, scale*|r| - scale^2/2
+    beyond. The linear branch is formed only where it applies, so at
+    scale = inf (the square loss) no inf * 0 or inf - inf is computed."""
+    r = np.asarray(r, dtype=float)
+    a = np.abs(r)
+    out = np.asarray(0.5 * r * r)
+    beyond = a > scale
+    out[beyond] = scale * a[beyond] - 0.5 * scale * scale
+    return out
+
+
 def mean_loss(loss, r):
     """Mean loss of the residuals r."""
-    return float(np.mean(loss.value(r)))
+    return float(np.mean(huber_value(r, loss.scale)))
 
 
 def huber_psi(r, scale):
     """The Huber score, clipped by np.clip."""
     return np.clip(r, -scale, scale)
+
+
+def huber_prox(u, t, scale):
+    """The Huber prox with the outer branch written u - t*scale*sign(u)."""
+    u = np.asarray(u, dtype=float)
+    quad = np.abs(u) <= (1.0 + t) * scale
+    return np.where(quad, u / (1.0 + t), u - t * scale * np.sign(u))
 
 
 def elastic_net_value(penalty, b):
@@ -95,11 +114,6 @@ def kkt_score_gap(g, w, penalty, off=0):
 # recompute both from (data, beta) with the formulas above alone.
 
 
-def score(loss, r):
-    """psi(r): huber_psi for a Huber loss, r itself for the square loss."""
-    return huber_psi(r, loss.scale) if isinstance(loss, HuberLoss) else r
-
-
 def kkt_residual(data, loss, penalty, beta, intercept=None):
     """kkt_score_gap of the score (1/n) X'psi(r) at beta.
 
@@ -108,7 +122,7 @@ def kkt_residual(data, loss, penalty, beta, intercept=None):
     """
     beta = np.asarray(beta, dtype=float)
     b0 = 0.0 if intercept is None else float(intercept)
-    ps = score(loss, data.y - b0 - data.X @ beta)
+    ps = huber_psi(data.y - b0 - data.X @ beta, loss.scale)
     g = data.X.T @ ps / data.n
     if intercept is None:
         return kkt_score_gap(g, beta, penalty)

@@ -1,17 +1,22 @@
 """The solver's lean per-iteration pieces against the plain numpy formulas
-they replace (tests/oracles.py), bit for bit: the loss mean and score, the
-elastic-net value and its prox written in place, and the KKT gap. Every fit depends on
-these being exact, since one changed rounding can move an iteration count."""
+they replace (tests/oracles.py), bit for bit: the loss mean, score and prox,
+the square loss as the Huber loss at scale inf, the elastic-net value and
+its prox written in place, and the KKT gap. Every fit depends on these
+being exact, since one changed rounding can move an iteration count."""
+
+import math
+import warnings
 
 import numpy as np
 import pytest
 
-from hubertune import ElasticNet, HuberLoss, SquareLoss
+from hubertune import ElasticNet, HuberLoss
 from hubertune.solver import _kkt_score_gap
 
 from oracles import (
     elastic_net_prox,
     elastic_net_value,
+    huber_prox,
     huber_psi,
     kkt_score_gap,
     mean_loss,
@@ -40,7 +45,8 @@ def residuals(seed):
     return np.concatenate([rng.standard_normal(97) * 2.0, edges])
 
 
-LOSSES = [SquareLoss(), HuberLoss(scale=SCALE), HuberLoss(scale=1e150)]
+SQUARE = HuberLoss(scale=math.inf)
+LOSSES = [SQUARE, HuberLoss(scale=SCALE), HuberLoss(scale=1e150)]
 LOSS_IDS = ["square", "huber", "huber-large-scale"]
 
 
@@ -68,9 +74,58 @@ class TestLossMeanAndScore:
 
     def test_square_score_equals_psi(self):
         r = residuals(4)
-        _, ps = SquareLoss().mean_value_and_psi(r)
-        assert same_bits(ps, SquareLoss().psi(r))
+        _, ps = SQUARE.mean_value_and_psi(r)
+        assert same_bits(ps, SQUARE.psi(r))
         assert ps is not r
+
+
+def square_inputs(seed):
+    """Random values with signed zeros, subnormals and large magnitudes
+    whose squares stay finite."""
+    rng = np.random.default_rng(seed)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e150, -1e154, 3e-200]
+    magnitudes = 10.0 ** rng.integers(-3, 4, 91)
+    return np.concatenate([rng.standard_normal(91) * magnitudes, edges])
+
+
+class TestSquareAsInfiniteScale:
+    """HuberLoss(inf) against the formulas of the square loss rho = u^2/2."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mean_and_score(self, seed):
+        u = square_inputs(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f, ps = SQUARE.mean_value_and_psi(u)
+            pp = SQUARE.psi_prime(u)
+        v = 0.5 * u
+        v *= u
+        assert f == float(np.add.reduce(v) / u.shape[0])
+        assert np.array_equal(ps, u + 0.0)
+        assert same_bits(pp, np.ones_like(u))
+
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 1.0, 7.25])
+    def test_prox_is_the_ridge_shrink(self, t):
+        u = square_inputs(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = SQUARE.prox(u, t)
+        assert same_bits(z, u / (1.0 + t))
+
+
+class TestHuberProx:
+    @pytest.mark.parametrize("scale", [SCALE, 2.0, 1e150])
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 7.25])
+    def test_copysign_form_equals_the_sign_form(self, scale, t):
+        """u - copysign(t*scale, u) and u - t*scale*sign(u) agree to the
+        bit, signed zeros and both sides of the branch boundary included."""
+        edge = (1.0 + t) * scale
+        u = np.concatenate([
+            square_inputs(4),
+            [edge, -edge, np.nextafter(edge, 0), np.nextafter(edge, np.inf),
+             -np.nextafter(edge, np.inf), 4.0 * scale, -4.0 * scale],
+        ])
+        assert same_bits(HuberLoss(scale).prox(u, t), huber_prox(u, t, scale))
 
 
 PENALTIES = [

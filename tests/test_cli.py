@@ -28,7 +28,7 @@ from hubertune import (
 )
 import hubertune.cli
 from hubertune.cli import _parse_fields, main, read_matrix_csv
-from hubertune.simulate import GRID_METRICS
+from hubertune.simulate import GRID_METRICS, parse_sim_config
 
 from oracles import kkt_residual
 
@@ -870,7 +870,22 @@ class TestSimulate:
         out = tmp_path / "records.csv"
         code = main(["simulate", str(tmp_path / "nope.json"), "--out", str(out)])
         assert code == 1
-        assert "nope.json" in capsys.readouterr().err
+        assert_input_error_names(capsys, "cannot read", "nope.json")
+        assert not out.exists()
+
+    def test_config_that_is_not_json_is_an_input_error(self, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text("{not json")
+        out = tmp_path / "records.csv"
+        assert main(["simulate", str(config), "--out", str(out)]) == 1
+        assert_input_error_names(capsys, "bad.json", "not valid JSON")
+        assert not out.exists()
+
+    def test_config_file_reads_as_its_document(self, tmp_path):
+        config = write_sim_config(tmp_path)
+        assert parse_sim_config(hubertune.cli._load_json(config)) == parse_sim_config(
+            sim_config_doc()
+        )
 
     def test_config_with_unknown_field_is_an_input_error(self, tmp_path, capsys):
         doc = sim_config_doc()
@@ -1261,6 +1276,10 @@ class TestFlagValues:
             ("diagnose", ["--t-hat", "-0.5"]),
             ("diagnose", ["--hist-out", "HIST", "--bins", "0"]),
             ("check-derivatives", ["--seed", "-1"]),
+            ("fit", ["--huber-scale", "inf"]),
+            ("diagnose", ["--huber-scale", "0"]),
+            ("check-derivatives", ["--lambda", "nan"]),
+            ("fit", ["--tau", "-1"]),
         ],
     )
     def test_bad_value_exits_before_any_output(self, tmp_path, capsys, command, flags):
@@ -1271,3 +1290,21 @@ class TestFlagValues:
         assert main(argv) == 1
         assert_input_error_names(capsys, flags[-2])
         assert not out.exists() and not hist.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    @pytest.mark.parametrize(
+        "flags", [["--huber-scale", "-2"], ["--lambda", "inf"], ["--tau", "nan"]]
+    )
+    def test_bad_loss_or_penalty_is_named_before_the_design_is_read(
+        self, tmp_path, capsys, command, flags
+    ):
+        missing = str(tmp_path / "nope.csv")
+        assert main([command, missing, missing] + flags) == 1
+        assert_input_error_names(capsys, flags[0])
+
+    def test_select_reads_its_grid_before_its_design(self, tmp_path, capsys):
+        """A grid cell with tau = -1 is named although the design is missing."""
+        grid = write_grid(tmp_path, [{"huber_scale": None, "lambda": 0.1, "tau": -1}])
+        missing = str(tmp_path / "nope.csv")
+        assert main(["select", missing, missing, str(grid)]) == 1
+        assert_input_error_names(capsys, "grid[0]", "tau")

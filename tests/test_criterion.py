@@ -22,12 +22,12 @@ from hubertune import (
     IllPosed,
     NoFeasibleCandidate,
     SensitivityBundle,
-    SquareLoss,
     crit_adaptive,
     crit_oracle_sigma,
     evaluate,
     evaluate_grid,
     fit,
+    make_loss,
     out_of_sample_error,
     select,
     sensitivity_closed_form,
@@ -44,7 +44,7 @@ def _fit_case(seed=0, n=30, p=6, loss=None, penalty=None):
     beta[: p // 2] = rng.normal(size=p // 2)
     y = X @ beta + 0.5 * rng.standard_normal(n)
     data = Dataset(X=X, y=y)
-    loss = loss or SquareLoss()
+    loss = loss or make_loss("square")
     penalty = penalty or ElasticNet(lam=0.05, tau=0.1)
     result = fit(data, loss, penalty, FitOptions(kkt_tolerance=1e-11))
     bundle = sensitivity_closed_form(data, loss, penalty, result)
@@ -56,7 +56,7 @@ def synth_candidate(residuals, df, trace_v, n_hat=None, loss=None):
     r = np.asarray(residuals, dtype=float)
     n = r.size
     n_hat = float(n if n_hat is None else n_hat)
-    loss = loss or SquareLoss()
+    loss = loss or make_loss("square")
     fit_result = FitResult(
         beta_hat=np.array([1.0]),
         intercept_hat=0.0,

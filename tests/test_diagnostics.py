@@ -11,10 +11,10 @@ from hubertune import (
     ElasticNet,
     FitOptions,
     HuberLoss,
-    SquareLoss,
     fit,
     histogram_table,
     ks_normal,
+    make_loss,
     normal_summary,
     out_of_sample_error,
     qq_table,
@@ -117,9 +117,9 @@ class TestResidualRepresentation:
 
     def test_square_loss_effective_obs(self):
         """Square loss: u = (1 + t) r exactly."""
-        data, result, bundle = _fit_bundle(3, SquareLoss(), ElasticNet(tau=0.2))
+        data, result, bundle = _fit_bundle(3, make_loss("square"), ElasticNet(tau=0.2))
         t = 0.37
-        rep = residual_representation_check(result, SquareLoss(), t_hat=t)
+        rep = residual_representation_check(result, make_loss("square"), t_hat=t)
         np.testing.assert_allclose(
             rep.effective_obs, (1 + t) * result.residuals, rtol=1e-15
         )
@@ -140,16 +140,16 @@ class TestResidualRepresentation:
         )
 
     def test_nonpositive_step_returns_identity(self):
-        data, result, bundle = _fit_bundle(5, SquareLoss(), ElasticNet(tau=0.2))
-        rep = residual_representation_check(result, SquareLoss(), t_hat=0.0)
+        data, result, bundle = _fit_bundle(5, make_loss("square"), ElasticNet(tau=0.2))
+        rep = residual_representation_check(result, make_loss("square"), t_hat=0.0)
         np.testing.assert_array_equal(rep.gaps, np.zeros(data.n))
         np.testing.assert_array_equal(rep.effective_obs, result.residuals)
 
     @pytest.mark.parametrize("t", [-0.5, np.nan, np.inf])
     def test_negative_or_non_finite_step_raises(self, t):
-        data, result, bundle = _fit_bundle(5, SquareLoss(), ElasticNet(tau=0.2))
+        data, result, bundle = _fit_bundle(5, make_loss("square"), ElasticNet(tau=0.2))
         with pytest.raises(ValueError, match="t_hat"):
-            residual_representation_check(result, SquareLoss(), t_hat=t)
+            residual_representation_check(result, make_loss("square"), t_hat=t)
 
 
 class TestZetaStatistics:
@@ -191,11 +191,11 @@ class TestZetaStatistics:
         assert rep.zetas.tobytes() == expected.tobytes()
 
     def test_exact_recovery_degenerate(self):
-        data, result, bundle = _fit_bundle(8, SquareLoss(), ElasticNet(tau=0.2))
+        data, result, bundle = _fit_bundle(8, make_loss("square"), ElasticNet(tau=0.2))
         with pytest.raises(DegenerateDenominator):
             zeta_statistics(
                 result, bundle, data.X, np.eye(data.p), result.beta_hat,
-                np.zeros(data.n), SquareLoss(),
+                np.zeros(data.n), make_loss("square"),
             )
 
 
@@ -218,8 +218,8 @@ class TestSquareLossNormalityStat:
             X = rng.standard_normal((n, p)) @ L.T
             eps = rng.standard_normal(n)
             data = Dataset(X=X, y=X @ beta_star + eps)
-            result = fit(data, SquareLoss(), penalty, opts)
-            bundle = sensitivity_closed_form(data, SquareLoss(), penalty, result)
+            result = fit(data, make_loss("square"), penalty, opts)
+            bundle = sensitivity_closed_form(data, make_loss("square"), penalty, result)
             stat = square_loss_normality_stat(result, bundle, X, Sigma, beta_star, 1.0)
             pooled_oracle.append(stat.oracle)
             pooled_adaptive.append(stat.adaptive)
@@ -231,7 +231,7 @@ class TestSquareLossNormalityStat:
         assert np.median(ratio_gaps) <= 0.1
 
     def test_degenerate_raises(self):
-        data, result, bundle = _fit_bundle(9, SquareLoss(), ElasticNet(tau=0.2))
+        data, result, bundle = _fit_bundle(9, make_loss("square"), ElasticNet(tau=0.2))
         with pytest.raises(DegenerateDenominator):
             square_loss_normality_stat(
                 result, bundle, data.X, np.eye(data.p), result.beta_hat, 0.0

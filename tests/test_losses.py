@@ -2,13 +2,18 @@
 
 The prox closed forms are checked against a bisection solver for the scalar
 equation z + t*psi(z) = u, and psi / psi' are checked against finite
-differences of value / psi away from the Huber kink.
+differences of the loss value (tests/oracles.py) and psi away from the
+Huber kink. The square loss is HuberLoss(scale=inf).
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from hubertune import HuberLoss, SquareLoss, make_loss
+from hubertune import HuberLoss, make_loss
+
+from oracles import huber_value
 
 
 def bisect_prox(loss, u: float, t: float, tol: float = 1e-12) -> float:
@@ -38,14 +43,14 @@ def bisect_prox(loss, u: float, t: float, tol: float = 1e-12) -> float:
 
 class TestSquareLoss:
     def test_value_psi_closed_forms(self):
-        loss = SquareLoss()
+        loss = make_loss("square")
         u = np.array([-3.0, -0.5, 0.0, 1.25, 4.0])
-        np.testing.assert_allclose(loss.value(u), 0.5 * u * u, rtol=0, atol=0)
+        np.testing.assert_allclose(huber_value(u, loss.scale), 0.5 * u * u, rtol=0, atol=0)
         np.testing.assert_allclose(loss.psi(u), u, rtol=0, atol=0)
         np.testing.assert_allclose(loss.psi_prime(u), np.ones_like(u))
 
     def test_prox_matches_bisection(self):
-        loss = SquareLoss()
+        loss = make_loss("square")
         rng = np.random.default_rng(1)
         for _ in range(50):
             u = float(rng.normal(scale=5.0))
@@ -57,9 +62,9 @@ class TestSquareLoss:
 
     def test_prox_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
-            SquareLoss().prox(1.0, 0.0)
+            make_loss("square").prox(1.0, 0.0)
         with pytest.raises(ValueError):
-            SquareLoss().prox(1.0, -1.0)
+            make_loss("square").prox(1.0, -1.0)
 
 
 class TestHuberLoss:
@@ -70,18 +75,22 @@ class TestHuberLoss:
             HuberLoss(scale=-1.0)
         with pytest.raises(ValueError):
             HuberLoss(scale=float("nan"))
+        # scale inf is the square loss; only the input boundary refuses it.
+        assert HuberLoss(scale=float("inf")).scale == math.inf
         with pytest.raises(ValueError):
-            HuberLoss(scale=float("inf"))
+            make_loss("huber", huber_scale=float("inf"))
 
     def test_value_piecewise(self):
-        loss = HuberLoss(scale=1.5)
+        def value(u):
+            return float(huber_value(u, 1.5))
+
         # Quadratic regime.
-        assert float(loss.value(1.0)) == pytest.approx(0.5, abs=0)
+        assert value(1.0) == pytest.approx(0.5, abs=0)
         # Exactly at the transition both branches agree.
-        assert float(loss.value(1.5)) == pytest.approx(0.5 * 1.5**2, abs=0)
+        assert value(1.5) == pytest.approx(0.5 * 1.5**2, abs=0)
         # Linear regime: Lambda*|u| - Lambda^2/2.
-        assert float(loss.value(4.0)) == pytest.approx(1.5 * 4.0 - 0.5 * 1.5**2, abs=0)
-        assert float(loss.value(-4.0)) == float(loss.value(4.0))
+        assert value(4.0) == pytest.approx(1.5 * 4.0 - 0.5 * 1.5**2, abs=0)
+        assert value(-4.0) == value(4.0)
 
     def test_psi_properties_random(self):
         """Score properties over 10^4 random (u, scale) pairs."""
@@ -114,7 +123,7 @@ class TestHuberLoss:
         u = rng.normal(scale=2.0, size=500)
         u = u[np.abs(np.abs(u) - loss.scale) > 1e-3]
         h = 1e-6
-        fd = (loss.value(u + h) - loss.value(u - h)) / (2 * h)
+        fd = (huber_value(u + h, loss.scale) - huber_value(u - h, loss.scale)) / (2 * h)
         np.testing.assert_allclose(fd, loss.psi(u), rtol=1e-6, atol=1e-8)
 
     def test_psi_prime_is_derivative_of_psi(self):
@@ -157,8 +166,8 @@ class TestHuberLoss:
 
 class TestMakeLoss:
     def test_square(self):
-        assert isinstance(make_loss("square"), SquareLoss)
-        assert isinstance(make_loss("SQUARE"), SquareLoss)
+        assert make_loss("square") == HuberLoss(scale=math.inf)
+        assert make_loss("SQUARE") == HuberLoss(scale=math.inf)
 
     def test_huber(self):
         loss = make_loss("huber", huber_scale=2.5)

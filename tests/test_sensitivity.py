@@ -13,7 +13,6 @@ from hubertune import (
     GridCell,
     HuberLoss,
     SingularSystem,
-    SquareLoss,
     a_hat,
     a_hat_full,
     apply_V,
@@ -22,6 +21,7 @@ from hubertune import (
     fit,
     jacobian_x_entry,
     jacobian_y,
+    make_loss,
     run_derivative_checks,
     select,
     sensitivity_closed_form,
@@ -47,7 +47,7 @@ class TestTinyExactCase:
 
     def setup_method(self):
         self.data = Dataset(X=np.array([[1.0], [1.0]]), y=np.array([1.0, 3.0]))
-        self.loss = SquareLoss()
+        self.loss = make_loss("square")
         self.penalty = ElasticNet(tau=1.0)
         self.result, self.bundle = _fit_and_bundle(self.data, self.loss, self.penalty)
 
@@ -98,7 +98,7 @@ class TestRidgeClosedForm:
         X = rng.normal(size=(n, p))
         y = X @ rng.normal(size=p) + rng.normal(size=n)
         tau = 0.3
-        result, bundle = _fit_and_bundle(Dataset(X=X, y=y), SquareLoss(), ElasticNet(tau=tau))
+        result, bundle = _fit_and_bundle(Dataset(X=X, y=y), make_loss("square"), ElasticNet(tau=tau))
         assert bundle.p_hat == p
         direct = np.linalg.inv(X.T @ X + n * tau * np.eye(p))
         np.testing.assert_allclose(
@@ -132,7 +132,7 @@ class TestAlgebraicIdentities:
 
     @pytest.mark.parametrize("intercept", [False, True])
     @pytest.mark.parametrize(
-        "loss", [SquareLoss(), HuberLoss(scale=1.0)], ids=["square", "huber"]
+        "loss", [make_loss("square"), HuberLoss(scale=1.0)], ids=["square", "huber"]
     )
     def test_trace_v_equals_nhat_minus_df(self, loss, intercept):
         """With psi' in {0,1}, D^2 = D forces trace_V = n_hat - df."""
@@ -271,11 +271,11 @@ class TestJacobians:
         data = Dataset(X=X, y=y)
         penalty = ElasticNet(lam=0.08, tau=0.05)
         opts = FitOptions(kkt_tolerance=1e-10)
-        result = fit(data, SquareLoss(), penalty, opts)
-        bundle = sensitivity_closed_form(data, SquareLoss(), penalty, result)
+        result = fit(data, make_loss("square"), penalty, opts)
+        bundle = sensitivity_closed_form(data, make_loss("square"), penalty, result)
         J = jacobian_y(bundle, data, a_hat(bundle, X))
         J_fd, df_fd, trace_V_fd = sensitivity_fd_oracle(
-            data, SquareLoss(), penalty, opts, step=1e-4
+            data, make_loss("square"), penalty, opts, step=1e-4
         )
         assert np.linalg.norm(J - J_fd) / np.linalg.norm(J) <= 1e-4
         assert abs(bundle.df - df_fd) <= 1e-4
@@ -331,8 +331,8 @@ class TestJacobians:
         data = Dataset(X=X, y=y)
         penalty = ElasticNet(lam=0.0, tau=0.3)
         opts = FitOptions(kkt_tolerance=1e-11)
-        result = fit(data, SquareLoss(), penalty, opts)
-        bundle = sensitivity_closed_form(data, SquareLoss(), penalty, result)
+        result = fit(data, make_loss("square"), penalty, opts)
+        bundle = sensitivity_closed_form(data, make_loss("square"), penalty, result)
         A_hat, step = a_hat(bundle, X), 1e-5
         for i, j in [(0, 0), (5, 2), (12, 4)]:
             closed = jacobian_x_entry(bundle, data, result, A_hat, i, j)
@@ -340,8 +340,8 @@ class TestJacobians:
             Xp[i, j] += step
             Xm = X.copy()
             Xm[i, j] -= step
-            bp = fit(Dataset(X=Xp, y=y), SquareLoss(), penalty, opts).beta_hat
-            bm = fit(Dataset(X=Xm, y=y), SquareLoss(), penalty, opts).beta_hat
+            bp = fit(Dataset(X=Xp, y=y), make_loss("square"), penalty, opts).beta_hat
+            bm = fit(Dataset(X=Xm, y=y), make_loss("square"), penalty, opts).beta_hat
             fd = (bp - bm) / (2 * step)
             np.testing.assert_allclose(closed, fd, atol=1e-4)
 
@@ -352,10 +352,10 @@ class TestInterceptPsiMatrix:
         X = rng.normal(size=(10, 2))
         y = rng.normal(size=10)
         result = fit_with_intercept(
-            Dataset(X=X, y=y), SquareLoss(), ElasticNet(tau=0.5),
+            Dataset(X=X, y=y), make_loss("square"), ElasticNet(tau=0.5),
             FitOptions(kkt_tolerance=1e-10, intercept=True),
         )
-        P = intercept_psi_matrix(result, SquareLoss())
+        P = intercept_psi_matrix(result, make_loss("square"))
         np.testing.assert_allclose(P, np.eye(10) - np.ones((10, 10)) / 10, atol=1e-12)
 
     def test_single_quadratic_observation_gives_zero(self):
@@ -430,9 +430,9 @@ class TestContraction:
         beta_star = rng.normal(size=8) / np.sqrt(8)
         y = X @ beta_star + 0.3 * rng.standard_normal(20)
         data = Dataset(X=X, y=y)
-        result, bundle = _fit_and_bundle(data, SquareLoss(), ElasticNet(tau=0.2))
+        result, bundle = _fit_and_bundle(data, make_loss("square"), ElasticNet(tau=0.2))
         report = contraction_check(
-            data, SquareLoss(), ElasticNet(tau=0.2), result, bundle, a_hat(bundle, X),
+            data, make_loss("square"), ElasticNet(tau=0.2), result, bundle, a_hat(bundle, X),
             beta_star, step=1e-4, options=TIGHT,
         )
         assert np.all(report.residuals <= 1e-5)
@@ -464,7 +464,7 @@ class TestRunDerivativeChecks:
     def test_unknown_fault_rejected(self):
         with pytest.raises(ValueError):
             run_derivative_checks(
-                n=10, p=4, loss=SquareLoss(),
+                n=10, p=4, loss=make_loss("square"),
                 penalty=ElasticNet(tau=0.1), seed=0, fault="no-such-fault",
             )
 
@@ -482,7 +482,7 @@ def _side_case(wide, intercept, loss_name):
     y = X[:, :5] @ np.ones(5) + rng.standard_t(3, n) + (0.5 if intercept else 0.0)
     data = Dataset(X=X, y=y)
     if loss_name == "square":
-        loss = SquareLoss()
+        loss = make_loss("square")
     else:
         loss = HuberLoss(scale=0.2 if wide else 0.8)
     penalty = ElasticNet(lam=0.02, tau=0.05)
@@ -631,7 +631,7 @@ def _rank_case(name):
     with an intercept, 22 of 27 on the 30 x 60 design.
     """
     fitted = {
-        "lasso-primal": ((60, 20), SquareLoss(), False),
+        "lasso-primal": ((60, 20), make_loss("square"), False),
         "huber-primal": ((60, 20), HuberLoss(scale=0.8), False),
         "intercept-primal": ((30, 60), HuberLoss(scale=0.2), True),
     }
@@ -740,7 +740,7 @@ class TestDualSideDerivativeChecks:
     """The finite-difference oracles on p > n fixtures (n = 8, p = 12)."""
 
     @pytest.mark.parametrize(
-        "loss", [SquareLoss(), HuberLoss(scale=1.0)], ids=["square", "huber"]
+        "loss", [make_loss("square"), HuberLoss(scale=1.0)], ids=["square", "huber"]
     )
     def test_fixture_takes_the_dual_side_and_passes(self, loss):
         penalty = ElasticNet(lam=0.02, tau=0.05)

@@ -1,6 +1,5 @@
 """Simulation harness: config parsing, generators, grid runs, summaries."""
 
-import json
 import math
 import os
 
@@ -13,7 +12,6 @@ from hubertune import (
     SingularSystem,
     aggregate,
     generate,
-    load_sim_config,
     make_covariance,
     make_signal,
     parse_grid_cells,
@@ -158,23 +156,6 @@ class TestConfigParsing:
             parse_grid_cells([])
         with pytest.raises(InputError):
             parse_grid_cells("not a list")
-
-    def test_load_missing_file(self, tmp_path):
-        missing = tmp_path / "nope.json"
-        with pytest.raises(InputError, match="nope.json"):
-            load_sim_config(missing)
-
-    def test_load_invalid_json(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(InputError, match="bad.json"):
-            load_sim_config(path)
-
-    def test_load_valid_file(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(minimal_config_doc()))
-        cfg = load_sim_config(path)
-        assert cfg == parse_sim_config(minimal_config_doc())
 
 
 class TestCovariance:

@@ -12,15 +12,15 @@ from hubertune import (
     IllPosed,
     NonConvergence,
     SingularSystem,
-    SquareLoss,
     a_hat,
     fit,
     largest_singular_value,
+    make_loss,
     sensitivity_closed_form,
 )
 from hubertune.solver import _kkt_score_gap
 
-from oracles import fit_with_intercept, kkt_residual, objective
+from oracles import fit_with_intercept, huber_value, kkt_residual, objective
 
 
 def golden_section(f, lo, hi, tol=1e-10):
@@ -46,7 +46,7 @@ class TestClosedFormOptima:
     def test_scalar_ridge(self):
         """1x1 design, square loss, ridge tau=1: minimizer is exactly 1/2."""
         data = Dataset(X=np.array([[1.0]]), y=np.array([1.0]))
-        result = fit(data, SquareLoss(), ElasticNet(tau=1.0))
+        result = fit(data, make_loss("square"), ElasticNet(tau=1.0))
         assert result.converged
         assert result.beta_hat[0] == pytest.approx(0.5, abs=1e-8)
         assert result.intercept_hat == 0.0
@@ -59,7 +59,7 @@ class TestClosedFormOptima:
         |y2|/n = 0.25 is below lam.
         """
         data = Dataset(X=np.eye(2), y=np.array([3.0, 0.5]))
-        result = fit(data, SquareLoss(), ElasticNet(lam=0.5), FitOptions(kkt_tolerance=1e-12))
+        result = fit(data, make_loss("square"), ElasticNet(lam=0.5), FitOptions(kkt_tolerance=1e-12))
         np.testing.assert_allclose(result.beta_hat, [2.0, 0.0], atol=1e-9)
         # The zero is exact, giving the active set without thresholding.
         assert result.beta_hat[1] == 0.0
@@ -93,7 +93,7 @@ class TestClosedFormOptima:
             b1 = np.linspace(lo1, hi1, 401)
             B0, B1 = np.meshgrid(b0, b1, indexing="ij")
             R = y[None, None, :] - B0[..., None] - B1[..., None] * X[:, 0]
-            obj = loss.value(R).mean(axis=-1) + penalty.lam * np.abs(B1) + 0.5 * penalty.tau * B1**2
+            obj = huber_value(R, loss.scale).mean(axis=-1) + penalty.lam * np.abs(B1) + 0.5 * penalty.tau * B1**2
             i, j = np.unravel_index(int(np.argmin(obj)), obj.shape)
             w0, w1 = (hi0 - lo0) / 400, (hi1 - lo1) / 400
             lo0, hi0 = b0[i] - 2 * w0, b0[i] + 2 * w0
@@ -108,7 +108,7 @@ class TestClosedFormOptima:
     def test_zero_design_without_intercept(self):
         """All-zero design short-circuits: b = 0 is optimal at iteration 0."""
         data = Dataset(X=np.zeros((5, 2)), y=np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
-        result = fit(data, SquareLoss(), ElasticNet(lam=0.1, tau=0.1))
+        result = fit(data, make_loss("square"), ElasticNet(lam=0.1, tau=0.1))
         assert result.converged
         assert result.iterations == 0
         np.testing.assert_array_equal(result.beta_hat, np.zeros(2))
@@ -118,7 +118,7 @@ class TestClosedFormOptima:
         """On X = 0 the loss is constant in b, so b = 0 is the minimizer
         wherever the fit starts: at b = 1 the objective is 3.45, not 3."""
         data = Dataset(X=np.zeros((5, 3)), y=np.arange(5.0))
-        loss, penalty = SquareLoss(), ElasticNet(lam=0.1, tau=0.1)
+        loss, penalty = make_loss("square"), ElasticNet(lam=0.1, tau=0.1)
         result = fit(data, loss, penalty, FitOptions(initial_point=np.ones(3)))
         assert result.converged
         np.testing.assert_array_equal(result.beta_hat, np.zeros(3))
@@ -130,7 +130,7 @@ class TestClosedFormOptima:
         """Zero design with intercept: square-loss location is the mean."""
         y = np.array([1.0, 2.0, 6.0])
         data = Dataset(X=np.zeros((3, 2)), y=y)
-        result = fit_with_intercept(data, SquareLoss(), ElasticNet(lam=0.1, tau=0.1))
+        result = fit_with_intercept(data, make_loss("square"), ElasticNet(lam=0.1, tau=0.1))
         assert result.intercept_hat == pytest.approx(y.mean(), abs=1e-8)
         np.testing.assert_array_equal(result.beta_hat, np.zeros(2))
 
@@ -175,10 +175,10 @@ class TestInvariants:
     @pytest.mark.parametrize(
         "loss,penalty",
         [
-            (SquareLoss(), ElasticNet(lam=0.1, tau=0.05)),
+            (make_loss("square"), ElasticNet(lam=0.1, tau=0.05)),
             (HuberLoss(scale=1.0), ElasticNet(lam=0.1, tau=0.05)),
             (HuberLoss(scale=0.5), ElasticNet(lam=0.2)),
-            (SquareLoss(), ElasticNet(tau=0.3)),
+            (make_loss("square"), ElasticNet(tau=0.3)),
         ],
     )
     def test_kkt_and_result_consistency(self, seed, loss, penalty):
@@ -238,7 +238,7 @@ class TestInvariants:
 
     def test_warm_start_at_optimum_exits_immediately(self):
         data = self._random_instance(41)
-        loss = SquareLoss()
+        loss = make_loss("square")
         penalty = ElasticNet(lam=0.1, tau=0.1)
         first = fit(data, loss, penalty, FitOptions(kkt_tolerance=1e-10))
         again = fit(
@@ -266,7 +266,7 @@ class TestInvariants:
             (loss, penalty, intercept)
             for loss, penalty in [
                 (HuberLoss(scale=1.1), ElasticNet(lam=0.05, tau=0.02)),
-                (SquareLoss(), ElasticNet(lam=0.1)),
+                (make_loss("square"), ElasticNet(lam=0.1)),
             ]
             for intercept in (False, True)
         ]
@@ -343,7 +343,7 @@ class TestNewtonPolish:
         assert result.active_set.size <= data.n
 
     @pytest.mark.parametrize("intercept", [False, True])
-    @pytest.mark.parametrize("loss", [SquareLoss(), HuberLoss(scale=1.0)], ids=["square", "huber"])
+    @pytest.mark.parametrize("loss", [make_loss("square"), HuberLoss(scale=1.0)], ids=["square", "huber"])
     @pytest.mark.parametrize(
         "n,p,penalty",
         [(40, 20, ElasticNet(lam=0.05, tau=0.01)), (30, 60, ElasticNet(lam=0.05))],
@@ -397,11 +397,11 @@ class TestNewtonPolish:
         X = np.column_stack([X, X[:, 0]])
         data = Dataset(X=X, y=2.0 * X[:, 0] + X[:, 1] + 0.1 * rng.normal(size=30))
         penalty = ElasticNet(lam=0.05)
-        result = fit(data, SquareLoss(), penalty)
+        result = fit(data, make_loss("square"), penalty)
         assert "singular" in solves
         assert result.converged
         assert result.beta_hat[0] == result.beta_hat[5] != 0.0
-        assert kkt_residual(data, SquareLoss(), penalty, result.beta_hat) <= 1e-8
+        assert kkt_residual(data, make_loss("square"), penalty, result.beta_hat) <= 1e-8
 
     def test_iteration_count_gate(self):
         """A fixed p > n Huber grid needs under half its earlier iterations.
@@ -502,8 +502,8 @@ class TestKktResidual:
         y = np.array([0.7, 0.7])
         data = Dataset(X=X, y=y)
         penalty = ElasticNet(lam=1.0)
-        assert kkt_residual(data, SquareLoss(), penalty, np.zeros(1)) == 0.0
-        result = fit(data, SquareLoss(), penalty)
+        assert kkt_residual(data, make_loss("square"), penalty, np.zeros(1)) == 0.0
+        result = fit(data, make_loss("square"), penalty)
         assert result.iterations == 0
         np.testing.assert_array_equal(result.beta_hat, np.zeros(1))
 
@@ -516,13 +516,13 @@ class TestKktResidual:
         data = Dataset(X=np.array([[1.0]]), y=np.array([1.0]))
         penalty = ElasticNet(tau=1.0)
         delta = 1e-3
-        res = kkt_residual(data, SquareLoss(), penalty, np.array([0.5 + delta]))
+        res = kkt_residual(data, make_loss("square"), penalty, np.array([0.5 + delta]))
         assert res == pytest.approx(2 * delta, rel=1e-9)
-        assert kkt_residual(data, SquareLoss(), penalty, np.array([0.5])) <= 1e-15
+        assert kkt_residual(data, make_loss("square"), penalty, np.array([0.5])) <= 1e-15
 
     def test_intercept_term_included(self):
         data = Dataset(X=np.array([[1.0], [2.0]]), y=np.array([1.0, 3.0]))
-        loss = SquareLoss()
+        loss = make_loss("square")
         penalty = ElasticNet(tau=0.5)
         # With intercept=None only the coordinate terms count; passing a
         # non-stationary intercept must raise the residual.
@@ -544,16 +544,16 @@ class TestFailureModes:
     def test_ill_posed_unpenalized_wide(self):
         data = Dataset(X=np.random.default_rng(0).normal(size=(2, 3)), y=np.zeros(2))
         with pytest.raises(IllPosed):
-            fit(data, SquareLoss(), ElasticNet(lam=0.0, tau=0.0))
+            fit(data, make_loss("square"), ElasticNet(lam=0.0, tau=0.0))
 
     def test_ill_posed_unpenalized_square_with_intercept(self):
         """p = n is solvable alone, but the intercept makes p + 1 > n."""
         rng = np.random.default_rng(0)
         data = Dataset(X=rng.normal(size=(5, 5)), y=rng.normal(size=5))
         penalty = ElasticNet(lam=0.0, tau=0.0)
-        assert fit(data, SquareLoss(), penalty).converged
+        assert fit(data, make_loss("square"), penalty).converged
         with pytest.raises(IllPosed, match=r"p \+ 1 \(6\) > n \(5\)"):
-            fit(data, SquareLoss(), penalty, FitOptions(intercept=True))
+            fit(data, make_loss("square"), penalty, FitOptions(intercept=True))
 
     def test_rows_summing_to_zero_are_not_a_zero_design(self):
         """Rows (k, -k) are orthogonal to the uniform vector, where a power
@@ -561,10 +561,10 @@ class TestFailureModes:
         k = np.arange(1.0, 5.0)
         data = Dataset(X=np.column_stack([k, -k]), y=2.0 * k)
         penalty = ElasticNet(lam=0.1, tau=0.1)
-        result = fit(data, SquareLoss(), penalty)
+        result = fit(data, make_loss("square"), penalty)
         assert result.converged
         assert result.iterations > 0
-        assert kkt_residual(data, SquareLoss(), penalty, result.beta_hat) <= 1e-8
+        assert kkt_residual(data, make_loss("square"), penalty, result.beta_hat) <= 1e-8
 
     def test_nonconvergence_carries_partial_result(self):
         rng = np.random.default_rng(3)
@@ -572,7 +572,7 @@ class TestFailureModes:
         y = rng.normal(size=40)
         data = Dataset(X=X, y=y)
         with pytest.raises(NonConvergence) as excinfo:
-            fit(data, SquareLoss(), ElasticNet(lam=1e-4, tau=1e-8),
+            fit(data, make_loss("square"), ElasticNet(lam=1e-4, tau=1e-8),
                 FitOptions(max_iterations=3, kkt_tolerance=1e-14))
         partial = excinfo.value.result
         assert partial is not None
@@ -591,5 +591,5 @@ class TestFailureModes:
     def test_initial_point_length_mismatch(self):
         data = Dataset(X=np.ones((3, 2)), y=np.zeros(3))
         with pytest.raises(ValueError):
-            fit(data, SquareLoss(), ElasticNet(tau=0.1),
+            fit(data, make_loss("square"), ElasticNet(tau=0.1),
                 FitOptions(initial_point=np.zeros(5)))
