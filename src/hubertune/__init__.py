@@ -20,7 +20,6 @@ _EXPORTS = {
     "criterion": (
         "Candidate",
         "CriterionReport",
-        "SelectionReport",
         "crit_adaptive",
         "crit_oracle_sigma",
         "evaluate",
@@ -32,7 +31,6 @@ _EXPORTS = {
     "diagnostics": (
         "NormalSummary",
         "ProxRepresentationReport",
-        "ZetaReport",
         "histogram_table",
         "ks_normal",
         "normal_summary",
@@ -54,7 +52,6 @@ _EXPORTS = {
     "losses": ("HuberLoss", "make_loss"),
     "penalties": ("ElasticNet",),
     "sensitivity": (
-        "ContractionReport",
         "DerivativeCheckReport",
         "SensitivityBundle",
         "a_hat",
@@ -70,7 +67,6 @@ _EXPORTS = {
     ),
     "simulate": (
         "GridCell",
-        "GridResult",
         "SimConfig",
         "aggregate",
         "generate",

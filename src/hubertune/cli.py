@@ -52,11 +52,12 @@ from .pool import default_jobs
 from .sensitivity import CHECK_TOLERANCES, run_derivative_checks
 from .simulate import (
     GRID_METRICS,
+    aggregate,
     parse_grid_cells,
     parse_sim_config,
+    pivot_table,
     run_grid,
-    write_aggregate_csv,
-    write_pivot_csv,
+    write_records_csv,
 )
 from .solver import FitOptions
 
@@ -368,10 +369,10 @@ def cmd_select(args) -> int:
     data = _read_dataset(args)
     candidates = evaluate_grid(data, cells, options, eta, jobs)
     try:
-        sel = select(candidates)
-        selected, ranking = sel.selected_index, list(sel.ranking)
+        ranking = list(select(candidates))
     except NoFeasibleCandidate:
-        selected, ranking = None, []
+        ranking = []
+    selected = ranking[0] if ranking else None
 
     doc = {
         "command": "select",
@@ -396,18 +397,18 @@ def cmd_simulate(args) -> int:
     jobs = _jobs_from_args(args)
     config = parse_sim_config(_load_json(args.config))
     options = _options_from_args(args)
-    result = run_grid(config, options=options, jobs=jobs)
-    result.to_csv(args.out)
+    records = run_grid(config, options=options, jobs=jobs)
+    write_records_csv(records, args.out)
     if args.aggregate_out is not None:
-        write_aggregate_csv(result, args.aggregate_out)
+        write_csv(args.aggregate_out, *aggregate(records))
     if args.pivot_dir is not None:
         pivot_dir = Path(args.pivot_dir)
         pivot_dir.mkdir(parents=True, exist_ok=True)
         for metric in GRID_METRICS:
-            write_pivot_csv(result, metric, pivot_dir / f"pivot_{metric}.csv")
-    n_failed = sum(1 for rec in result.records if rec["failed"])
+            write_csv(pivot_dir / f"pivot_{metric}.csv", *pivot_table(records, metric))
+    n_failed = sum(1 for rec in records if rec["failed"])
     print(
-        f"wrote {len(result.records)} records ({n_failed} failed fits) to {args.out}",
+        f"wrote {len(records)} records ({n_failed} failed fits) to {args.out}",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -491,7 +492,7 @@ def cmd_check_derivatives(args) -> int:
     )
 
     lines = [
-        f"fixture: n={report.n} p={report.p} seed={report.seed}",
+        f"fixture: n={args.n} p={args.p} seed={args.seed}",
         f"jacobian_y relative error: {report.jacobian_rel_error:.3e}"
         f" (tolerance {CHECK_TOLERANCES['jacobian_rel']:.1e})",
         f"df absolute error: {report.df_abs_error:.3e}"
@@ -499,10 +500,10 @@ def cmd_check_derivatives(args) -> int:
         f"trace_V absolute error: {report.trace_v_abs_error:.3e}"
         f" (tolerance {CHECK_TOLERANCES['trace_abs']:.1e})",
     ]
-    for crep in report.contraction_reports:
-        resid = " ".join(f"{r:.3e}" for r in crep.residuals)
+    for step, gaps in report.contraction.items():
+        resid = " ".join(f"{r:.3e}" for r in gaps)
         lines.append(
-            f"contraction residuals at step {crep.step:g}: {resid}"
+            f"contraction residuals at step {step:g}: {resid}"
             f" (tolerance {CHECK_TOLERANCES['contraction_abs']:.1e} each)"
         )
     if report.passed:
@@ -514,9 +515,9 @@ def cmd_check_derivatives(args) -> int:
     if args.out is not None:
         doc = {
             "command": "check-derivatives",
-            "n": report.n,
-            "p": report.p,
-            "seed": report.seed,
+            "n": args.n,
+            "p": args.p,
+            "seed": args.seed,
             "loss": _loss_doc(loss),
             "penalty": _penalty_doc(penalty),
             "fault": args.fault,
@@ -524,8 +525,8 @@ def cmd_check_derivatives(args) -> int:
             "df_abs_error": report.df_abs_error,
             "trace_v_abs_error": report.trace_v_abs_error,
             "contraction": [
-                {"step": crep.step, "residuals": crep.residuals}
-                for crep in report.contraction_reports
+                {"step": step, "residuals": gaps}
+                for step, gaps in report.contraction.items()
             ],
             "tolerances": dict(CHECK_TOLERANCES),
             "failures": list(report.failures),
@@ -689,9 +690,6 @@ def main(argv=None) -> int:
         # is an output path that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except NoFeasibleCandidate as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (NonConvergence, SingularSystem, DegenerateFit, DegenerateDenominator) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -223,19 +223,14 @@ def evaluate_grid(
     return [by_index[i] for i in range(len(cells))]
 
 
-@dataclass(frozen=True)
-class SelectionReport:
-    selected_index: int
-    ranking: tuple  # feasible indices sorted by criterion, then by index
-
-
-def select(candidates: Sequence) -> SelectionReport:
-    """Pick the feasible candidate minimizing the adaptive criterion.
+def select(candidates: Sequence) -> tuple:
+    """Rank the feasible candidates by adaptive criterion; the first wins.
 
     ``candidates`` holds Candidate objects from evaluate() or evaluate_grid(),
-    each already scored at its own eta. Infeasible candidates are left out
-    of the ranking but stay in the caller's list. Ties break to the smallest
-    index. Raises NoFeasibleCandidate when nothing is feasible.
+    each already scored at its own eta. Returns the feasible indices sorted
+    by criterion, then by index, so ties break to the smallest index.
+    Infeasible candidates are left out of the ranking but stay in the
+    caller's list. Raises NoFeasibleCandidate when nothing is feasible.
     """
     if len(candidates) == 0:
         raise ValueError("candidate list is empty")
@@ -243,4 +238,4 @@ def select(candidates: Sequence) -> SelectionReport:
     if not feasible:
         raise NoFeasibleCandidate("no candidate meets the feasibility constraint")
     ranking = sorted(feasible, key=lambda i: (candidates[i].report.crit_adaptive, i))
-    return SelectionReport(selected_index=ranking[0], ranking=tuple(ranking))
+    return tuple(ranking)

@@ -74,16 +74,6 @@ def normal_summary(values) -> NormalSummary:
     )
 
 
-@dataclass(frozen=True)
-class ZetaReport:
-    zetas: np.ndarray
-    mean: float
-    variance: float
-    skewness: float
-    excess_kurtosis: float
-    ks_statistic: float
-
-
 def zeta_statistics(
     fit_result: FitResult,
     bundle: SensitivityBundle,
@@ -92,8 +82,9 @@ def zeta_statistics(
     beta_star: np.ndarray,
     eps: np.ndarray,
     loss: HuberLoss,
-) -> ZetaReport:
-    """Per-observation zeta statistics and their normal-approximation summary.
+) -> tuple:
+    """(zetas, normal_summary(zetas)): the per-observation zeta statistics
+    and their normal-approximation summary.
 
     Simulation-only: requires the true signal and the realized noise. X is
     the fitted design, from which trace_sigma_A forms A_hat. Raises
@@ -109,15 +100,7 @@ def zeta_statistics(
     t_hat = trace_sigma_A(bundle, X, Sigma)
     r = fit_result.residuals
     zetas = (r + t_hat * loss.psi(r) - eps) / denom
-    summ = normal_summary(zetas)
-    return ZetaReport(
-        zetas=zetas,
-        mean=summ.mean,
-        variance=summ.variance,
-        skewness=summ.skewness,
-        excess_kurtosis=summ.excess_kurtosis,
-        ks_statistic=summ.ks_statistic,
-    )
+    return zetas, normal_summary(zetas)
 
 
 @dataclass(frozen=True)
@@ -127,7 +110,6 @@ class ProxRepresentationReport:
 
     gaps: np.ndarray
     effective_obs: np.ndarray
-    t_hat: float
 
 
 def residual_representation_check(
@@ -146,12 +128,9 @@ def residual_representation_check(
     r = fit_result.residuals
     if t == 0.0:
         # prox with step 0 is the identity; the gap is exactly zero.
-        return ProxRepresentationReport(
-            gaps=np.zeros_like(r), effective_obs=r.copy(), t_hat=t
-        )
+        return ProxRepresentationReport(gaps=np.zeros_like(r), effective_obs=r.copy())
     u = r + t * loss.psi(r)
-    gaps = np.abs(r - loss.prox(u, t))
-    return ProxRepresentationReport(gaps=gaps, effective_obs=u, t_hat=t)
+    return ProxRepresentationReport(gaps=np.abs(r - loss.prox(u, t)), effective_obs=u)
 
 
 @dataclass(frozen=True)
@@ -173,7 +152,11 @@ def square_loss_normality_stat(
     sigma_noise: float,
 ) -> SquareLossNormalityStat:
     """(sigma^2 + ||Sigma^{1/2}(beta_hat-beta*)||^2)^{-1/2} * scale * r_i,
-    X the fitted design."""
+    X the fitted design.
+
+    Raises DegenerateDenominator when there is nothing to standardize or
+    when df = n (an interpolating fit), where (1 - df/n)^{-1} is undefined.
+    """
     h_sq = out_of_sample_error(fit_result.beta_hat, beta_star, Sigma)
     denom = np.sqrt(sigma_noise * sigma_noise + h_sq)
     if denom <= 0.0:
@@ -182,6 +165,10 @@ def square_loss_normality_stat(
         )
     r = fit_result.residuals
     n = r.shape[0]
+    if bundle.df >= n:
+        raise DegenerateDenominator(
+            f"df = {bundle.df} reaches n = {n}; (1 - df/n)^-1 is undefined"
+        )
     oracle_scale = 1.0 + trace_sigma_A(bundle, X, Sigma)
     adaptive_scale = 1.0 / (1.0 - bundle.df / n)
     return SquareLossNormalityStat(

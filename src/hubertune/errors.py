@@ -40,7 +40,7 @@ class DegenerateFit(HubertuneError):
 
 
 class DegenerateDenominator(HubertuneError):
-    """A standardization denominator is exactly zero (estimate == target)."""
+    """A standardization denominator is exactly zero (estimate == target, or df = n)."""
 
 
 class NoFeasibleCandidate(HubertuneError):

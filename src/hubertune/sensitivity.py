@@ -250,18 +250,6 @@ def sensitivity_fd_oracle(
     return J, df_fd, trace_V_fd
 
 
-@dataclass(frozen=True)
-class ContractionReport:
-    """Residuals of the five summed-derivative identities at one FD step.
-
-    residuals[k] is the absolute gap for identity k+1 (identities 1 and 2
-    report the max gap over their free index).
-    """
-
-    step: float
-    residuals: np.ndarray
-
-
 def contraction_check(
     data: Dataset,
     loss: HuberLoss,
@@ -272,8 +260,11 @@ def contraction_check(
     beta_star: np.ndarray,
     step: float = 1e-4,
     options: Optional[FitOptions] = None,
-) -> ContractionReport:
+) -> np.ndarray:
     """Verify five identities for sums of derivatives over design entries.
+
+    Returns the five absolute gaps at this FD step: entry k is the gap of
+    identity k+1 (identities 1 and 2 give the max gap over their free index).
 
     Identity-white-board, with h = beta_hat - beta_star, G = X, A the full
     sensitivity matrix (the argument A is its active block, A_hat),
@@ -362,7 +353,7 @@ def contraction_check(
             lhs4 += (hp[j] * (Gp[i] @ hp) - hm[j] * (Gm[i] @ hm)) * inv
             lhs5 += (psp[i] * (Gp[:, j] @ psp) - psm[i] * (Gm[:, j] @ psm)) * inv
 
-    residuals = np.array(
+    return np.array(
         [
             float(np.max(np.abs(lhs1 - rhs1))),
             float(np.max(np.abs(lhs2 - rhs2))),
@@ -371,7 +362,6 @@ def contraction_check(
             abs(lhs5 - rhs5),
         ]
     )
-    return ContractionReport(step=step, residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +373,15 @@ def contraction_check(
 class DerivativeCheckReport:
     """Outcome of one full derivative-verification run.
 
-    failures is the tuple of check names whose residual exceeded its
-    tolerance; empty means everything passed.
+    contraction maps each finite-difference step to the five gaps
+    contraction_check gave there. failures is the tuple of check names
+    whose residual exceeded its tolerance; empty means everything passed.
     """
 
-    n: int
-    p: int
-    seed: int
     jacobian_rel_error: float
     df_abs_error: float
     trace_v_abs_error: float
-    contraction_reports: tuple
+    contraction: dict
     failures: tuple
 
     @property
@@ -497,12 +485,12 @@ def run_derivative_checks(
     df_abs_error = abs(bundle.df - df_fd)
     trace_v_abs_error = abs(bundle.trace_V - trace_v_fd)
 
-    contraction_reports = tuple(
-        contraction_check(
+    contraction = {
+        s: contraction_check(
             data, loss, penalty, result, bundle, A, beta_star, step=s, options=options
         )
         for s in contraction_steps
-    )
+    }
 
     failures = []
     if not jacobian_rel_error <= CHECK_TOLERANCES["jacobian_rel"]:
@@ -511,18 +499,15 @@ def run_derivative_checks(
         failures.append("df")
     if not trace_v_abs_error <= CHECK_TOLERANCES["trace_abs"]:
         failures.append("trace_V")
-    for report in contraction_reports:
-        for k in range(5):
-            if not report.residuals[k] <= CHECK_TOLERANCES["contraction_abs"]:
-                failures.append(f"contraction-{k + 1}@step={report.step:g}")
+    for s, gaps in contraction.items():
+        for k, gap in enumerate(gaps, start=1):
+            if not gap <= CHECK_TOLERANCES["contraction_abs"]:
+                failures.append(f"contraction-{k}@step={s:g}")
 
     return DerivativeCheckReport(
-        n=n,
-        p=p,
-        seed=seed,
         jacobian_rel_error=jacobian_rel_error,
         df_abs_error=df_abs_error,
         trace_v_abs_error=trace_v_abs_error,
-        contraction_reports=contraction_reports,
+        contraction=contraction,
         failures=tuple(failures),
     )

@@ -310,29 +310,28 @@ SINGULAR_RECORD = {
 }
 
 
-@dataclass(frozen=True)
-class GridResult:
-    """The records of run_grid, in (replication, cell) order."""
-
-    records: tuple
-
-    def to_csv(self, path) -> None:
-        rows = (
-            ["" if rec[col] is None else rec[col] for col in GRID_COLUMNS]
-            for rec in self.records
-        )
-        write_csv(path, GRID_COLUMNS, rows)
+def write_records_csv(records, path) -> None:
+    """The records as CSV: GRID_COLUMNS, a None (square loss) left empty."""
+    rows = (
+        ["" if rec[col] is None else rec[col] for col in GRID_COLUMNS] for rec in records
+    )
+    write_csv(path, GRID_COLUMNS, rows)
 
 
 @lru_cache(maxsize=1)
 def _covariance(p: int, seed: int, design_kind: str):
-    """make_covariance(p, seed), read-only, and the Cholesky factor a
-    Gaussian design draws through (None for other designs).
+    """The design's covariance, read-only, and the Cholesky factor a
+    Gaussian design draws through: make_covariance(p, seed) and its factor
+    for a Gaussian design, (I, None) for a Rademacher one, whose +/-1
+    entries are independent.
 
     The last pair is kept, so replications that share Sigma draw it once.
     """
-    Sigma = make_covariance(p, seed)
-    factor = np.linalg.cholesky(Sigma) if design_kind == "gaussian" else None
+    if design_kind == "rademacher":
+        Sigma, factor = np.eye(p), None
+    else:
+        Sigma = make_covariance(p, seed)
+        factor = np.linalg.cholesky(Sigma)
     for array in (Sigma, factor):
         if array is not None:
             array.flags.writeable = False
@@ -388,10 +387,10 @@ def _replication_records(config: SimConfig, options: FitOptions, rep: int):
 
 def run_grid(
     config: SimConfig, options: Optional[FitOptions] = None, jobs: int = 1
-) -> GridResult:
+) -> tuple:
     """Fit every (cell, replication) pair and record all criteria.
 
-    A record is a dict keyed by GRID_COLUMNS, plus newton_attempts.
+    Returns the records, each a dict keyed by GRID_COLUMNS, plus newton_attempts.
     Non-converged cells are recorded with failed True (using the best
     iterate), never dropped. Records come back sorted by (replication,
     cell order). With jobs > 1 the replications run on up to that many
@@ -406,8 +405,7 @@ def run_grid(
         _covariance(config.p, config.sigma_seed, config.design_kind)
     reps = range(config.replications)
     per_rep = map_items(_replication_records, (config, options), reps, jobs)
-    records = tuple(rec for rep_records in per_rep for rec in rep_records)
-    return GridResult(records=records)
+    return tuple(rec for rep_records in per_rep for rec in rep_records)
 
 
 AGGREGATE_STATS = ["mean", "median", "q25", "q75"]
@@ -436,14 +434,14 @@ def _median_quartiles(values: np.ndarray) -> list:
     return out
 
 
-def aggregate(result: GridResult):
-    """Per-cell summary over converged replications.
+def aggregate(records):
+    """Per-cell summary of run_grid's records over converged replications.
 
     Returns (header, rows): cell keys, record counts, then
     {metric}_{mean,median,q25,q75} for every recorded metric. Cells keep
     their first-appearance order; replication order does not matter.
     """
-    if not result.records:
+    if not records:
         raise ValueError("no records to aggregate")
     header = ["lambda", "tau", "huber_scale", "n_records", "n_failed"]
     for metric in GRID_METRICS:
@@ -452,7 +450,7 @@ def aggregate(result: GridResult):
 
     order = []
     groups = {}
-    for rec in result.records:
+    for rec in records:
         key = (rec["lambda"], rec["tau"], rec["huber_scale"])
         if key not in groups:
             groups[key] = []
@@ -479,13 +477,8 @@ def aggregate(result: GridResult):
     return header, rows
 
 
-def write_aggregate_csv(result: GridResult, path) -> None:
-    header, rows = aggregate(result)
-    write_csv(path, header, rows)
-
-
-def pivot_table(result: GridResult, metric: str):
-    """Mean of one metric per (lambda, tau) over converged records.
+def pivot_table(records, metric: str):
+    """Mean of one metric per (lambda, tau) over run_grid's converged records.
 
     Heatmap layout: first column the lambda values (ascending), remaining
     columns one per tau (ascending); empty where a pair never appears.
@@ -493,7 +486,7 @@ def pivot_table(result: GridResult, metric: str):
     if metric not in GRID_METRICS:
         raise ValueError(f"unknown metric: {metric!r}")
     cells = {}
-    for rec in result.records:
+    for rec in records:
         if not rec["failed"]:
             cells.setdefault((rec["lambda"], rec["tau"]), []).append(rec[metric])
     lams = sorted({k[0] for k in cells})
@@ -507,8 +500,3 @@ def pivot_table(result: GridResult, metric: str):
             row.append(float(np.mean(vals)) if vals else "")
         rows.append(tuple(row))
     return header, rows
-
-
-def write_pivot_csv(result: GridResult, metric: str, path) -> None:
-    header, rows = pivot_table(result, metric)
-    write_csv(path, header, rows)

@@ -63,10 +63,10 @@ def heavy_tail_config(n, p, replications, base_seed):
     )
 
 
-def feasible_records(result):
+def feasible_records(records):
     return [
         rec
-        for rec in result.records
+        for rec in records
         if not rec["failed"]
         and np.isfinite(rec["crit_adaptive"])
         and rec["constraint_value"] >= FEASIBILITY_ETA
@@ -183,8 +183,8 @@ class TestCriterionTracksRisk:
         feasible heavy-tail cells is small at (400, 200) and strictly
         smaller again at (800, 400)."""
 
-        def median_gap(result):
-            recs = feasible_records(result)
+        def median_gap(records):
+            recs = feasible_records(records)
             assert len(recs) >= 50
             return float(
                 np.median(
@@ -234,8 +234,8 @@ class TestResidualNormality:
             bundle = sensitivity_closed_form(data, loss, penalty, result)
             if bundle.n_hat / n < FEASIBILITY_ETA:
                 continue
-            report = zeta_statistics(result, bundle, data.X, Sigma, beta_star, eps, loss)
-            samples.append(report.zetas[0])
+            zetas, _ = zeta_statistics(result, bundle, data.X, Sigma, beta_star, eps, loss)
+            samples.append(zetas[0])
 
         z = np.array(samples)
         assert z.size >= 295  # measured: all 300 replications feasible
@@ -266,10 +266,10 @@ class TestSelectionQuality:
                 "base_seed": 20260819,
             }
         )
-        result = run_grid(config)
+        records = run_grid(config)
 
         by_rep = {}
-        for rec in result.records:
+        for rec in records:
             by_rep.setdefault(rec["replication"], []).append(rec)
         assert len(by_rep) == 50
 
@@ -331,9 +331,9 @@ class TestDesignDerivativeIdentities:
         every finite-difference step on both standard check fixtures."""
         for report in contraction_check_reports:
             assert not report.failures
-            for crep in report.contraction_reports:
-                assert crep.residuals.shape == (5,)
-                assert float(np.max(crep.residuals)) <= 1e-3, crep.step
+            for step, gaps in report.contraction.items():
+                assert gaps.shape == (5,)
+                assert float(np.max(gaps)) <= 1e-3, step
 
     def test_residuals_shrink_at_least_linearly_in_the_step(
         self, contraction_check_reports
@@ -343,7 +343,7 @@ class TestDesignDerivativeIdentities:
         so the residuals are true discretization error, not model error."""
         floor = 5e-6
         for report in contraction_check_reports:
-            by_step = {c.step: c.residuals for c in report.contraction_reports}
+            by_step = report.contraction
             coarse, fine = by_step[1e-2], by_step[1e-3]
             for k in range(5):
                 assert fine[k] <= max(0.2 * coarse[k], floor), k

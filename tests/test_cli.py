@@ -518,10 +518,10 @@ class TestSelect:
             loss = make_loss("huber", huber_scale=cell["huber_scale"])
             penalty = ElasticNet(lam=cell["lambda"], tau=cell["tau"])
             candidates.append(evaluate(data, loss, penalty, FitOptions()))
-        sel = select(candidates)
+        ranking = select(candidates)
 
-        assert doc["selected_index"] == sel.selected_index
-        assert doc["ranking"] == list(sel.ranking)
+        assert doc["selected_index"] == ranking[0]
+        assert doc["ranking"] == list(ranking)
         assert len(doc["candidates"]) == len(GRID_3)
         for entry, cand in zip(doc["candidates"], candidates):
             assert entry["crit_adaptive"] == pytest.approx(

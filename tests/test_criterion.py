@@ -193,9 +193,9 @@ class TestSelect:
             synth_candidate([np.sqrt(3.0)], df=0.0, trace_v=1.0),
             synth_candidate([2.0], df=0.0, trace_v=1.0),
         ]
-        report = select(cands)
-        assert report.selected_index == 1
-        assert report.ranking == (1, 2, 0)
+        ranking = select(cands)
+        assert ranking[0] == 1
+        assert ranking == (1, 2, 0)
         assert [c.feasible for c in cands] == [True, True, True]
         crits = [c.report.crit_adaptive for c in cands]
         assert crits == pytest.approx([5.0, 3.0, 4.0])
@@ -205,22 +205,22 @@ class TestSelect:
             synth_candidate([1.0], df=0.0, trace_v=1.0),
             synth_candidate([1.0], df=0.0, trace_v=1.0),
         ]
-        assert select(cands).selected_index == 0
+        assert select(cands)[0] == 0
 
     def test_infeasible_candidate_skipped_but_reported(self):
         """The lowest criterion loses when its constraint fails."""
         winner_by_crit = synth_candidate([0.5], df=0.0, trace_v=1.0, n_hat=0.01)
         runner_up = synth_candidate([2.0], df=0.0, trace_v=1.0)
-        report = select([winner_by_crit, runner_up])
-        assert report.selected_index == 1
-        assert report.ranking == (1,)
+        ranking = select([winner_by_crit, runner_up])
+        assert ranking[0] == 1
+        assert ranking == (1,)
         assert (winner_by_crit.feasible, runner_up.feasible) == (False, True)
 
     def test_undefined_criterion_skipped(self):
         broken = synth_candidate([0.1], df=1.0, trace_v=0.0)
         fine = synth_candidate([3.0], df=0.0, trace_v=1.0)
-        report = select([broken, fine])
-        assert report.selected_index == 1
+        ranking = select([broken, fine])
+        assert ranking[0] == 1
         assert (broken.feasible, fine.feasible) == (False, True)
 
     def test_all_infeasible_raises(self):
@@ -246,7 +246,7 @@ class TestSelect:
             synth_candidate(7.0 * c.result.residuals, df=0.0, trace_v=2.0)
             for c in base
         ]
-        assert select(base).ranking == select(scaled).ranking
+        assert select(base) == select(scaled)
 
     def test_recomputation_identical(self):
         def build():

@@ -167,14 +167,14 @@ class TestZetaStatistics:
         penalty = ElasticNet(lam=0.05, tau=0.05)
         result = fit(data, loss, penalty)
         bundle = sensitivity_closed_form(data, loss, penalty, result)
-        rep = zeta_statistics(result, bundle, X, Sigma, beta_star, eps, loss)
-        assert rep.zetas.shape == (n,)
-        assert np.all(np.isfinite(rep.zetas))
+        zetas, summary = zeta_statistics(result, bundle, X, Sigma, beta_star, eps, loss)
+        assert zetas.shape == (n,)
+        assert np.all(np.isfinite(zetas))
         # Loose sanity bands; the sharp distributional claims live in the
         # acceptance suite over hundreds of replications.
-        assert abs(rep.mean) <= 0.35
-        assert 0.5 <= rep.variance <= 1.6
-        assert rep.ks_statistic <= 0.2
+        assert abs(summary.mean) <= 0.35
+        assert 0.5 <= summary.variance <= 1.6
+        assert summary.ks_statistic <= 0.2
 
     def test_denominator_is_the_sigma_norm(self):
         """zeta = (r + trace[Sigma A] psi(r) - eps) / sqrt(out_of_sample_error),
@@ -184,11 +184,11 @@ class TestZetaStatistics:
         Sigma = make_covariance(data.p, seed=3)
         beta_star = make_signal(data.p)
         eps = np.random.default_rng(6).standard_normal(data.n)
-        rep = zeta_statistics(result, bundle, data.X, Sigma, beta_star, eps, loss)
+        zetas, _ = zeta_statistics(result, bundle, data.X, Sigma, beta_star, eps, loss)
         r = result.residuals
         denom = np.sqrt(out_of_sample_error(result.beta_hat, beta_star, Sigma))
         expected = (r + trace_sigma_A(bundle, data.X, Sigma) * loss.psi(r) - eps) / denom
-        assert rep.zetas.tobytes() == expected.tobytes()
+        assert zetas.tobytes() == expected.tobytes()
 
     def test_exact_recovery_degenerate(self):
         data, result, bundle = _fit_bundle(8, make_loss("square"), ElasticNet(tau=0.2))
@@ -235,6 +235,19 @@ class TestSquareLossNormalityStat:
         with pytest.raises(DegenerateDenominator):
             square_loss_normality_stat(
                 result, bundle, data.X, np.eye(data.p), result.beta_hat, 0.0
+            )
+
+    @pytest.mark.parametrize("lam", [1e-3, 1e-4])
+    def test_interpolating_fit_raises(self, lam):
+        """An interpolating lasso (n = 10, p = 30, tau = 0) has df = rank = n,
+        where the adaptive scale (1 - df/n)^{-1} is undefined."""
+        data, result, bundle = _fit_bundle(
+            0, make_loss("square"), ElasticNet(lam=lam, tau=0.0), n=10, p=30
+        )
+        assert bundle.df == bundle.rank == data.n
+        with pytest.raises(DegenerateDenominator, match=r"df = 10\.0 reaches n = 10"):
+            square_loss_normality_stat(
+                result, bundle, data.X, np.eye(data.p), np.zeros(data.p), 1.0
             )
 
 

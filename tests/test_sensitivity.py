@@ -1,5 +1,7 @@
 """Sensitivity objects: exact tiny cases, FD oracles, algebraic identities."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from hubertune import (
     FitResult,
     GridCell,
     HuberLoss,
+    NonConvergence,
     SingularSystem,
     a_hat,
     a_hat_full,
@@ -416,12 +419,12 @@ class TestContraction:
         result, bundle = _fit_and_bundle(data, loss, penalty)
         # Residuals clear the kink by more than the FD step.
         assert np.min(np.abs(np.abs(result.residuals) - loss.scale)) > 1e-2
-        report = contraction_check(
+        gaps = contraction_check(
             data, loss, penalty, result, bundle, a_hat(bundle, X), beta_star,
             step=1e-3, options=TIGHT,
         )
-        assert report.residuals.shape == (5,)
-        assert np.all(report.residuals <= 1e-3)
+        assert gaps.shape == (5,)
+        assert np.all(gaps <= 1e-3)
 
     def test_square_ridge_identities_tight(self):
         """Kink-free case: all five residuals sit near the solver floor."""
@@ -431,11 +434,11 @@ class TestContraction:
         y = X @ beta_star + 0.3 * rng.standard_normal(20)
         data = Dataset(X=X, y=y)
         result, bundle = _fit_and_bundle(data, make_loss("square"), ElasticNet(tau=0.2))
-        report = contraction_check(
+        gaps = contraction_check(
             data, make_loss("square"), ElasticNet(tau=0.2), result, bundle, a_hat(bundle, X),
             beta_star, step=1e-4, options=TIGHT,
         )
-        assert np.all(report.residuals <= 1e-5)
+        assert np.all(gaps <= 1e-5)
 
 
 class TestRunDerivativeChecks:
@@ -449,9 +452,9 @@ class TestRunDerivativeChecks:
         assert report.jacobian_rel_error <= 1e-3
         assert report.df_abs_error <= 1e-3
         assert report.trace_v_abs_error <= 1e-3
-        assert len(report.contraction_reports) == 2
-        for rep in report.contraction_reports:
-            assert np.all(rep.residuals <= 1e-3)
+        assert len(report.contraction) == 2
+        for gaps in report.contraction.values():
+            assert np.all(gaps <= 1e-3)
 
     def test_fault_injection_fails_and_names_jacobian(self):
         report = run_derivative_checks(
@@ -467,6 +470,88 @@ class TestRunDerivativeChecks:
                 n=10, p=4, loss=make_loss("square"),
                 penalty=ElasticNet(tau=0.1), seed=0, fault="no-such-fault",
             )
+
+    @pytest.mark.parametrize("name, index", [("df", 1), ("trace_V", 2)])
+    def test_names_a_failing_trace(self, monkeypatch, name, index):
+        """An FD oracle off by 0.1 in df or in trace V fails that check, by
+        name, and no other."""
+        original = hubertune.sensitivity.sensitivity_fd_oracle
+
+        def shifted(*args, **kwargs):
+            out = list(original(*args, **kwargs))
+            out[index] += 0.1
+            return tuple(out)
+
+        monkeypatch.setattr(hubertune.sensitivity, "sensitivity_fd_oracle", shifted)
+        report = run_derivative_checks(
+            n=10, p=4, loss=HuberLoss(scale=1.0),
+            penalty=ElasticNet(lam=0.1, tau=0.1), seed=0, contraction_steps=(),
+        )
+        assert report.failures == (name,)
+
+
+FD_LOSS = HuberLoss(scale=1.0)
+FD_PENALTY = ElasticNet(lam=0.1, tau=0.1)
+
+
+def _first_fit_replaced(monkeypatch, make_bad):
+    """Make the fixture's first fit return make_bad(data, real result), or
+    raise what make_bad raises; later fits are real. Returns the call log."""
+    real_fit, calls = hubertune.sensitivity.fit, []
+
+    def patched(data, loss, penalty, options):
+        calls.append(data)
+        result = real_fit(data, loss, penalty, options)
+        return make_bad(data, result) if len(calls) == 1 else result
+
+    monkeypatch.setattr(hubertune.sensitivity, "fit", patched)
+    return calls
+
+
+def _non_converged(data, result):
+    raise NonConvergence("injected", result)
+
+
+def _tiny_active_coefficient(data, result):
+    beta = result.beta_hat.copy()
+    beta[result.active_set[0]] = 1e-5
+    return replace(result, beta_hat=beta)
+
+
+def _score_at_lambda(data, result):
+    """Residuals whose score reaches lambda on an inactive column 0."""
+    x = data.X[:, 0]
+    residuals = FD_PENALTY.lam * data.n * x / (x @ x)
+    return replace(result, residuals=residuals, active_set=np.array([], dtype=int))
+
+
+class TestFdSafeFixture:
+    @pytest.mark.parametrize(
+        "make_bad",
+        [_non_converged, _tiny_active_coefficient, _score_at_lambda],
+    )
+    def test_redraws_past_an_unsafe_first_draw(self, monkeypatch, make_bad):
+        """A draw that does not converge, has an active coefficient at or
+        below 1e-4, or has an inactive score within 1e-5 of lambda is
+        replaced by the next seed's draw."""
+        calls = _first_fit_replaced(monkeypatch, make_bad)
+        data, _, result = _fd_safe_fixture(20, 6, FD_LOSS, FD_PENALTY, 3, TIGHT)
+        assert len(calls) == 2
+        X = np.random.default_rng(3 + 1).standard_normal((20, 6))
+        assert data.X.tobytes() == X.tobytes()
+        assert result.converged and result.active_set.size
+
+    def test_gives_up_after_its_attempts(self, monkeypatch):
+        calls = []
+
+        def never_converges(data, loss, penalty, options):
+            calls.append(None)
+            raise NonConvergence("injected")
+
+        monkeypatch.setattr(hubertune.sensitivity, "fit", never_converges)
+        with pytest.raises(RuntimeError, match="in 3 attempts from seed 5"):
+            _fd_safe_fixture(20, 6, FD_LOSS, FD_PENALTY, 5, TIGHT, attempts=3)
+        assert len(calls) == 3
 
 
 def _side_case(wide, intercept, loss_name):

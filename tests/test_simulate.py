@@ -10,13 +10,16 @@ from hubertune import (
     FitOptions,
     InputError,
     SingularSystem,
+    a_hat,
     aggregate,
+    fit,
     generate,
     make_covariance,
     make_signal,
     parse_grid_cells,
     parse_sim_config,
     run_grid,
+    sensitivity_closed_form,
 )
 from hubertune.simulate import (
     AGGREGATE_STATS,
@@ -24,13 +27,11 @@ from hubertune.simulate import (
     GRID_METRICS,
     GaussianNoise,
     GridCell,
-    GridResult,
     StudentTNoise,
     _median_quartiles,
     pivot_table,
-    write_aggregate_csv,
-    write_pivot_csv,
 )
+from hubertune.formatting import write_csv
 
 
 def csv_row(rec):
@@ -148,6 +149,21 @@ class TestConfigParsing:
         assert cfg.design_kind == "rademacher"
         with pytest.raises(InputError, match="design_kind"):
             parse_sim_config(minimal_config_doc(design_kind="uniform"))
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([minimal_config_doc()], "simulation config must be a JSON object"),
+            (minimal_config_doc(noise_kind="gaussian"), "noise_kind must be an object"),
+            (minimal_config_doc(grid=[[1.0, 0.1, 0.0]]), r"grid\[0\] must be an object"),
+            (minimal_config_doc(signal_kind=3), "signal_kind must be 'sparse' or an array"),
+            (minimal_config_doc(n=0), "n and p must be >= 1"),
+        ],
+        ids=["document", "noise_kind", "grid-cell", "signal_kind", "n-zero"],
+    )
+    def test_malformed_document_rejected(self, doc, message):
+        with pytest.raises(InputError, match=message):
+            parse_sim_config(doc)
 
     def test_parse_grid_cells_direct(self):
         cells = parse_grid_cells([{"huber_scale": None, "lambda": 1, "tau": 2}])
@@ -313,7 +329,7 @@ class TestRunGrid:
             hubertune.simulate,
         ):
             monkeypatch.setattr(module, "trace_sigma_A", counting, raising=False)
-        records = run_grid(self.small_config(replications=1)).records
+        records = run_grid(self.small_config(replications=1))
         assert len(records) == 3 and not any(rec["failed"] for rec in records)
         assert len(calls) == 3
 
@@ -328,34 +344,30 @@ class TestRunGrid:
             return original(*args)
 
         monkeypatch.setattr(hubertune.sensitivity, "a_hat", counting)
-        records = run_grid(self.small_config(replications=2)).records
+        records = run_grid(self.small_config(replications=2))
         assert len(records) == 6 and not any(rec["failed"] for rec in records)
         assert len(calls) == 6
 
     def test_record_layout(self):
         cfg = self.small_config()
-        result = run_grid(cfg)
-        assert len(result.records) == 12
+        records = run_grid(cfg)
+        assert len(records) == 12
         # Canonical (replication, cell) order.
         expected = [(rep, cell.lam) for rep in range(4) for cell in cfg.grid]
-        actual = [(rec["replication"], rec["lambda"]) for rec in result.records]
+        actual = [(rec["replication"], rec["lambda"]) for rec in records]
         assert actual == expected
 
     def test_rerun_bit_identical(self):
         cfg = self.small_config()
         a = run_grid(cfg)
         b = run_grid(cfg)
-        assert [csv_row(rec) for rec in a.records] == [
-            csv_row(rec) for rec in b.records
-        ]
+        assert [csv_row(rec) for rec in a] == [csv_row(rec) for rec in b]
 
     def test_jobs_do_not_change_values(self):
         cfg = self.small_config()
         serial = run_grid(cfg, jobs=1)
         parallel = run_grid(cfg, jobs=3)
-        assert [csv_row(rec) for rec in serial.records] == [
-            csv_row(rec) for rec in parallel.records
-        ]
+        assert [csv_row(rec) for rec in serial] == [csv_row(rec) for rec in parallel]
 
     def test_newton_attempts_repeat_across_runs_and_jobs(self):
         """The solver's polish counter is deterministic and stays off the CSV."""
@@ -371,26 +383,26 @@ class TestRunGrid:
         serial = run_grid(cfg, jobs=1)
         again = run_grid(cfg, jobs=1)
         parallel = run_grid(cfg, jobs=2)
-        attempts = [rec["newton_attempts"] for rec in serial.records]
+        attempts = [rec["newton_attempts"] for rec in serial]
         assert sum(attempts) > 0
-        assert [rec["newton_attempts"] for rec in again.records] == attempts
-        assert [rec["newton_attempts"] for rec in parallel.records] == attempts
+        assert [rec["newton_attempts"] for rec in again] == attempts
+        assert [rec["newton_attempts"] for rec in parallel] == attempts
         assert "newton_attempts" not in GRID_COLUMNS
-        assert set(serial.records[0]) == {*GRID_COLUMNS, "newton_attempts"}
+        assert set(serial[0]) == {*GRID_COLUMNS, "newton_attempts"}
 
     def test_noise_term_constant_within_replication(self):
-        result = run_grid(self.small_config())
+        records = run_grid(self.small_config())
         for rep in range(4):
             vals = {
                 rec["eps_norm_sq_over_n"]
-                for rec in result.records
+                for rec in records
                 if rec["replication"] == rep
             }
             assert len(vals) == 1
 
     def test_criteria_fields_populated(self):
-        result = run_grid(self.small_config())
-        for rec in result.records:
+        records = run_grid(self.small_config())
+        for rec in records:
             assert not rec["failed"]
             assert rec["df"] >= 0
             assert rec["trace_v"] > 0
@@ -402,10 +414,10 @@ class TestRunGrid:
 
     def test_nonconvergence_recorded_not_dropped(self):
         cfg = self.small_config(replications=2)
-        result = run_grid(cfg, options=FitOptions(max_iterations=1, kkt_tolerance=1e-14))
-        assert len(result.records) == 6
-        assert all(rec["failed"] for rec in result.records)
-        for rec in result.records:  # best-iterate metrics still present
+        records = run_grid(cfg, options=FitOptions(max_iterations=1, kkt_tolerance=1e-14))
+        assert len(records) == 6
+        assert all(rec["failed"] for rec in records)
+        for rec in records:  # best-iterate metrics still present
             assert np.isfinite(rec["oos_error"])
 
     def test_singular_a_hat_read_is_a_failed_record(self, monkeypatch):
@@ -422,11 +434,11 @@ class TestRunGrid:
             return original(*args)
 
         cfg = self.small_config(replications=2)
-        clean = run_grid(cfg).records
+        clean = run_grid(cfg)
         # Replication 1, cell 1 (record 4) is call 5 of trace_sigma_A, which
         # runs in grid order.
         monkeypatch.setattr(hubertune.simulate, "trace_sigma_A", patched)
-        records = run_grid(cfg).records
+        records = run_grid(cfg)
 
         assert not any(rec["failed"] for rec in clean)
         c = clean[4]
@@ -458,8 +470,8 @@ class TestRunGrid:
         )
         # Replication 0 has XOR offset 0: identical covariance seed, so the
         # first replication agrees and later ones differ.
-        rows_base = [csv_row(rec) for rec in base.records]
-        rows_redraw = [csv_row(rec) for rec in redraw.records]
+        rows_base = [csv_row(rec) for rec in base]
+        rows_redraw = [csv_row(rec) for rec in redraw]
         assert rows_base[:3] == rows_redraw[:3]
         assert rows_base[3:] != rows_redraw[3:]
 
@@ -489,9 +501,36 @@ class TestRunGrid:
         assert len(pids) == draws
         if not redraw:
             assert pids == [str(os.getpid())]
-        assert [csv_row(rec) for rec in cached.records] == [
-            csv_row(rec) for rec in fresh.records
-        ]
+        assert [csv_row(rec) for rec in cached] == [csv_row(rec) for rec in fresh]
+
+    def test_rademacher_records_use_the_identity_covariance(self):
+        """A Rademacher design has covariance I, so a record's oos_error is
+        ||beta_hat - beta*||^2 and its trace_sigma_a is trace(A_hat), both
+        recomputed here by refitting the record's cell."""
+        cfg = self.small_config(
+            n=60,
+            p=30,
+            sigma_seed=7,
+            base_seed=42,
+            design_kind="rademacher",
+            noise_kind={"kind": "gaussian", "sigma": 1.0},
+            replications=1,
+        )
+        records = run_grid(cfg)
+        beta_star = cfg.signal()
+        data, _ = generate(
+            cfg.n, cfg.p, np.eye(cfg.p), beta_star, cfg.noise_kind, cfg.base_seed,
+            "rademacher",
+        )
+        for cell, rec in zip(cfg.grid, records):
+            loss, penalty = cell.loss(), cell.penalty()
+            result = fit(data, loss, penalty)
+            bundle = sensitivity_closed_form(data, loss, penalty, result)
+            h = result.beta_hat - beta_star
+            assert not rec["failed"]
+            assert rec["oos_error"] == pytest.approx(float(h @ h), rel=1e-12)
+            expected = float(np.trace(a_hat(bundle, data.X)))
+            assert rec["trace_sigma_a"] == pytest.approx(expected, rel=1e-12)
 
     def test_production_scale_smoke(self):
         """One (1001, 1000) cell at the reference tuning stays in range."""
@@ -514,7 +553,7 @@ class TestRunGrid:
                 "base_seed": 11,
             }
         )
-        rec = run_grid(cfg).records[0]
+        rec = run_grid(cfg)[0]
         assert not rec["failed"]
         assert 0.0 < rec["df"] / n < 1.0
         assert 0.0 < rec["n_hat"] / n < 1.0
@@ -523,7 +562,7 @@ class TestRunGrid:
 
 
 class TestAggregate:
-    def _result(self):
+    def _records(self):
         return run_grid(
             parse_sim_config(
                 {
@@ -543,17 +582,17 @@ class TestAggregate:
         )
 
     def test_header_layout(self):
-        header, rows = aggregate(self._result())
+        header, rows = aggregate(self._records())
         assert header[:5] == ["lambda", "tau", "huber_scale", "n_records", "n_failed"]
         assert len(header) == 5 + len(GRID_METRICS) * len(AGGREGATE_STATS)
         assert "df_mean" in header and "oos_error_q75" in header
 
     def test_hand_recomputed_stats(self):
-        result = self._result()
-        header, rows = aggregate(result)
+        records = self._records()
+        header, rows = aggregate(records)
         assert len(rows) == 2
         row = dict(zip(header, rows[0]))
-        recs = [r for r in result.records if r["lambda"] == 0.05]
+        recs = [r for r in records if r["lambda"] == 0.05]
         assert row["n_records"] == 5 and row["n_failed"] == 0
         df_vals = np.array([r["df"] for r in recs])
         assert row["df_mean"] == pytest.approx(float(np.mean(df_vals)), rel=1e-15)
@@ -566,29 +605,29 @@ class TestAggregate:
         )
 
     def test_failed_records_excluded_from_stats(self):
-        result = self._result()
+        records = self._records()
         # Mark one replication of the first cell as failed with a poisoned
         # metric; the aggregate over the cell must ignore it.
         poisoned = []
-        for rec in result.records:
+        for rec in records:
             if rec["lambda"] == 0.05 and rec["replication"] == 0:
                 poisoned.append({**rec, "failed": True, "df": 1e9})
             else:
                 poisoned.append(rec)
-        header, rows = aggregate(GridResult(records=tuple(poisoned)))
+        header, rows = aggregate(poisoned)
         row = dict(zip(header, rows[0]))
         assert row["n_records"] == 5
         assert row["n_failed"] == 1
         clean = [
             r["df"]
-            for r in result.records
+            for r in records
             if r["lambda"] == 0.05 and r["replication"] != 0
         ]
         assert row["df_mean"] == pytest.approx(float(np.mean(clean)), rel=1e-15)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            aggregate(GridResult(records=()))
+            aggregate(())
 
     @pytest.mark.parametrize("kind", ["random", "ties", "signed-zeros", "one-nan"])
     def test_median_quartiles_match_numpy_bit_for_bit(self, kind):
@@ -612,14 +651,14 @@ class TestAggregate:
 
     def test_csv_writer(self, tmp_path):
         path = tmp_path / "agg.csv"
-        write_aggregate_csv(self._result(), path)
+        write_csv(path, *aggregate(self._records()))
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 3  # header + two cells
         assert lines[0].startswith("lambda,tau,huber_scale,n_records,n_failed")
 
 
 class TestPivot:
-    def _result(self):
+    def _records(self):
         return run_grid(
             parse_sim_config(
                 {
@@ -640,41 +679,41 @@ class TestPivot:
         )
 
     def test_layout_sorted_axes(self):
-        result = self._result()
-        header, rows = pivot_table(result, "oos_error")
+        records = self._records()
+        header, rows = pivot_table(records, "oos_error")
         assert header[0] == "lambda"
         assert [float(h) for h in header[1:]] == [0.005, 0.05]
         assert [row[0] for row in rows] == [0.02, 0.1]  # ascending lambda
 
     def test_cell_value_is_mean(self):
-        result = self._result()
-        header, rows = pivot_table(result, "df")
+        records = self._records()
+        header, rows = pivot_table(records, "df")
         vals = [
             rec["df"]
-            for rec in result.records
+            for rec in records
             if rec["lambda"] == 0.02 and rec["tau"] == 0.05
         ]
         assert rows[0][2] == pytest.approx(float(np.mean(vals)), rel=1e-15)
 
     def test_missing_pair_blank(self):
-        result = self._result()
+        records = self._records()
         # Keep only three of the four (lambda, tau) pairs.
         kept = tuple(
             rec
-            for rec in result.records
+            for rec in records
             if not (rec["lambda"] == 0.1 and rec["tau"] == 0.005)
         )
-        header, rows = pivot_table(GridResult(records=kept), "df")
+        header, rows = pivot_table(kept, "df")
         grid = {(row[0], float(h)): v for row in rows for h, v in zip(header[1:], row[1:])}
         assert grid[(0.1, 0.005)] == ""
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
-            pivot_table(self._result(), "not_a_metric")
+            pivot_table(self._records(), "not_a_metric")
 
     def test_csv_writer(self, tmp_path):
         path = tmp_path / "pivot.csv"
-        write_pivot_csv(self._result(), "oos_error", path)
+        write_csv(path, *pivot_table(self._records(), "oos_error"))
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 3
         assert lines[0].startswith("lambda,")

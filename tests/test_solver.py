@@ -588,6 +588,21 @@ class TestFailureModes:
             with pytest.raises(ValueError, match="kkt_tolerance"):
                 FitOptions(kkt_tolerance=tolerance)
 
+    @pytest.mark.parametrize(
+        "X, y, message",
+        [
+            (np.ones(3), np.ones(3), "must be 2-D"),
+            (np.ones((2, 3, 1)), np.ones(2), "must be 2-D"),
+            (np.ones((0, 2)), np.ones(0), "n >= 1 rows and p >= 1 columns"),
+            (np.ones((3, 0)), np.ones(3), "n >= 1 rows and p >= 1 columns"),
+            (np.ones((2, 1)), np.array([1.0, np.nan]), "response contains non-finite"),
+        ],
+        ids=["1-d", "3-d", "no-rows", "no-columns", "response-nan"],
+    )
+    def test_dataset_validation(self, X, y, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(X=X, y=y)
+
     def test_initial_point_length_mismatch(self):
         data = Dataset(X=np.ones((3, 2)), y=np.zeros(3))
         with pytest.raises(ValueError):
