@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "criterion": (
         "Candidate",
-        "CriterionReport",
         "crit_adaptive",
         "crit_oracle_sigma",
         "evaluate",
@@ -30,7 +29,6 @@ _EXPORTS = {
     "data": ("Dataset",),
     "diagnostics": (
         "NormalSummary",
-        "ProxRepresentationReport",
         "histogram_table",
         "ks_normal",
         "normal_summary",
@@ -66,7 +64,6 @@ _EXPORTS = {
         "trace_sigma_A",
     ),
     "simulate": (
-        "GridCell",
         "SimConfig",
         "aggregate",
         "generate",

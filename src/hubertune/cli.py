@@ -38,12 +38,10 @@ from .criterion import DEFAULT_ETA, evaluate, evaluate_grid, select
 from .data import Dataset
 from .errors import (
     DegenerateDenominator,
-    DegenerateFit,
+    HubertuneError,
     IllPosed,
     InputError,
     NoFeasibleCandidate,
-    NonConvergence,
-    SingularSystem,
 )
 from .formatting import write_csv
 from .losses import make_loss
@@ -442,8 +440,7 @@ def cmd_diagnose(args) -> int:
         t_hat = summary["ratio"]
         source = "adaptive"
 
-    rep = residual_representation_check(result, loss, t_hat)
-    u = rep.effective_obs
+    gaps, u = residual_representation_check(result, loss, t_hat)
     moments = normal_summary(u)
     if moments.variance <= 0:
         raise DegenerateDenominator(
@@ -460,7 +457,7 @@ def cmd_diagnose(args) -> int:
         "converged": summary["converged"],
         "t_hat": t_hat,
         "t_hat_source": source,
-        "max_prox_gap": float(np.max(rep.gaps)),
+        "max_prox_gap": float(np.max(gaps)),
         "effective_observations": summary["n_hat"],
         "debiased_moments": {
             "mean": moments.mean,
@@ -690,7 +687,9 @@ def main(argv=None) -> int:
         # is an output path that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NonConvergence, SingularSystem, DegenerateFit, DegenerateDenominator) as exc:
+    except HubertuneError as exc:
+        # Every other toolkit error is numerical (select handles
+        # NoFeasibleCandidate itself).
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

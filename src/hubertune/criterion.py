@@ -12,7 +12,7 @@ raising it; evaluate_grid() does so for every cell of a grid.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,68 +28,25 @@ from .solver import FitOptions, FitResult, fit
 DEFAULT_ETA = 0.05
 
 # trace_V at or below this multiple of n makes the df/trace_V ratio
-# meaningless; the report is then flagged instead of carrying a number.
+# meaningless; the criterion is then NaN and the candidate infeasible.
 ZERO_TRACE_V_REL = 1e-12
 
 
-@dataclass(frozen=True)
-class CriterionReport:
-    crit_adaptive: float
-    ratio: float
-    constraint_value: float
-    constraint_ok: bool
-    eta: float
-    crit_defined: bool
-
-    @property
-    def feasible(self) -> bool:
-        """The constraint holds and the criterion is defined."""
-        return self.constraint_ok and self.crit_defined
-
-    @property
-    def reason(self) -> Optional[str]:
-        """Why the candidate is infeasible; None when it is feasible."""
-        if self.feasible:
-            return None
-        if not self.crit_defined:
-            return "criterion undefined: trace of V is numerically zero"
-        return f"constraint value {self.constraint_value} below eta {self.eta}"
+def _trace_v_vanishes(bundle: SensitivityBundle, n: int) -> bool:
+    """trace V is numerically zero (<= 1e-12 * n): df/trace V is undefined."""
+    return bundle.trace_V <= ZERO_TRACE_V_REL * n
 
 
 def crit_adaptive(
-    fit_result: FitResult,
-    bundle: SensitivityBundle,
-    loss: HuberLoss,
-    eta: float = DEFAULT_ETA,
-) -> CriterionReport:
+    fit_result: FitResult, bundle: SensitivityBundle, loss: HuberLoss
+) -> float:
     """||r + (df/trace V) psi(r)||^2, which is crit_oracle_sigma at the
-    plug-in t_hat = df/trace V, plus the feasibility fields.
-
-    When trace V is numerically zero (<= 1e-12 * n) the ratio is undefined:
-    the report comes back flagged (crit_defined False, NaN values,
-    constraint_ok False) rather than carrying a garbage number.
+    plug-in t_hat = df/trace V; NaN where trace V is numerically zero
+    (<= 1e-12 * n) and the ratio is undefined, never a garbage number.
     """
-    r = fit_result.residuals
-    n = r.shape[0]
-    constraint_value = bundle.n_hat / n
-    if bundle.trace_V <= ZERO_TRACE_V_REL * n:
-        return CriterionReport(
-            crit_adaptive=math.nan,
-            ratio=math.nan,
-            constraint_value=constraint_value,
-            constraint_ok=False,
-            eta=eta,
-            crit_defined=False,
-        )
-    ratio = bundle.df / bundle.trace_V
-    return CriterionReport(
-        crit_adaptive=crit_oracle_sigma(fit_result, loss, ratio),
-        ratio=float(ratio),
-        constraint_value=float(constraint_value),
-        constraint_ok=bool(constraint_value >= eta),
-        eta=eta,
-        crit_defined=True,
-    )
+    if _trace_v_vanishes(bundle, fit_result.residuals.shape[0]):
+        return math.nan
+    return crit_oracle_sigma(fit_result, loss, bundle.df / bundle.trace_V)
 
 
 def crit_oracle_sigma(fit_result: FitResult, loss: HuberLoss, t_hat: float) -> float:
@@ -118,29 +75,59 @@ class Candidate:
     """One tuning candidate after fit -> sensitivity -> criterion.
 
     result is the converged fit or, when the iteration cap was hit, the best
-    iterate (converged False, the solver's message in warning). summary()
-    holds every number a command reports about it.
+    iterate (converged False, the solver's message in warning). crit_adaptive
+    is its criterion, NaN where undefined, and eta the feasibility threshold
+    it was scored at. This is the one place that decides feasibility: the
+    criterion is defined and n_hat/n is at least eta. summary() holds every
+    number a command reports about it.
     """
 
     loss: HuberLoss
     penalty: ElasticNet
     result: FitResult
     bundle: SensitivityBundle
-    report: CriterionReport
+    crit_adaptive: float
+    eta: float
     warning: Optional[str] = None
 
     @property
+    def crit_defined(self) -> bool:
+        return not _trace_v_vanishes(self.bundle, self.result.residuals.shape[0])
+
+    @property
+    def ratio(self) -> float:
+        """The plug-in t_hat = df/trace V; NaN where it is undefined."""
+        if not self.crit_defined:
+            return math.nan
+        return float(self.bundle.df / self.bundle.trace_V)
+
+    @property
+    def constraint_value(self) -> float:
+        return float(self.bundle.n_hat / self.result.residuals.shape[0])
+
+    @property
+    def constraint_ok(self) -> bool:
+        """n_hat/n >= eta; False where the criterion is undefined."""
+        return self.crit_defined and bool(self.constraint_value >= self.eta)
+
+    @property
     def feasible(self) -> bool:
-        return self.report.feasible
+        # constraint_ok already requires a defined criterion.
+        return self.constraint_ok
 
     @property
     def reason(self) -> Optional[str]:
-        return self.report.reason
+        """Why the candidate is infeasible; None when it is feasible."""
+        if self.feasible:
+            return None
+        if not self.crit_defined:
+            return "criterion undefined: trace of V is numerically zero"
+        return f"constraint value {self.constraint_value} below eta {self.eta}"
 
     def summary(self) -> dict:
         """The fit's convergence and counters, the sensitivity quantities
-        (trace_v is trace V), the criterion report's fields and the
-        feasibility, by name in one flat dict."""
+        (trace_v is trace V), the criterion and the feasibility, by name in
+        one flat dict."""
         result, bundle = self.result, self.bundle
         return {
             "converged": result.converged,
@@ -151,7 +138,12 @@ class Candidate:
             "n_hat": bundle.n_hat,
             "p_hat": bundle.p_hat,
             "tau_eff": bundle.tau_eff,
-            **asdict(self.report),
+            "crit_adaptive": self.crit_adaptive,
+            "ratio": self.ratio,
+            "constraint_value": self.constraint_value,
+            "constraint_ok": self.constraint_ok,
+            "eta": self.eta,
+            "crit_defined": self.crit_defined,
             "feasible": self.feasible,
             "reason": self.reason,
         }
@@ -176,13 +168,13 @@ def evaluate(
     except NonConvergence as exc:
         result, warning = exc.result, str(exc)
     bundle = sensitivity_closed_form(data, loss, penalty, result)
-    report = crit_adaptive(result, bundle, loss, eta=eta)
-    return Candidate(loss, penalty, result, bundle, report, warning)
+    criterion = crit_adaptive(result, bundle, loss)
+    return Candidate(loss, penalty, result, bundle, criterion, eta, warning)
 
 
 def _cell_candidate(data: Dataset, options: FitOptions, eta: float, cell) -> Candidate:
-    """evaluate() one grid cell, the item evaluate_grid maps."""
-    return evaluate(data, cell.loss(), cell.penalty(), options, eta)
+    """evaluate() one (loss, penalty) grid cell, the item evaluate_grid maps."""
+    return evaluate(data, *cell, options, eta)
 
 
 def evaluate_grid(
@@ -192,7 +184,7 @@ def evaluate_grid(
     eta: float = DEFAULT_ETA,
     jobs: int = 1,
 ) -> list:
-    """evaluate() every cell (anything with loss() and penalty()) on one design.
+    """evaluate() every (loss, penalty) cell on one design.
 
     Each fit runs exactly as it would alone. The design's step bound is
     computed here, once, and kept on the Dataset for every fit. With jobs >
@@ -214,9 +206,7 @@ def evaluate_grid(
     cells = list(cells)
     # Smaller penalties leave larger active sets and take more iterations;
     # the sort is stable, so ties keep grid order.
-    order = sorted(
-        range(len(cells)), key=lambda i: (cells[i].penalty().lam, cells[i].penalty().tau)
-    )
+    order = sorted(range(len(cells)), key=lambda i: (cells[i][1].lam, cells[i][1].tau))
     shared = (data, options, eta)
     found = map_items(_cell_candidate, shared, [cells[i] for i in order], jobs)
     by_index = dict(zip(order, found))
@@ -237,5 +227,5 @@ def select(candidates: Sequence) -> tuple:
     feasible = [i for i, cand in enumerate(candidates) if cand.feasible]
     if not feasible:
         raise NoFeasibleCandidate("no candidate meets the feasibility constraint")
-    ranking = sorted(feasible, key=lambda i: (candidates[i].report.crit_adaptive, i))
+    ranking = sorted(feasible, key=lambda i: (candidates[i].crit_adaptive, i))
     return tuple(ranking)

@@ -48,11 +48,11 @@ class NormalSummary:
     variance: float
     skewness: float
     excess_kurtosis: float
-    ks_statistic: float
 
 
 def normal_summary(values) -> NormalSummary:
-    """Population moments and KS distance to N(0,1) of a sample."""
+    """Population mean, variance, skewness and excess kurtosis of a sample;
+    ks_normal gives its KS distance to N(0,1)."""
     x = np.asarray(values, dtype=float)
     m = float(np.mean(x))
     c = x - m
@@ -65,13 +65,7 @@ def normal_summary(values) -> NormalSummary:
     else:
         skew = 0.0
         exkurt = 0.0
-    return NormalSummary(
-        mean=m,
-        variance=m2,
-        skewness=skew,
-        excess_kurtosis=exkurt,
-        ks_statistic=ks_normal(x),
-    )
+    return NormalSummary(mean=m, variance=m2, skewness=skew, excess_kurtosis=exkurt)
 
 
 def zeta_statistics(
@@ -103,20 +97,13 @@ def zeta_statistics(
     return zetas, normal_summary(zetas)
 
 
-@dataclass(frozen=True)
-class ProxRepresentationReport:
-    """Per-observation gaps of the exact prox identity, plus the effective
-    observations u_i = r_i + t_hat * psi(r_i) they reconstruct."""
-
-    gaps: np.ndarray
-    effective_obs: np.ndarray
-
-
 def residual_representation_check(
     fit_result: FitResult, loss: HuberLoss, t_hat: float
-) -> ProxRepresentationReport:
-    """gap_i = |r_i - prox[t rho](r_i + t psi(r_i))| — exactly zero in exact
-    arithmetic for any t > 0, so the gaps certify numerical assembly.
+) -> tuple:
+    """(gaps, effective_obs): the effective observations u_i = r_i + t
+    psi(r_i) and the gaps |r_i - prox[t rho](u_i)| of the exact prox
+    identity, zero in exact arithmetic for any t > 0, so they certify
+    numerical assembly.
 
     ``t_hat`` is the debiasing factor: trace[Sigma A] (trace_sigma_A) when
     the covariance is known, or the adaptive plug-in df/trace V. Raises
@@ -128,19 +115,9 @@ def residual_representation_check(
     r = fit_result.residuals
     if t == 0.0:
         # prox with step 0 is the identity; the gap is exactly zero.
-        return ProxRepresentationReport(gaps=np.zeros_like(r), effective_obs=r.copy())
+        return np.zeros_like(r), r.copy()
     u = r + t * loss.psi(r)
-    return ProxRepresentationReport(gaps=np.abs(r - loss.prox(u, t)), effective_obs=u)
-
-
-@dataclass(frozen=True)
-class SquareLossNormalityStat:
-    """Standardized square-loss residual statistics: the covariance-aware
-    variant scales by (1 + trace[Sigma A]), the adaptive one by
-    (1 - df/n)^{-1}."""
-
-    oracle: np.ndarray
-    adaptive: np.ndarray
+    return np.abs(r - loss.prox(u, t)), u
 
 
 def square_loss_normality_stat(
@@ -150,9 +127,10 @@ def square_loss_normality_stat(
     Sigma: np.ndarray,
     beta_star: np.ndarray,
     sigma_noise: float,
-) -> SquareLossNormalityStat:
-    """(sigma^2 + ||Sigma^{1/2}(beta_hat-beta*)||^2)^{-1/2} * scale * r_i,
-    X the fitted design.
+) -> tuple:
+    """(oracle, adaptive): (sigma^2 + ||Sigma^{1/2}(beta_hat-beta*)||^2)^{-1/2}
+    * scale * r_i, X the fitted design. The oracle scale is
+    1 + trace[Sigma A], the adaptive one (1 - df/n)^{-1}.
 
     Raises DegenerateDenominator when there is nothing to standardize or
     when df = n (an interpolating fit), where (1 - df/n)^{-1} is undefined.
@@ -171,10 +149,7 @@ def square_loss_normality_stat(
         )
     oracle_scale = 1.0 + trace_sigma_A(bundle, X, Sigma)
     adaptive_scale = 1.0 / (1.0 - bundle.df / n)
-    return SquareLossNormalityStat(
-        oracle=oracle_scale * r / denom,
-        adaptive=adaptive_scale * r / denom,
-    )
+    return oracle_scale * r / denom, adaptive_scale * r / denom
 
 
 def qq_table(values) -> np.ndarray:

@@ -45,7 +45,7 @@ import numpy as np
 from numpy.linalg import eigvalsh, inv
 
 from .data import Dataset
-from .errors import DegenerateFit, NonConvergence, SingularSystem
+from .errors import DegenerateFit, HubertuneError, NonConvergence, SingularSystem
 from .losses import HuberLoss
 from .penalties import ElasticNet
 from .solver import FitOptions, FitResult, fit
@@ -433,7 +433,7 @@ def _fd_safe_fixture(
                 if slack <= 1e-5:
                     continue
         return data, beta_star, result
-    raise RuntimeError(
+    raise HubertuneError(
         f"no FD-stable fixture found in {attempts} attempts from seed {seed}"
     )
 

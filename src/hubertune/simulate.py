@@ -59,28 +59,13 @@ NoiseKind = Union[GaussianNoise, StudentTNoise]
 
 
 @dataclass(frozen=True)
-class GridCell:
-    """One tuning triple; huber_scale None means square loss, HuberLoss(inf)."""
-
-    huber_scale: Optional[float]
-    lam: float
-    tau: float
-
-    def loss(self) -> HuberLoss:
-        return HuberLoss(math.inf if self.huber_scale is None else self.huber_scale)
-
-    def penalty(self) -> ElasticNet:
-        return ElasticNet(lam=self.lam, tau=self.tau)
-
-
-@dataclass(frozen=True)
 class SimConfig:
     n: int
     p: int
     sigma_seed: int
     noise_kind: NoiseKind
     signal_kind: Union[str, tuple]  # "sparse" or an explicit coefficient tuple
-    grid: tuple  # tuple of GridCell
+    grid: tuple  # of (HuberLoss, ElasticNet) cells
     replications: int
     base_seed: int
     design_kind: str = "gaussian"  # "rademacher" is an extension, no guarantees
@@ -159,7 +144,8 @@ def _parse_noise(obj, where: str) -> NoiseKind:
     raise InputError(f"{where}: kind must be 'gaussian' or 'student_t'")
 
 
-def _parse_cell(obj, where: str) -> GridCell:
+def _parse_cell(obj, where: str) -> tuple:
+    """One (HuberLoss, ElasticNet) cell; huber_scale null is the square loss."""
     if not isinstance(obj, dict):
         raise InputError(f"{where} must be an object")
     _require_keys(obj, {"huber_scale", "lambda", "tau"}, set(), where)
@@ -172,11 +158,12 @@ def _parse_cell(obj, where: str) -> GridCell:
     tau = _number(obj["tau"], f"{where}: tau")
     if lam < 0 or tau < 0:
         raise InputError(f"{where}: lambda and tau must be nonnegative")
-    return GridCell(huber_scale=hs, lam=lam, tau=tau)
+    return HuberLoss(math.inf if hs is None else hs), ElasticNet(lam=lam, tau=tau)
 
 
 def parse_grid_cells(items, where: str = "grid") -> tuple:
-    """Parse a JSON array of {huber_scale, lambda, tau} objects."""
+    """Parse a JSON array of {huber_scale, lambda, tau} objects into a tuple
+    of (HuberLoss, ElasticNet) pairs."""
     if not isinstance(items, list):
         raise InputError(f"{where} must be an array of cells")
     if not items:
@@ -358,12 +345,12 @@ def _replication_records(config: SimConfig, options: FitOptions, rep: int):
     eps_term = float(eps @ eps) / config.n
 
     out = []
-    for cell, cand in zip(config.grid, evaluate_grid(data, config.grid, options)):
-        summary = cand.summary()
+    for cand in evaluate_grid(data, config.grid, options):
+        summary, scale = cand.summary(), cand.loss.scale
         record = {
-            "lambda": cell.lam,
-            "tau": cell.tau,
-            "huber_scale": cell.huber_scale,
+            "lambda": cand.penalty.lam,
+            "tau": cand.penalty.tau,
+            "huber_scale": None if math.isinf(scale) else scale,
             "replication": rep,
             "oos_error": out_of_sample_error(cand.result.beta_hat, beta_star, Sigma),
             "eps_norm_sq_over_n": eps_term,

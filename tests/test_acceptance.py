@@ -146,10 +146,10 @@ class TestSquareLossIdentities:
 
             assert bundle.trace_V == pytest.approx(n - bundle.df, rel=1e-10)
 
-            report = crit_adaptive(result, bundle, loss)
+            crit = crit_adaptive(result, bundle, loss)
             r = result.residuals
             closed = n**2 * float(r @ r) / (n - bundle.df) ** 2
-            assert report.crit_adaptive == pytest.approx(closed, rel=1e-8)
+            assert crit == pytest.approx(closed, rel=1e-8)
 
 
 class TestRidgeClosedForm:
@@ -319,8 +319,8 @@ class TestProxIdentity:
             if bundle.trace_V > 0:
                 factors.append(bundle.df / bundle.trace_V)
             for t in factors:
-                report = residual_representation_check(result, loss, t_hat=t)
-                assert float(np.max(report.gaps)) <= 1e-10, (seed, t)
+                gaps, _ = residual_representation_check(result, loss, t_hat=t)
+                assert float(np.max(gaps)) <= 1e-10, (seed, t)
 
 
 class TestDesignDerivativeIdentities:

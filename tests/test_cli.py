@@ -28,6 +28,7 @@ from hubertune import (
 )
 import hubertune.cli
 from hubertune.cli import _parse_fields, main, read_matrix_csv
+from hubertune.criterion import DEFAULT_ETA
 from hubertune.simulate import GRID_METRICS, parse_sim_config
 
 from oracles import kkt_residual
@@ -223,7 +224,7 @@ class TestFit:
         penalty = ElasticNet(lam=0.05, tau=0.02)
         result = fit(data, loss, penalty, FitOptions(intercept=True))
         bundle = sensitivity_closed_form(data, loss, penalty, result)
-        report = crit_adaptive(result, bundle, loss)
+        crit = crit_adaptive(result, bundle, loss)
 
         assert doc["n"] == 20 and doc["p"] == 5
         assert doc["with_intercept"] is True
@@ -234,10 +235,8 @@ class TestFit:
         assert doc["sensitivity"]["trace_v"] == pytest.approx(
             bundle.trace_V, rel=1e-12
         )
-        assert doc["criterion"]["crit_adaptive"] == pytest.approx(
-            report.crit_adaptive, rel=1e-12
-        )
-        assert doc["criterion"]["eta"] == report.eta
+        assert doc["criterion"]["crit_adaptive"] == pytest.approx(crit, rel=1e-12)
+        assert doc["criterion"]["eta"] == DEFAULT_ETA
 
     @pytest.mark.parametrize("intercept", [False, True])
     def test_lasso_report_gives_the_rank_as_df(self, tmp_path, intercept):
@@ -525,11 +524,9 @@ class TestSelect:
         assert len(doc["candidates"]) == len(GRID_3)
         for entry, cand in zip(doc["candidates"], candidates):
             assert entry["crit_adaptive"] == pytest.approx(
-                cand.report.crit_adaptive, rel=1e-12
+                cand.crit_adaptive, rel=1e-12
             )
-            assert entry["feasible"] == (
-                cand.report.constraint_ok and cand.report.crit_defined
-            )
+            assert entry["feasible"] == (cand.constraint_ok and cand.crit_defined)
 
     @pytest.mark.parametrize("intercept", [False, True])
     def test_grid_shares_one_power_iteration(
@@ -723,6 +720,8 @@ class TestSelectJobs:
         assert [e["converged"] for e in entries[:2]] == [True, False]
         assert entries[1]["feasible"] and entries[1]["iterations"] == 5
         assert entries[2]["reason"].startswith("criterion undefined")
+        assert not any(entries[2][k] for k in ("crit_defined", "constraint_ok", "feasible"))
+        assert entries[2]["ratio"] is None and entries[2]["crit_adaptive"] is None
         assert entries[3]["crit_defined"] and "below eta" in entries[3]["reason"]
 
     def test_ill_posed_cell_is_the_same_input_error(self, tmp_path, capsys):
@@ -1156,6 +1155,16 @@ class TestCheckDerivatives:
         argv = ["check-derivatives", "--n", str(n), "--p", str(p)]
         assert main(argv + ["--out", str(tmp_path / "check.json")]) == 0
         assert len(step_bounds) == 1 + 2 * n + 2 * (2 * n * p)
+
+    def test_no_stable_fixture_is_a_numerical_error(self, capsys):
+        """A Huber scale of 0.01 puts some residual near the kink in every
+        draw: the run gives up after 50 fixtures with one error line on
+        stderr and exit 2, not a traceback."""
+        argv = ["check-derivatives", "--n", "30", "--p", "10", "--huber-scale", "0.01"]
+        assert main(argv + ["--lambda", "0", "--tau", "0.01"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: no FD-stable fixture found in 50 attempts from seed 0\n"
 
     def test_unknown_fault_is_a_parse_error(self):
         with pytest.raises(SystemExit) as excinfo:

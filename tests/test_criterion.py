@@ -33,8 +33,7 @@ from hubertune import (
     sensitivity_closed_form,
     trace_sigma_A,
 )
-from hubertune.criterion import _cell_candidate
-from hubertune.simulate import GridCell
+from hubertune.criterion import DEFAULT_ETA, _cell_candidate
 
 
 def _fit_case(seed=0, n=30, p=6, loss=None, penalty=None):
@@ -83,64 +82,65 @@ def synth_candidate(residuals, df, trace_v, n_hat=None, loss=None):
         system_size=1,
         rank=1,
     )
-    report = crit_adaptive(fit_result, bundle, loss)
-    return Candidate(loss, ElasticNet(lam=0.0), fit_result, bundle, report)
+    criterion = crit_adaptive(fit_result, bundle, loss)
+    return Candidate(loss, ElasticNet(lam=0.0), fit_result, bundle, criterion, DEFAULT_ETA)
 
 
 class TestCritAdaptive:
     def test_square_loss_identity(self):
         """Square loss: crit = ||r||^2 * (n/(n-df))^2 since trace_V = n - df."""
         data, loss, penalty, result, bundle = _fit_case(1)
-        rep = crit_adaptive(result, bundle, loss)
+        crit = crit_adaptive(result, bundle, loss)
         n = data.n
         r2 = float(result.residuals @ result.residuals)
         expected = r2 * (n / (n - bundle.df)) ** 2
-        assert rep.crit_adaptive == pytest.approx(expected, rel=1e-8)
+        assert crit == pytest.approx(expected, rel=1e-8)
 
     def test_zero_df_reduces_to_residual_norm(self):
         """Fully shrunk fit: df = 0, so crit is exactly ||r||^2."""
         data, loss, penalty, result, bundle = _fit_case(2, penalty=ElasticNet(lam=50.0))
         assert bundle.p_hat == 0 and bundle.df == 0.0
-        rep = crit_adaptive(result, bundle, loss)
-        assert rep.crit_adaptive == pytest.approx(
+        cand = evaluate(data, loss, penalty, FitOptions(kkt_tolerance=1e-11))
+        assert cand.crit_adaptive == pytest.approx(
             float(result.residuals @ result.residuals), rel=1e-12
         )
-        assert rep.ratio == 0.0
+        assert cand.ratio == 0.0
 
     def test_reassembly_from_parts(self):
-        """Report fields recombine into the defining expression at 1e-12."""
+        """The ratio and criterion recombine into the defining expression at 1e-12."""
         data, loss, penalty, result, bundle = _fit_case(
             3, loss=HuberLoss(scale=0.8), penalty=ElasticNet(lam=0.04, tau=0.08)
         )
-        rep = crit_adaptive(result, bundle, loss)
-        combined = result.residuals + rep.ratio * loss.psi(result.residuals)
-        assert rep.crit_adaptive == pytest.approx(
+        cand = evaluate(data, loss, penalty, FitOptions(kkt_tolerance=1e-11))
+        combined = result.residuals + cand.ratio * loss.psi(result.residuals)
+        assert cand.crit_adaptive == pytest.approx(
             float(combined @ combined), rel=1e-12
         )
-        assert rep.ratio == pytest.approx(bundle.df / bundle.trace_V, rel=1e-14)
+        assert cand.ratio == pytest.approx(bundle.df / bundle.trace_V, rel=1e-14)
         # The same formula as the oracle criterion, at t_hat = df / trace V.
         oracle = crit_oracle_sigma(result, loss, bundle.df / bundle.trace_V)
-        assert np.float64(rep.crit_adaptive).tobytes() == np.float64(oracle).tobytes()
+        crit = crit_adaptive(result, bundle, loss)
+        assert np.float64(crit).tobytes() == np.float64(oracle).tobytes()
 
     def test_constraint_fields(self):
         data, loss, penalty, result, bundle = _fit_case(
             4, loss=HuberLoss(scale=0.5), penalty=ElasticNet(lam=0.04, tau=0.08)
         )
-        rep = crit_adaptive(result, bundle, loss, eta=0.25)
+        cand = evaluate(data, loss, penalty, FitOptions(kkt_tolerance=1e-11), eta=0.25)
         hand = float(np.sum(np.abs(result.residuals) <= 0.5)) / data.n
-        assert rep.constraint_value == pytest.approx(hand, abs=0)
-        assert rep.constraint_ok == (hand >= 0.25)
-        assert rep.eta == 0.25
+        assert cand.constraint_value == pytest.approx(hand, abs=0)
+        assert cand.constraint_ok == (hand >= 0.25)
+        assert cand.eta == 0.25
 
     def test_flagged_when_trace_v_vanishes(self):
         cand = synth_candidate([1.0, 2.0], df=1.0, trace_v=0.0)
-        rep = crit_adaptive(cand.result, cand.bundle, cand.loss)
-        assert not rep.crit_defined
-        assert math.isnan(rep.crit_adaptive)
-        assert math.isnan(rep.ratio)
-        assert not rep.constraint_ok
-        assert not rep.feasible
-        assert rep.reason == "criterion undefined: trace of V is numerically zero"
+        assert math.isnan(crit_adaptive(cand.result, cand.bundle, cand.loss))
+        assert not cand.crit_defined
+        assert math.isnan(cand.crit_adaptive)
+        assert math.isnan(cand.ratio)
+        assert not cand.constraint_ok
+        assert not cand.feasible
+        assert cand.reason == "criterion undefined: trace of V is numerically zero"
 
 
 class TestCritOracle:
@@ -197,7 +197,7 @@ class TestSelect:
         assert ranking[0] == 1
         assert ranking == (1, 2, 0)
         assert [c.feasible for c in cands] == [True, True, True]
-        crits = [c.report.crit_adaptive for c in cands]
+        crits = [c.crit_adaptive for c in cands]
         assert crits == pytest.approx([5.0, 3.0, 4.0])
 
     def test_tie_breaks_to_smallest_index(self):
@@ -258,7 +258,7 @@ class TestSelect:
         cands_a, cands_b = build(), build()
         assert select(cands_a) == select(cands_b)
         for ca, cb in zip(cands_a, cands_b):
-            assert ca.report == cb.report  # dataclass equality: bit-identical floats
+            assert ca.summary() == cb.summary()  # bit-identical floats
 
 
 class TestEvaluate:
@@ -270,27 +270,32 @@ class TestEvaluate:
         assert cand.warning is None
         assert np.array_equal(cand.result.beta_hat, result.beta_hat)
         assert cand.bundle.df == bundle.df and cand.bundle.trace_V == bundle.trace_V
-        assert cand.report == crit_adaptive(result, bundle, loss, eta=0.2)
-        assert cand.feasible == cand.report.feasible
-        assert cand.reason == cand.report.reason
+        assert cand.crit_adaptive == crit_adaptive(result, bundle, loss)
+        assert cand.eta == 0.2
+        assert cand.feasible == (cand.constraint_value >= 0.2)
+        below = f"constraint value {cand.constraint_value} below eta 0.2"
+        assert cand.reason == (None if cand.feasible else below)
 
     def test_nonconvergence_keeps_the_best_iterate(self):
         data, loss, penalty, _, _ = _fit_case(8)
         cand = evaluate(data, loss, penalty, FitOptions(max_iterations=2, kkt_tolerance=1e-14))
         assert not cand.result.converged
         assert cand.warning.startswith("iteration cap 2 reached")
-        assert cand.report is not None and cand.bundle is not None
+        assert math.isfinite(cand.crit_adaptive) and cand.bundle is not None
 
     @pytest.mark.parametrize("intercept", [False, True])
     def test_grid_fits_as_each_cell_alone(self, intercept):
         """The shared step-size bound leaves every fit bit-identical."""
         data, _, _, _, _ = _fit_case(10, n=40, p=8)
-        cells = [GridCell(1.0, lam=0.02, tau=0.05), GridCell(None, lam=0.1, tau=0.0)]
+        cells = [
+            (HuberLoss(1.0), ElasticNet(lam=0.02, tau=0.05)),
+            (HuberLoss(math.inf), ElasticNet(lam=0.1, tau=0.0)),
+        ]
         options = FitOptions(intercept=intercept)
         grid = evaluate_grid(data, cells, options)
         for cell, cand in zip(cells, grid):
             fresh = Dataset(data.X, data.y)
-            alone = fit(fresh, cell.loss(), cell.penalty(), options)
+            alone = fit(fresh, *cell, options)
             assert cand.result.iterations == alone.iterations
             assert np.array_equal(cand.result.beta_hat, alone.beta_hat)
 
@@ -305,12 +310,12 @@ class TestSummary:
         capped = evaluate(data, loss, penalty, FitOptions(max_iterations=1))
         undefined = synth_candidate([1.0, 2.0], df=1.0, trace_v=0.0)
         assert converged.result.converged and not capped.result.converged
-        assert not undefined.report.crit_defined
+        assert not undefined.crit_defined
         return [converged, capped, undefined]
 
     def test_every_value_is_its_source(self):
         for cand in self.candidates():
-            result, bundle, report = cand.result, cand.bundle, cand.report
+            result, bundle = cand.result, cand.bundle
             sources = {
                 "converged": result.converged,
                 "iterations": result.iterations,
@@ -320,7 +325,12 @@ class TestSummary:
                 "n_hat": bundle.n_hat,
                 "p_hat": bundle.p_hat,
                 "tau_eff": bundle.tau_eff,
-                **{f.name: getattr(report, f.name) for f in fields(report)},
+                "crit_adaptive": cand.crit_adaptive,
+                "ratio": cand.ratio,
+                "constraint_value": cand.constraint_value,
+                "constraint_ok": cand.constraint_ok,
+                "eta": cand.eta,
+                "crit_defined": cand.crit_defined,
                 "feasible": cand.feasible,
                 "reason": cand.reason,
             }
@@ -361,9 +371,9 @@ def _wide_case():
     X = rng.standard_normal((30, 60))
     y = X[:, :5] @ np.ones(5) + rng.standard_t(3, 30)
     cells = [
-        GridCell(0.2, lam=0.02, tau=0.05),
-        GridCell(None, lam=0.3, tau=0.05),
-        GridCell(0.2, lam=0.05, tau=0.05),
+        (HuberLoss(0.2), ElasticNet(lam=0.02, tau=0.05)),
+        (HuberLoss(math.inf), ElasticNet(lam=0.3, tau=0.05)),
+        (HuberLoss(0.2), ElasticNet(lam=0.05, tau=0.05)),
     ]
     return Dataset(X, y), cells
 
@@ -386,7 +396,9 @@ class TestEvaluateGridJobs:
         parallel = evaluate_grid(data, cells, options, eta=0.1, jobs=2)
         assert [c.bundle.system for c in parallel] == ["dual", "primal", "dual"]
         for a, b in zip(serial, parallel):
-            assert (a.loss, a.penalty, a.report) == (b.loss, b.penalty, b.report)
+            assert (a.loss, a.penalty, a.crit_adaptive, a.eta) == (
+                b.loss, b.penalty, b.crit_adaptive, b.eta
+            )
             assert a.warning == b.warning
             _assert_same_fields(a.result, b.result)
             _assert_same_fields(a.bundle, b.bundle)
@@ -397,8 +409,11 @@ class TestEvaluateGridJobs:
         rng = np.random.default_rng(11)
         X = rng.standard_normal((40, 2000))
         data = Dataset(X, X[:, :3] @ np.ones(3) + rng.standard_normal(40))
-        cells = [GridCell(1.0, lam=0.3, tau=0.05), GridCell(None, lam=0.5, tau=0.1)]
-        candidates = [evaluate(data, cell.loss(), cell.penalty()) for cell in cells]
+        cells = [
+            (HuberLoss(1.0), ElasticNet(lam=0.3, tau=0.05)),
+            (HuberLoss(math.inf), ElasticNet(lam=0.5, tau=0.1)),
+        ]
+        candidates = [evaluate(data, loss, penalty) for loss, penalty in cells]
         candidates += evaluate_grid(data, cells, jobs=2)
         for cand in candidates:
             assert len(pickle.dumps(cand)) < data.X.nbytes
@@ -431,11 +446,11 @@ class TestEvaluateGridJobs:
         order."""
         data, _ = _wide_case()
         cells = [
-            GridCell(0.2, lam=0.3, tau=0.05),
-            GridCell(0.2, lam=0.02, tau=0.1),
-            GridCell(None, lam=0.05, tau=0.0),
-            GridCell(0.2, lam=0.02, tau=0.05),
-            GridCell(None, lam=0.02, tau=0.1),
+            (HuberLoss(0.2), ElasticNet(lam=0.3, tau=0.05)),
+            (HuberLoss(0.2), ElasticNet(lam=0.02, tau=0.1)),
+            (HuberLoss(math.inf), ElasticNet(lam=0.05, tau=0.0)),
+            (HuberLoss(0.2), ElasticNet(lam=0.02, tau=0.05)),
+            (HuberLoss(math.inf), ElasticNet(lam=0.02, tau=0.1)),
         ]
         options = FitOptions(kkt_tolerance=1e-11)
         serial = evaluate_grid(data, cells, options, eta=0.1, jobs=1)
@@ -449,9 +464,11 @@ class TestEvaluateGridJobs:
         monkeypatch.setattr(hubertune.criterion, "map_items", recording)
         parallel = evaluate_grid(data, cells, options, eta=0.1, jobs=2)
         assert dispatched == [[cells[i] for i in (3, 1, 4, 2, 0)]]
-        assert [c.penalty for c in parallel] == [c.penalty() for c in cells]
+        assert [c.penalty for c in parallel] == [penalty for _, penalty in cells]
         for a, b in zip(serial, parallel):
-            assert (a.loss, a.penalty, a.report) == (b.loss, b.penalty, b.report)
+            assert (a.loss, a.penalty, a.crit_adaptive, a.eta) == (
+                b.loss, b.penalty, b.crit_adaptive, b.eta
+            )
             assert a.warning == b.warning
             _assert_same_fields(a.result, b.result)
             _assert_same_fields(a.bundle, b.bundle)
@@ -466,8 +483,8 @@ class TestEvaluateGridJobs:
         cells run in the same order serially and on a pool, so both raise
         the IllPosed cell's error."""
         data, _ = _wide_case()
-        degenerate = GridCell(1e-6, lam=0.0, tau=1.0)
-        ill_posed = GridCell(None, lam=0.0, tau=0.0)
+        degenerate = (HuberLoss(1e-6), ElasticNet(lam=0.0, tau=1.0))
+        ill_posed = (HuberLoss(math.inf), ElasticNet(lam=0.0, tau=0.0))
         options = FitOptions(intercept=True)
         with pytest.raises(DegenerateFit):
             evaluate_grid(data, [degenerate], options)

@@ -12,8 +12,8 @@ from hubertune import (
     ElasticNet,
     FitOptions,
     FitResult,
-    GridCell,
     HuberLoss,
+    HubertuneError,
     NonConvergence,
     SingularSystem,
     a_hat,
@@ -549,7 +549,7 @@ class TestFdSafeFixture:
             raise NonConvergence("injected")
 
         monkeypatch.setattr(hubertune.sensitivity, "fit", never_converges)
-        with pytest.raises(RuntimeError, match="in 3 attempts from seed 5"):
+        with pytest.raises(HubertuneError, match="in 3 attempts from seed 5"):
             _fd_safe_fixture(20, 6, FD_LOSS, FD_PENALTY, 5, TIGHT, attempts=3)
         assert len(calls) == 3
 
@@ -662,7 +662,7 @@ class TestWorkGates:
             return original(*args)
 
         monkeypatch.setattr(hubertune.sensitivity, "a_hat", counting)
-        cells = [GridCell(huber_scale=0.2, lam=lam, tau=0.05) for lam in (0.02, 0.05)]
+        cells = [(HuberLoss(0.2), ElasticNet(lam=lam, tau=0.05)) for lam in (0.02, 0.05)]
         candidates = evaluate_grid(data, cells, FitOptions(kkt_tolerance=1e-11))
         select(candidates)
         bundles = [cand.bundle for cand in candidates]

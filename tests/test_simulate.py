@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from hubertune import (
+    ElasticNet,
     FitOptions,
+    HuberLoss,
     InputError,
     SingularSystem,
     a_hat,
@@ -26,7 +28,6 @@ from hubertune.simulate import (
     GRID_COLUMNS,
     GRID_METRICS,
     GaussianNoise,
-    GridCell,
     StudentTNoise,
     _median_quartiles,
     pivot_table,
@@ -65,8 +66,8 @@ class TestConfigParsing:
         assert not cfg.redraw_sigma_per_replication
         assert cfg.noise_kind == GaussianNoise(sigma=1.0)
         assert len(cfg.grid) == 2
-        assert cfg.grid[0] == GridCell(huber_scale=1.0, lam=0.05, tau=0.05)
-        assert cfg.grid[1].huber_scale is None  # square-loss cell
+        assert cfg.grid[0] == (HuberLoss(1.0), ElasticNet(lam=0.05, tau=0.05))
+        assert cfg.grid[1][0] == HuberLoss(math.inf)  # square-loss cell
 
     def test_integral_float_counts_are_integers(self):
         cfg = parse_sim_config(minimal_config_doc(n=30.0, replications=2.0))
@@ -167,7 +168,7 @@ class TestConfigParsing:
 
     def test_parse_grid_cells_direct(self):
         cells = parse_grid_cells([{"huber_scale": None, "lambda": 1, "tau": 2}])
-        assert cells == (GridCell(huber_scale=None, lam=1.0, tau=2.0),)
+        assert cells == ((HuberLoss(math.inf), ElasticNet(lam=1.0, tau=2.0)),)
         with pytest.raises(InputError):
             parse_grid_cells([])
         with pytest.raises(InputError):
@@ -353,7 +354,7 @@ class TestRunGrid:
         records = run_grid(cfg)
         assert len(records) == 12
         # Canonical (replication, cell) order.
-        expected = [(rep, cell.lam) for rep in range(4) for cell in cfg.grid]
+        expected = [(rep, penalty.lam) for rep in range(4) for _, penalty in cfg.grid]
         actual = [(rec["replication"], rec["lambda"]) for rec in records]
         assert actual == expected
 
@@ -522,8 +523,7 @@ class TestRunGrid:
             cfg.n, cfg.p, np.eye(cfg.p), beta_star, cfg.noise_kind, cfg.base_seed,
             "rademacher",
         )
-        for cell, rec in zip(cfg.grid, records):
-            loss, penalty = cell.loss(), cell.penalty()
+        for (loss, penalty), rec in zip(cfg.grid, records):
             result = fit(data, loss, penalty)
             bundle = sensitivity_closed_form(data, loss, penalty, result)
             h = result.beta_hat - beta_star
