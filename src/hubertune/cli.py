@@ -53,6 +53,7 @@ from .simulate import (
     aggregate,
     parse_grid_cells,
     parse_sim_config,
+    pivot_clash,
     pivot_table,
     run_grid,
     write_records_csv,
@@ -395,15 +396,20 @@ def cmd_simulate(args) -> int:
     jobs = _jobs_from_args(args)
     config = parse_sim_config(_load_json(args.config))
     options = _options_from_args(args)
+    if args.pivot_dir is not None:
+        cells = ((penalty.lam, penalty.tau, loss.scale) for loss, penalty in config.grid)
+        if clash := pivot_clash(cells, "grid"):
+            raise InputError(f"--pivot-dir needs one cell per (lambda, tau): {clash}")
     records = run_grid(config, options=options, jobs=jobs)
     write_records_csv(records, args.out)
+    table = aggregate(records)
     if args.aggregate_out is not None:
-        write_csv(args.aggregate_out, *aggregate(records))
+        write_csv(args.aggregate_out, *table)
     if args.pivot_dir is not None:
         pivot_dir = Path(args.pivot_dir)
         pivot_dir.mkdir(parents=True, exist_ok=True)
         for metric in GRID_METRICS:
-            write_csv(pivot_dir / f"pivot_{metric}.csv", *pivot_table(records, metric))
+            write_csv(pivot_dir / f"pivot_{metric}.csv", *pivot_table(table, metric))
     n_failed = sum(1 for rec in records if rec["failed"])
     print(
         f"wrote {len(records)} records ({n_failed} failed fits) to {args.out}",
@@ -625,7 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim_p.add_argument(
         "--pivot-dir",
         default=None,
-        help="directory for per-metric (lambda x tau) mean pivot CSVs",
+        help="directory for per-metric (lambda x tau) pivot CSVs of the cell means, "
+        "empty where no fit converged; needs one cell per (lambda, tau)",
     )
     _add_jobs_flag(sim_p, "replication")
     _add_solver_flags(sim_p, with_intercept=False)

@@ -1,7 +1,8 @@
 """CSV/number formatting shared by the reporting surfaces.
 
 Floats are written with repr(), the shortest representation that parses
-back the identical double; the decimal separator is always a period.
+back the identical double; the decimal separator is always a period. None
+(the square loss's huber_scale, say) is an empty field.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import numpy as np
 
 
 def format_value(x) -> str:
+    if x is None:
+        return ""
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (float, np.floating)):

@@ -286,7 +286,7 @@ def contraction_check(
     at the base solution. Cost: 2 n p fits.
     """
     if options is None:
-        options = FitOptions(kkt_tolerance=1e-11)
+        options = CHECK_FIT_OPTIONS
     n, p = data.n, data.p
     beta_star = np.asarray(beta_star, dtype=float)
     h = fit_result.beta_hat - beta_star
@@ -447,6 +447,8 @@ CHECK_TOLERANCES = {
 }
 # Finite-difference step of the response-Jacobian oracle.
 FD_STEP = 1e-6
+# The tight fits every derivative check compares.
+CHECK_FIT_OPTIONS = FitOptions(kkt_tolerance=1e-11)
 
 
 def run_derivative_checks(
@@ -466,8 +468,9 @@ def run_derivative_checks(
     fault='corrupt-a-hat' multiplies it by 1.37 before checking — a
     negative control that must fail.
     """
-    options = FitOptions(kkt_tolerance=1e-11)
-    data, beta_star, result = _fd_safe_fixture(n, p, loss, penalty, seed, options)
+    data, beta_star, result = _fd_safe_fixture(
+        n, p, loss, penalty, seed, CHECK_FIT_OPTIONS
+    )
     bundle = sensitivity_closed_form(data, loss, penalty, result)
     A = a_hat(bundle, data.X)
 
@@ -478,7 +481,7 @@ def run_derivative_checks(
 
     J_closed = jacobian_y(bundle, data, A)
     J_fd, df_fd, trace_v_fd = sensitivity_fd_oracle(
-        data, loss, penalty, options, step=FD_STEP
+        data, loss, penalty, CHECK_FIT_OPTIONS, step=FD_STEP
     )
     scale = max(float(np.linalg.norm(J_fd)), 1e-30)
     jacobian_rel_error = float(np.linalg.norm(J_closed - J_fd)) / scale
@@ -486,9 +489,7 @@ def run_derivative_checks(
     trace_v_abs_error = abs(bundle.trace_V - trace_v_fd)
 
     contraction = {
-        s: contraction_check(
-            data, loss, penalty, result, bundle, A, beta_star, step=s, options=options
-        )
+        s: contraction_check(data, loss, penalty, result, bundle, A, beta_star, step=s)
         for s in contraction_steps
     }
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -161,14 +160,14 @@ def _parse_cell(obj, where: str) -> tuple:
     return HuberLoss(math.inf if hs is None else hs), ElasticNet(lam=lam, tau=tau)
 
 
-def parse_grid_cells(items, where: str = "grid") -> tuple:
+def parse_grid_cells(items) -> tuple:
     """Parse a JSON array of {huber_scale, lambda, tau} objects into a tuple
     of (HuberLoss, ElasticNet) pairs."""
     if not isinstance(items, list):
-        raise InputError(f"{where} must be an array of cells")
+        raise InputError("grid must be an array of cells")
     if not items:
-        raise InputError(f"{where} must be nonempty")
-    return tuple(_parse_cell(cell, f"{where}[{k}]") for k, cell in enumerate(items))
+        raise InputError("grid must be nonempty")
+    return tuple(_parse_cell(cell, f"grid[{k}]") for k, cell in enumerate(items))
 
 
 def parse_sim_config(doc: dict) -> SimConfig:
@@ -298,39 +297,25 @@ SINGULAR_RECORD = {
 
 
 def write_records_csv(records, path) -> None:
-    """The records as CSV: GRID_COLUMNS, a None (square loss) left empty."""
-    rows = (
-        ["" if rec[col] is None else rec[col] for col in GRID_COLUMNS] for rec in records
-    )
-    write_csv(path, GRID_COLUMNS, rows)
+    """The records as CSV, GRID_COLUMNS in order."""
+    write_csv(path, GRID_COLUMNS, ([rec[col] for col in GRID_COLUMNS] for rec in records))
 
 
-@lru_cache(maxsize=1)
-def _covariance(p: int, seed: int, design_kind: str):
-    """The design's covariance, read-only, and the Cholesky factor a
-    Gaussian design draws through: make_covariance(p, seed) and its factor
-    for a Gaussian design, (I, None) for a Rademacher one, whose +/-1
-    entries are independent.
-
-    The last pair is kept, so replications that share Sigma draw it once.
-    """
-    if design_kind == "rademacher":
-        Sigma, factor = np.eye(p), None
-    else:
-        Sigma = make_covariance(p, seed)
-        factor = np.linalg.cholesky(Sigma)
-    for array in (Sigma, factor):
-        if array is not None:
-            array.flags.writeable = False
-    return Sigma, factor
+def _covariance(config: SimConfig, seed: int) -> tuple:
+    """(Sigma, factor) of the design: make_covariance(config.p, seed) and
+    the Cholesky factor a Gaussian design draws through, or (I, None) for a
+    Rademacher design, whose +/-1 entries are independent."""
+    if config.design_kind == "rademacher":
+        return np.eye(config.p), None
+    Sigma = make_covariance(config.p, seed)
+    return Sigma, np.linalg.cholesky(Sigma)
 
 
-def _replication_records(config: SimConfig, options: FitOptions, rep: int):
-    """All grid-cell records of one replication (the item map_items runs)."""
-    sigma_seed = (
-        config.sigma_seed ^ rep if config.redraw_sigma_per_replication else config.sigma_seed
-    )
-    Sigma, factor = _covariance(config.p, sigma_seed, config.design_kind)
+def _replication_records(config: SimConfig, options: FitOptions, shared_sigma, rep: int):
+    """All grid-cell records of one replication (the item map_items runs).
+    shared_sigma is the (Sigma, factor) pair of every replication, or None
+    when each replication draws its own."""
+    Sigma, factor = shared_sigma or _covariance(config, config.sigma_seed ^ rep)
     beta_star = config.signal()
     data, eps = generate(
         config.n,
@@ -381,17 +366,18 @@ def run_grid(
     Non-converged cells are recorded with failed True (using the best
     iterate), never dropped. Records come back sorted by (replication,
     cell order). With jobs > 1 the replications run on up to that many
-    processes, this one included (hubertune.pool); forked workers inherit
-    config and options. Unless Sigma is redrawn per replication, it and
-    its Cholesky factor are drawn once, here, before any worker starts.
-    The jobs count changes wall time only, not any value.
+    processes, this one included (hubertune.pool). Unless Sigma is redrawn
+    per replication, it and its Cholesky factor are drawn once, here,
+    before any worker starts; forked workers inherit them with config and
+    options, map_items's shared arguments. The jobs count changes wall
+    time only, not any value.
     """
     if options is None:
         options = FitOptions()
-    if not config.redraw_sigma_per_replication:
-        _covariance(config.p, config.sigma_seed, config.design_kind)
+    redraw = config.redraw_sigma_per_replication
+    shared_sigma = None if redraw else _covariance(config, config.sigma_seed)
     reps = range(config.replications)
-    per_rep = map_items(_replication_records, (config, options), reps, jobs)
+    per_rep = map_items(_replication_records, (config, options, shared_sigma), reps, jobs)
     return tuple(rec for rep_records in per_rep for rec in rep_records)
 
 
@@ -425,8 +411,9 @@ def aggregate(records):
     """Per-cell summary of run_grid's records over converged replications.
 
     Returns (header, rows): cell keys, record counts, then
-    {metric}_{mean,median,q25,q75} for every recorded metric. Cells keep
-    their first-appearance order; replication order does not matter.
+    {metric}_{mean,median,q25,q75} for every recorded metric; a cell with
+    no converged record (n_failed = n_records) over all of its records.
+    Cells keep their first-appearance order; replication order does not matter.
     """
     if not records:
         raise ValueError("no records to aggregate")
@@ -435,26 +422,14 @@ def aggregate(records):
         for stat in AGGREGATE_STATS:
             header.append(f"{metric}_{stat}")
 
-    order = []
     groups = {}
     for rec in records:
-        key = (rec["lambda"], rec["tau"], rec["huber_scale"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(rec)
+        groups.setdefault((rec["lambda"], rec["tau"], rec["huber_scale"]), []).append(rec)
 
     rows = []
-    for key in order:
-        recs = groups[key]
+    for key, recs in groups.items():
         ok = [r for r in recs if not r["failed"]]
-        row = [
-            key[0],
-            key[1],
-            "" if key[2] is None else key[2],
-            len(recs),
-            len(recs) - len(ok),
-        ]
+        row = [*key, len(recs), len(recs) - len(ok)]
         sample = ok if ok else recs
         for metric in GRID_METRICS:
             vals = np.array([r[metric] for r in sample], dtype=float)
@@ -464,26 +439,36 @@ def aggregate(records):
     return header, rows
 
 
-def pivot_table(records, metric: str):
-    """Mean of one metric per (lambda, tau) over run_grid's converged records.
+def pivot_clash(cells, name: str) -> Optional[str]:
+    """Why a (lambda x tau) pivot cannot hold cells, (lambda, tau,
+    huber_scale) triples called name[k]: the first two that share (lambda,
+    tau) but differ in huber_scale. None when it can."""
+    first = {}
+    for j, (lam, tau, scale) in enumerate(cells):
+        i, first_scale = first.setdefault((lam, tau), (j, scale))
+        if scale != first_scale:
+            return f"{name}[{i}] and {name}[{j}] differ only in huber_scale"
+    return None
 
-    Heatmap layout: first column the lambda values (ascending), remaining
-    columns one per tau (ascending); empty where a pair never appears.
+
+def pivot_table(table, metric: str):
+    """One metric of aggregate's (header, rows) table, as its per-cell
+    mean in the (lambda x tau) heatmap layout.
+
+    First column the lambda values (ascending), remaining columns one per
+    tau (ascending). An entry is empty where the pair has no cell, or
+    where its cell has no converged record. Raises ValueError for an
+    unknown metric, or for two cells at one (lambda, tau).
     """
     if metric not in GRID_METRICS:
         raise ValueError(f"unknown metric: {metric!r}")
-    cells = {}
-    for rec in records:
-        if not rec["failed"]:
-            cells.setdefault((rec["lambda"], rec["tau"]), []).append(rec[metric])
+    header, rows = table
+    if clash := pivot_clash((row[:3] for row in rows), "rows"):
+        raise ValueError(clash)
+    mean = header.index(f"{metric}_mean")
+    # Row layout: lambda, tau, huber_scale, n_records, n_failed, statistics.
+    cells = {(row[0], row[1]): row[mean] if row[4] < row[3] else "" for row in rows}
     lams = sorted({k[0] for k in cells})
     taus = sorted({k[1] for k in cells})
-    header = ["lambda"] + [format_value(t) for t in taus]
-    rows = []
-    for lam in lams:
-        row: list = [lam]
-        for tau in taus:
-            vals = cells.get((lam, tau))
-            row.append(float(np.mean(vals)) if vals else "")
-        rows.append(tuple(row))
-    return header, rows
+    body = [(lam, *(cells.get((lam, tau), "") for tau in taus)) for lam in lams]
+    return ["lambda"] + [format_value(t) for t in taus], body

@@ -78,9 +78,9 @@ def report(**fields):
     os.write(sys.stdout.fileno(), (json.dumps(fields) + "\n").encode())
 
 
-def probed_records(config, options, rep):
+def probed_records(*args):
     report(at="call", pid=os.getpid(), threads=threads())
-    return _replication_records(config, options, rep)
+    return _replication_records(*args)
 
 
 def probed_cell(data, options, eta, cell):

@@ -795,6 +795,7 @@ class TestSimulate:
         derived = ["df", "trace_v", "n_hat", "trace_sigma_a", "crit_adaptive",
                    "crit_oracle", "constraint_value"]
         for row in rows:
+            assert row["huber_scale"] == ""  # the square loss
             if row["lambda"] == "0.05":
                 assert row["failed"] == "true" and row["p_hat"] == "0"
                 assert all(row[key] == "nan" for key in derived)
@@ -836,10 +837,32 @@ class TestSimulate:
         assert code == 0
         agg_lines = agg.read_text().strip().splitlines()
         assert len(agg_lines) == 1 + 2  # header + one row per cell
+        assert agg_lines[2].startswith("0.0,0.1,,3,")  # the square loss's empty scale
         for metric in GRID_METRICS:
             pivot = pivots / f"pivot_{metric}.csv"
             assert pivot.exists(), metric
             assert pivot.read_text().startswith("lambda,")
+
+    def test_pivot_clash_fails_before_the_first_fit(self, tmp_path, capsys, monkeypatch):
+        """Two cells at one (lambda, tau) have no one pivot entry: with
+        --pivot-dir the grid is refused, naming both cells, before any fit;
+        without it the same grid runs."""
+        import hubertune.criterion
+
+        doc = sim_config_doc()
+        doc["grid"].append({"huber_scale": None, "lambda": 0.05, "tau": 0.05})
+        config, out = write_sim_config(tmp_path, doc), tmp_path / "records.csv"
+        fits = []
+        monkeypatch.setattr(hubertune.criterion, "fit", lambda *a: fits.append(a))
+        argv = ["simulate", str(config), "--out", str(out)]
+        assert main(argv + ["--pivot-dir", str(tmp_path / "pivots")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "grid[0] and grid[2]" in err
+        assert fits == [] and not out.exists()
+        monkeypatch.undo()
+        assert main(argv + ["--aggregate-out", str(tmp_path / "agg.csv")]) == 0
+        assert len((tmp_path / "agg.csv").read_text().splitlines()) == 1 + 3
 
     def test_default_jobs_equal_one_job(self, tmp_path):
         """Records, aggregate and pivots, byte for byte."""

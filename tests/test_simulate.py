@@ -364,8 +364,16 @@ class TestRunGrid:
         b = run_grid(cfg)
         assert [csv_row(rec) for rec in a] == [csv_row(rec) for rec in b]
 
-    def test_jobs_do_not_change_values(self):
-        cfg = self.small_config()
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"design_kind": "rademacher"}, {"redraw_sigma_per_replication": True}],
+        ids=["shared-sigma", "rademacher", "redrawn-sigma"],
+    )
+    def test_jobs_do_not_change_values(self, overrides):
+        """Each overrides takes its own route to Sigma: drawn once and
+        inherited by forked workers, the identity, or drawn in each
+        replication."""
+        cfg = self.small_config(**overrides)
         serial = run_grid(cfg, jobs=1)
         parallel = run_grid(cfg, jobs=3)
         assert [csv_row(rec) for rec in serial] == [csv_row(rec) for rec in parallel]
@@ -496,7 +504,6 @@ class TestRunGrid:
         cfg = self.small_config(redraw_sigma_per_replication=redraw)
         fresh = run_grid(cfg, jobs=1)
         monkeypatch.setattr(hubertune.simulate, "make_covariance", logged)
-        hubertune.simulate._covariance.cache_clear()
         cached = run_grid(cfg, jobs=2)
         pids = log.read_text().split()
         assert len(pids) == draws
@@ -658,36 +665,37 @@ class TestAggregate:
 
 
 class TestPivot:
-    def _records(self):
-        return run_grid(
-            parse_sim_config(
-                {
-                    "n": 30,
-                    "p": 8,
-                    "sigma_seed": 2,
-                    "noise_kind": {"kind": "gaussian", "sigma": 1.0},
-                    "signal_kind": "sparse",
-                    "grid": [
-                        {"huber_scale": 1.0, "lambda": lam, "tau": tau}
-                        for lam in (0.1, 0.02)
-                        for tau in (0.05, 0.005)
-                    ],
-                    "replications": 3,
-                    "base_seed": 6,
-                }
-            )
+    def _config(self):
+        return parse_sim_config(
+            {
+                "n": 30,
+                "p": 8,
+                "sigma_seed": 2,
+                "noise_kind": {"kind": "gaussian", "sigma": 1.0},
+                "signal_kind": "sparse",
+                "grid": [
+                    {"huber_scale": 1.0, "lambda": lam, "tau": tau}
+                    for lam in (0.1, 0.02)
+                    for tau in (0.05, 0.005)
+                ],
+                "replications": 3,
+                "base_seed": 6,
+            }
         )
+
+    def _records(self):
+        return run_grid(self._config())
 
     def test_layout_sorted_axes(self):
         records = self._records()
-        header, rows = pivot_table(records, "oos_error")
+        header, rows = pivot_table(aggregate(records), "oos_error")
         assert header[0] == "lambda"
         assert [float(h) for h in header[1:]] == [0.005, 0.05]
         assert [row[0] for row in rows] == [0.02, 0.1]  # ascending lambda
 
     def test_cell_value_is_mean(self):
         records = self._records()
-        header, rows = pivot_table(records, "df")
+        header, rows = pivot_table(aggregate(records), "df")
         vals = [
             rec["df"]
             for rec in records
@@ -703,17 +711,46 @@ class TestPivot:
             for rec in records
             if not (rec["lambda"] == 0.1 and rec["tau"] == 0.005)
         )
-        header, rows = pivot_table(kept, "df")
+        header, rows = pivot_table(aggregate(kept), "df")
         grid = {(row[0], float(h)): v for row in rows for h, v in zip(header[1:], row[1:])}
         assert grid[(0.1, 0.005)] == ""
 
+    def test_cell_without_a_converged_fit_is_blank(self):
+        """A cell whose every fit failed keeps its row and column, with an
+        empty entry, although aggregate summarizes it over its failed records."""
+        records = self._records()
+        failed = run_grid(self._config(), FitOptions(max_iterations=1))
+        mixed = tuple(
+            bad if (rec["lambda"], rec["tau"]) == (0.1, 0.005) else rec
+            for rec, bad in zip(records, failed)
+        )
+        table = aggregate(mixed)
+        header, rows = pivot_table(table, "df")
+        assert header == ["lambda", "0.005", "0.05"]
+        assert [row[0] for row in rows] == [0.02, 0.1]
+        grid = {(row[0], float(h)): v for row in rows for h, v in zip(header[1:], row[1:])}
+        assert grid[(0.1, 0.005)] == ""
+        assert all(isinstance(v, float) for k, v in grid.items() if k != (0.1, 0.005))
+        cell = dict(zip(table[0], table[1][1]))
+        assert (cell["lambda"], cell["tau"]) == (0.1, 0.005)
+        assert cell["n_failed"] == cell["n_records"] == 3
+        assert math.isfinite(cell["df_mean"])
+
+    def test_two_cells_at_one_pair_raise(self):
+        """A Huber and a square-loss cell at one (lambda, tau) have no one
+        pivot entry; their mean would belong to no cell."""
+        records = self._records()
+        square = tuple({**rec, "huber_scale": None} for rec in records[:4])
+        with pytest.raises(ValueError, match=r"rows\[0\] and rows\[4\] differ only"):
+            pivot_table(aggregate(records + square), "df")
+
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
-            pivot_table(self._records(), "not_a_metric")
+            pivot_table(aggregate(self._records()), "not_a_metric")
 
     def test_csv_writer(self, tmp_path):
         path = tmp_path / "pivot.csv"
-        write_csv(path, *pivot_table(self._records(), "oos_error"))
+        write_csv(path, *pivot_table(aggregate(self._records()), "oos_error"))
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 3
         assert lines[0].startswith("lambda,")
