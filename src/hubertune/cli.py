@@ -567,8 +567,8 @@ def _add_loss_flags(p, lam_default: float = 0.0, tau_default: float = 0.0):
 
 
 def _add_solver_flags(p, with_intercept: bool = True):
-    p.add_argument("--max-iterations", type=int, default=50_000)
-    p.add_argument("--kkt-tolerance", type=float, default=1e-8)
+    p.add_argument("--max-iterations", type=int, default=FitOptions.max_iterations)
+    p.add_argument("--kkt-tolerance", type=float, default=FitOptions.kkt_tolerance)
     if with_intercept:
         p.add_argument(
             "--intercept", action="store_true", help="fit an unpenalized intercept"

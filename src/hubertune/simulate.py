@@ -162,12 +162,17 @@ def _parse_cell(obj, where: str) -> tuple:
 
 def parse_grid_cells(items) -> tuple:
     """Parse a JSON array of {huber_scale, lambda, tau} objects into a tuple
-    of (HuberLoss, ElasticNet) pairs."""
+    of (HuberLoss, ElasticNet) pairs; a cell listed twice is refused."""
     if not isinstance(items, list):
         raise InputError("grid must be an array of cells")
     if not items:
         raise InputError("grid must be nonempty")
-    return tuple(_parse_cell(cell, f"grid[{k}]") for k, cell in enumerate(items))
+    cells = tuple(_parse_cell(cell, f"grid[{k}]") for k, cell in enumerate(items))
+    first = {}
+    for j, (loss, penalty) in enumerate(cells):
+        if (i := first.setdefault((loss.scale, penalty.lam, penalty.tau), j)) != j:
+            raise InputError(f"grid[{i}] and grid[{j}] are the same cell")
+    return cells
 
 
 def parse_sim_config(doc: dict) -> SimConfig:
@@ -411,8 +416,8 @@ def aggregate(records):
     """Per-cell summary of run_grid's records over converged replications.
 
     Returns (header, rows): cell keys, record counts, then
-    {metric}_{mean,median,q25,q75} for every recorded metric; a cell with
-    no converged record (n_failed = n_records) over all of its records.
+    {metric}_{mean,median,q25,q75} for every recorded metric, each None
+    (an empty CSV field) in a cell with no converged record.
     Cells keep their first-appearance order; replication order does not matter.
     """
     if not records:
@@ -430,12 +435,11 @@ def aggregate(records):
     for key, recs in groups.items():
         ok = [r for r in recs if not r["failed"]]
         row = [*key, len(recs), len(recs) - len(ok)]
-        sample = ok if ok else recs
-        for metric in GRID_METRICS:
-            vals = np.array([r[metric] for r in sample], dtype=float)
+        for metric in GRID_METRICS if ok else ():
+            vals = np.array([r[metric] for r in ok], dtype=float)
             row.append(float(np.mean(vals)))
             row.extend(_median_quartiles(vals))
-        rows.append(tuple(row))
+        rows.append(tuple(row + [None] * (len(header) - len(row))))
     return header, rows
 
 
@@ -456,9 +460,9 @@ def pivot_table(table, metric: str):
     mean in the (lambda x tau) heatmap layout.
 
     First column the lambda values (ascending), remaining columns one per
-    tau (ascending). An entry is empty where the pair has no cell, or
-    where its cell has no converged record. Raises ValueError for an
-    unknown metric, or for two cells at one (lambda, tau).
+    tau (ascending). An entry is None (an empty CSV field) where the pair
+    has no cell, or where aggregate left its cell's mean blank. Raises
+    ValueError for an unknown metric, or for two cells at one (lambda, tau).
     """
     if metric not in GRID_METRICS:
         raise ValueError(f"unknown metric: {metric!r}")
@@ -466,9 +470,8 @@ def pivot_table(table, metric: str):
     if clash := pivot_clash((row[:3] for row in rows), "rows"):
         raise ValueError(clash)
     mean = header.index(f"{metric}_mean")
-    # Row layout: lambda, tau, huber_scale, n_records, n_failed, statistics.
-    cells = {(row[0], row[1]): row[mean] if row[4] < row[3] else "" for row in rows}
+    cells = {(row[0], row[1]): row[mean] for row in rows}
     lams = sorted({k[0] for k in cells})
     taus = sorted({k[1] for k in cells})
-    body = [(lam, *(cells.get((lam, tau), "") for tau in taus)) for lam in lams]
+    body = [(lam, *(cells.get((lam, tau)) for tau in taus)) for lam in lams]
     return ["lambda"] + [format_value(t) for t in taus], body

@@ -22,17 +22,19 @@ one linear system with the sensitivity matrix,
 
     (X_S' D X_S + n tau I) b_S = X_S'(D y + psi(r) - D r) - n lam sign(b_S),
 
-where D = diag{psi'(r)}, S is the active set, and an intercept joins S as an
-unpenalized unit column. When the pattern has stayed the same over
-PATTERN_CHECKS consecutive KKT checks, the solver solves that system for
-b_S with one LU solve (LAPACK's gesv); an exactly singular system is a
-failed attempt. The solved point is accepted only if its own KKT residual
-is within the tolerance, the same certificate a FISTA iterate must meet;
-otherwise FISTA carries on from its own iterate. A deterministic flop
-budget gates the attempts, so results never depend on timing: with a FISTA
-iteration budgeted at 6 n p flops and an attempt at n p_hat^2 + p_hat^3 / 3
-(a budget, not a count of what LAPACK does), attempt k (from 0) waits
-until the iterations so far cost at least 2^k attempts. In these units all
+where D = diag{psi'(r)}, S is the active set, and an intercept joins S as
+an unpenalized unit column. The KKT residual is checked at the start point
+and every KKT_CHECK_EVERY iterations, at every problem size. When the
+pattern has stayed the same over PATTERN_CHECKS consecutive checks (the
+start point's among them), the solver solves that system for b_S with one
+LU solve (LAPACK's gesv); an exactly singular system is a failed attempt.
+The solved point is accepted only if its own KKT residual is within the
+tolerance, the same certificate a FISTA iterate must meet; otherwise FISTA
+carries on from its own iterate. A deterministic flop budget gates the
+attempts, so results never depend on timing: with a FISTA iteration
+budgeted at 6 n p flops and an attempt at n p_hat^2 + p_hat^3 / 3 (a
+budget, not a count of what LAPACK does), attempt k (from 0) waits until
+the iterations so far cost at least 2^k attempts. In these units all
 attempts together cost at most twice the FISTA work they interrupt, and
 large active sets are rarely polished.
 """
@@ -51,8 +53,10 @@ from .errors import IllPosed, NonConvergence
 from .losses import HuberLoss
 from .penalties import ElasticNet
 
+# Iterations between KKT checks; each check costs a matrix-vector product.
+KKT_CHECK_EVERY = 3
 # Consecutive KKT checks with an unchanged pattern before a Newton attempt.
-PATTERN_CHECKS = 3
+PATTERN_CHECKS = 2
 
 
 @dataclass(frozen=True)
@@ -194,17 +198,20 @@ def fit(
             return w_new, r_new, kkt_new
         return None
 
-    # The loop carries, for the accepted point w: Xw, r = y - Xw, psi(r),
-    # the objective F, and the score (1/n) Xa'psi(r) once a KKT check has
-    # computed it. Arrays are never written after they are accepted.
+    def pattern_of(wvec, psi_r, resid):
+        """The signs of b and of the outliers (psi(r) - r is 0 on inliers)."""
+        return np.sign(wvec[off:]).tobytes() + np.sign(psi_r - resid).tobytes()
+
+    # The loop carries, for the accepted point w: Xw, r = y - Xw, psi(r) and
+    # the objective F. Arrays are never written after they are accepted.
     Xw = Xa @ w
     r = y - Xw
     f, ps = loss.mean_value_and_psi(r)
     F = f + penalty.value(w[off:])
 
-    # Immediate exit if the start point is already stationary.
-    score = Xa.T @ ps / n
-    kkt = _kkt_score_gap(score, w, penalty, off)
+    # The start point's KKT check: an immediate exit if it is already
+    # stationary, and otherwise the first of the pattern checks.
+    kkt = _kkt_score_gap(Xa.T @ ps / n, w, penalty, off)
     if kkt <= options.kkt_tolerance:
         return build_result(w, r, 0, kkt, True)
 
@@ -213,21 +220,14 @@ def fit(
     step0 = 1.0 / lip
     step_cap = 1e4 * step0
 
-    # Check the KKT residual every iteration on small problems; on large
-    # ones every few iterations to save a matrix-vector product per step.
-    check_every = 1 if n * p <= 200_000 else 5
-
     w_prev, Xw_prev = w, Xw
-    t_mom = 1.0
-    step = step0
-    best_kkt = kkt
-    best_state = (w, r, 0)
+    t_mom, step = 1.0, step0
+    best_kkt, best_state = kkt, (w, r, 0)
 
-    iterations = 0
     converged = False
     iteration_flops = 6 * n * Xa.shape[1]
     attempts = 0
-    pattern, stable_checks, tried_pattern = None, 0, None
+    pattern, stable_checks, tried_pattern = pattern_of(w, ps, r), 1, None
     for iterations in range(1, options.max_iterations + 1):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
         omega = (t_mom - 1.0) / t_next
@@ -265,19 +265,18 @@ def fit(
             # proximal step from the current point at the floor step, which
             # never increases the objective.
             t_next = 1.0
-            grad = -score if score is not None else (Xa.T @ ps) / -n
+            grad = (Xa.T @ ps) / -n
             point, t = w, step0
 
         w_prev, w = w, w_new
         Xw_prev, Xw = Xw, Xw_new
-        r, ps, score = r_new, ps_new, None
+        r, ps = r_new, ps_new
         F = min(F, F_new)
         t_mom = t_next
         step = t
 
-        if iterations % check_every == 0 or iterations == options.max_iterations:
-            score = Xa.T @ ps / n
-            kkt = _kkt_score_gap(score, w, penalty, off)
+        if iterations % KKT_CHECK_EVERY == 0 or iterations == options.max_iterations:
+            kkt = _kkt_score_gap(Xa.T @ ps / n, w, penalty, off)
             if kkt < best_kkt:
                 best_kkt = kkt
                 best_state = (w, r, iterations)
@@ -285,9 +284,7 @@ def fit(
                 converged = True
                 break
 
-            # The pattern: the signs of b, and the outliers with their signs
-            # (psi(r) - r is zero exactly on the inliers).
-            new_pattern = np.sign(w[off:]).tobytes() + np.sign(ps - r).tobytes()
+            new_pattern = pattern_of(w, ps, r)
             if new_pattern == pattern:
                 stable_checks += 1
             else:

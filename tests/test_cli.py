@@ -171,6 +171,21 @@ class TestParsing:
             main(["fit", "x.csv", "y.csv", "--lambda", "lots"])
         assert excinfo.value.code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "x.csv", "y.csv"],
+            ["select", "x.csv", "y.csv", "grid.json"],
+            ["simulate", "config.json", "--out", "records.csv"],
+            ["diagnose", "x.csv", "y.csv"],
+        ],
+    )
+    def test_solver_flag_defaults_are_fit_options(self, argv):
+        args = hubertune.cli.build_parser().parse_args(argv)
+        defaults = FitOptions()
+        assert args.max_iterations == defaults.max_iterations
+        assert args.kkt_tolerance == defaults.kkt_tolerance
+
 
 # ---------------------------------------------------------------------------
 # fit
@@ -621,6 +636,20 @@ class TestSelect:
         assert main(["select", str(design), str(response), str(grid)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_duplicate_cell_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        """A cell listed twice, in any spelling of its numbers, is refused
+        naming both indices, before any fit."""
+        import hubertune.criterion
+
+        design, response, _, _ = make_regression_files(tmp_path)
+        cells = [*GRID_3, {"huber_scale": 1, "lambda": 0.1, "tau": 5e-2}]
+        grid = write_grid(tmp_path, cells=cells)
+        fits = []
+        monkeypatch.setattr(hubertune.criterion, "fit", lambda *a: fits.append(a))
+        assert main(["select", str(design), str(response), str(grid)]) == 1
+        assert_input_error_names(capsys, "grid[1] and grid[3]")
+        assert fits == []
+
     def test_grid_cell_with_unknown_key_is_an_input_error(self, tmp_path, capsys):
         design, response, _, _ = make_regression_files(tmp_path)
         cells = [{"huber_scale": 1.0, "lambda": 0.1, "tau": 0.1, "gamma": 2.0}]
@@ -843,6 +872,16 @@ class TestSimulate:
             assert pivot.exists(), metric
             assert pivot.read_text().startswith("lambda,")
 
+    def test_cells_without_a_converged_fit_have_blank_statistics(self, tmp_path):
+        """Three iterations certify no fit: each aggregate row keeps its
+        cell and counts, and every statistic is an empty field."""
+        config, agg = write_sim_config(tmp_path), tmp_path / "aggregate.csv"
+        argv = ["simulate", str(config), "--out", str(tmp_path / "records.csv")]
+        assert main(argv + ["--aggregate-out", str(agg), "--max-iterations", "3"]) == 0
+        header, *rows = agg.read_text().splitlines()
+        blanks = "," * (header.count(",") - 4)
+        assert rows == ["0.05,0.05,1.5,3,3" + blanks, "0.0,0.1,,3,3" + blanks]
+
     def test_pivot_clash_fails_before_the_first_fit(self, tmp_path, capsys, monkeypatch):
         """Two cells at one (lambda, tau) have no one pivot entry: with
         --pivot-dir the grid is refused, naming both cells, before any fit;
@@ -863,6 +902,22 @@ class TestSimulate:
         monkeypatch.undo()
         assert main(argv + ["--aggregate-out", str(tmp_path / "agg.csv")]) == 0
         assert len((tmp_path / "agg.csv").read_text().splitlines()) == 1 + 3
+
+    def test_duplicate_cell_fails_before_the_first_fit(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A cell listed twice would be fitted twice per replication, and
+        aggregate would count each replication twice."""
+        import hubertune.criterion
+
+        doc = sim_config_doc()
+        doc["grid"].append(dict(doc["grid"][0]))
+        config, out = write_sim_config(tmp_path, doc), tmp_path / "records.csv"
+        fits = []
+        monkeypatch.setattr(hubertune.criterion, "fit", lambda *a: fits.append(a))
+        assert main(["simulate", str(config), "--out", str(out)]) == 1
+        assert_input_error_names(capsys, "grid[0] and grid[2]")
+        assert fits == [] and not out.exists()
 
     def test_default_jobs_equal_one_job(self, tmp_path):
         """Records, aggregate and pivots, byte for byte."""

@@ -713,11 +713,11 @@ class TestPivot:
         )
         header, rows = pivot_table(aggregate(kept), "df")
         grid = {(row[0], float(h)): v for row in rows for h, v in zip(header[1:], row[1:])}
-        assert grid[(0.1, 0.005)] == ""
+        assert grid[(0.1, 0.005)] is None
 
     def test_cell_without_a_converged_fit_is_blank(self):
-        """A cell whose every fit failed keeps its row and column, with an
-        empty entry, although aggregate summarizes it over its failed records."""
+        """A cell whose every fit failed keeps its aggregate row, with every
+        statistic blank, and its pivot row and column, with a blank entry."""
         records = self._records()
         failed = run_grid(self._config(), FitOptions(max_iterations=1))
         mixed = tuple(
@@ -729,12 +729,14 @@ class TestPivot:
         assert header == ["lambda", "0.005", "0.05"]
         assert [row[0] for row in rows] == [0.02, 0.1]
         grid = {(row[0], float(h)): v for row in rows for h, v in zip(header[1:], row[1:])}
-        assert grid[(0.1, 0.005)] == ""
+        assert grid[(0.1, 0.005)] is None
         assert all(isinstance(v, float) for k, v in grid.items() if k != (0.1, 0.005))
         cell = dict(zip(table[0], table[1][1]))
         assert (cell["lambda"], cell["tau"]) == (0.1, 0.005)
         assert cell["n_failed"] == cell["n_records"] == 3
-        assert math.isfinite(cell["df_mean"])
+        stats = [f"{m}_{s}" for m in GRID_METRICS for s in AGGREGATE_STATS]
+        assert [cell[k] for k in stats] == [None] * len(stats)
+        assert all(math.isfinite(v) for v in table[1][0][5:])
 
     def test_two_cells_at_one_pair_raise(self):
         """A Huber and a square-loss cell at one (lambda, tau) have no one

@@ -18,7 +18,7 @@ from hubertune import (
     make_loss,
     sensitivity_closed_form,
 )
-from hubertune.solver import _kkt_score_gap
+from hubertune.solver import KKT_CHECK_EVERY, _kkt_score_gap
 
 from oracles import fit_with_intercept, huber_value, kkt_residual, objective
 
@@ -439,8 +439,44 @@ class TestNewtonPolish:
                 result = fit(data, HuberLoss(scale=0.5), ElasticNet(lam=lam, tau=tau))
                 counts.append((result.iterations, result.newton_attempts))
         assert counts == [
-            (38, 4), (31, 3), (67, 4), (48, 2), (667, 7), (181, 6), (639, 7), (411, 7)
+            (39, 4), (33, 3), (69, 3), (51, 2), (669, 7), (183, 3), (639, 7), (411, 7)
         ]
+
+
+# One design below n p = 200,000 and one above: the KKT checks run on one
+# schedule at every size.
+CADENCE_SIZES = pytest.mark.parametrize(
+    "n,p", [(60, 120), (250, 1000)], ids=["np7200", "np250000"]
+)
+
+
+class TestKktCheckSchedule:
+    @CADENCE_SIZES
+    def test_fits_stop_on_a_check(self, n, p):
+        """A fit that does not exit at its start point stops at a KKT check,
+        whether FISTA or a Newton attempt certified it."""
+        data = heavy_tail_lasso_data(n, p)
+        stops = [
+            fit(data, loss, ElasticNet(lam=lam, tau=tau), FitOptions(intercept=icpt)).iterations
+            for loss in (HuberLoss(scale=0.5), make_loss("square"))
+            for lam, tau in ((0.2, 0.0), (0.05, 0.01), (0.02, 0.0))
+            for icpt in (False, True)
+        ]
+        assert any(stops)
+        assert [k % KKT_CHECK_EVERY for k in stops] == [0] * len(stops)
+
+    @CADENCE_SIZES
+    def test_warm_start_at_its_pattern_is_polished_at_the_first_check(self, n, p):
+        """The start point's check is the first of the PATTERN_CHECKS, so a
+        start with the solution's signs and inliers is polished, and
+        certified, at the first loop check."""
+        data = heavy_tail_lasso_data(n, p)
+        loss, penalty = HuberLoss(scale=0.5), ElasticNet(lam=0.05, tau=0.01)
+        cold = fit(data, loss, penalty)
+        warm = fit(data, loss, penalty, FitOptions(initial_point=cold.beta_hat * (1 + 1e-5)))
+        assert (warm.iterations, warm.newton_attempts) == (KKT_CHECK_EVERY, 1)
+        assert warm.converged
+        np.testing.assert_array_equal(warm.active_set, cold.active_set)
 
 
 # Orders of the sensitivity system, from a scalar to select_wide's sizes.
