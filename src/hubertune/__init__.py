@@ -28,7 +28,6 @@ _EXPORTS = {
     ),
     "data": ("Dataset",),
     "diagnostics": (
-        "NormalSummary",
         "histogram_table",
         "ks_normal",
         "normal_summary",
@@ -43,14 +42,12 @@ _EXPORTS = {
         "HubertuneError",
         "IllPosed",
         "InputError",
-        "NoFeasibleCandidate",
         "NonConvergence",
         "SingularSystem",
     ),
     "losses": ("HuberLoss", "make_loss"),
     "penalties": ("ElasticNet",),
     "sensitivity": (
-        "DerivativeCheckReport",
         "SensitivityBundle",
         "a_hat",
         "a_hat_full",

@@ -36,18 +36,12 @@ import numpy as np
 from .blas import thread_policy
 from .criterion import DEFAULT_ETA, evaluate, evaluate_grid, select
 from .data import Dataset
-from .errors import (
-    DegenerateDenominator,
-    HubertuneError,
-    IllPosed,
-    InputError,
-    NoFeasibleCandidate,
-)
+from .errors import DegenerateDenominator, HubertuneError, IllPosed, InputError
 from .formatting import write_csv
 from .losses import make_loss
 from .penalties import ElasticNet
 from .pool import default_jobs
-from .sensitivity import CHECK_TOLERANCES, run_derivative_checks
+from .sensitivity import run_derivative_checks
 from .simulate import (
     GRID_METRICS,
     aggregate,
@@ -367,10 +361,7 @@ def cmd_select(args) -> int:
     cells = _load_grid(args.grid)
     data = _read_dataset(args)
     candidates = evaluate_grid(data, cells, options, eta, jobs)
-    try:
-        ranking = list(select(candidates))
-    except NoFeasibleCandidate:
-        ranking = []
+    ranking = select(candidates)
     selected = ranking[0] if ranking else None
 
     doc = {
@@ -448,11 +439,11 @@ def cmd_diagnose(args) -> int:
 
     gaps, u = residual_representation_check(result, loss, t_hat)
     moments = normal_summary(u)
-    if moments.variance <= 0:
+    if moments["variance"] <= 0:
         raise DegenerateDenominator(
             "debiased residuals are constant; nothing to standardize"
         )
-    z = (u - moments.mean) / math.sqrt(moments.variance)
+    z = (u - moments["mean"]) / math.sqrt(moments["variance"])
 
     doc = {
         "command": "diagnose",
@@ -465,12 +456,7 @@ def cmd_diagnose(args) -> int:
         "t_hat_source": source,
         "max_prox_gap": float(np.max(gaps)),
         "effective_observations": summary["n_hat"],
-        "debiased_moments": {
-            "mean": moments.mean,
-            "variance": moments.variance,
-            "skewness": moments.skewness,
-            "excess_kurtosis": moments.excess_kurtosis,
-        },
+        "debiased_moments": moments,
         "ks_standardized": ks_normal(z),
     }
     write_report(doc, args.out)
@@ -490,29 +476,30 @@ def cmd_check_derivatives(args) -> int:
         raise InputError("--seed must be >= 0")
     loss = _loss_from_args(args)
     penalty = _penalty_from_args(args)
-    report = run_derivative_checks(
+    record = run_derivative_checks(
         args.n, args.p, loss, penalty, args.seed, fault=args.fault
     )
 
+    tolerances = record["tolerances"]
     lines = [
         f"fixture: n={args.n} p={args.p} seed={args.seed}",
-        f"jacobian_y relative error: {report.jacobian_rel_error:.3e}"
-        f" (tolerance {CHECK_TOLERANCES['jacobian_rel']:.1e})",
-        f"df absolute error: {report.df_abs_error:.3e}"
-        f" (tolerance {CHECK_TOLERANCES['trace_abs']:.1e})",
-        f"trace_V absolute error: {report.trace_v_abs_error:.3e}"
-        f" (tolerance {CHECK_TOLERANCES['trace_abs']:.1e})",
+        f"jacobian_y relative error: {record['jacobian_rel_error']:.3e}"
+        f" (tolerance {tolerances['jacobian_rel']:.1e})",
+        f"df absolute error: {record['df_abs_error']:.3e}"
+        f" (tolerance {tolerances['trace_abs']:.1e})",
+        f"trace_V absolute error: {record['trace_v_abs_error']:.3e}"
+        f" (tolerance {tolerances['trace_abs']:.1e})",
     ]
-    for step, gaps in report.contraction.items():
-        resid = " ".join(f"{r:.3e}" for r in gaps)
+    for entry in record["contraction"]:
+        resid = " ".join(f"{r:.3e}" for r in entry["residuals"])
         lines.append(
-            f"contraction residuals at step {step:g}: {resid}"
-            f" (tolerance {CHECK_TOLERANCES['contraction_abs']:.1e} each)"
+            f"contraction residuals at step {entry['step']:g}: {resid}"
+            f" (tolerance {tolerances['contraction_abs']:.1e} each)"
         )
-    if report.passed:
+    if record["passed"]:
         lines.append("all derivative checks passed")
     else:
-        lines.append("FAILED: " + ", ".join(report.failures))
+        lines.append("FAILED: " + ", ".join(record["failures"]))
     print("\n".join(lines))
 
     if args.out is not None:
@@ -524,19 +511,10 @@ def cmd_check_derivatives(args) -> int:
             "loss": _loss_doc(loss),
             "penalty": _penalty_doc(penalty),
             "fault": args.fault,
-            "jacobian_rel_error": report.jacobian_rel_error,
-            "df_abs_error": report.df_abs_error,
-            "trace_v_abs_error": report.trace_v_abs_error,
-            "contraction": [
-                {"step": step, "residuals": gaps}
-                for step, gaps in report.contraction.items()
-            ],
-            "tolerances": dict(CHECK_TOLERANCES),
-            "failures": list(report.failures),
-            "passed": report.passed,
+            **record,
         }
         write_report(doc, args.out)
-    return EXIT_OK if report.passed else EXIT_NUMERICAL
+    return EXIT_OK if record["passed"] else EXIT_NUMERICAL
 
 
 # ---------------------------------------------------------------------------
@@ -695,8 +673,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except HubertuneError as exc:
-        # Every other toolkit error is numerical (select handles
-        # NoFeasibleCandidate itself).
+        # Every other toolkit error is numerical; no feasible candidate is
+        # an empty ranking, which cmd_select turns into exit 3 itself.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import NoFeasibleCandidate, NonConvergence
+from .errors import NonConvergence
 from .losses import HuberLoss
 from .penalties import ElasticNet
 from .pool import map_items
@@ -220,12 +220,8 @@ def select(candidates: Sequence) -> tuple:
     each already scored at its own eta. Returns the feasible indices sorted
     by criterion, then by index, so ties break to the smallest index.
     Infeasible candidates are left out of the ranking but stay in the
-    caller's list. Raises NoFeasibleCandidate when nothing is feasible.
+    caller's list. The ranking is () when nothing is feasible, an empty
+    list included.
     """
-    if len(candidates) == 0:
-        raise ValueError("candidate list is empty")
     feasible = [i for i, cand in enumerate(candidates) if cand.feasible]
-    if not feasible:
-        raise NoFeasibleCandidate("no candidate meets the feasibility constraint")
-    ranking = sorted(feasible, key=lambda i: (candidates[i].crit_adaptive, i))
-    return tuple(ranking)
+    return tuple(sorted(feasible, key=lambda i: (candidates[i].crit_adaptive, i)))

@@ -17,7 +17,6 @@ suite as tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -42,17 +41,9 @@ def ks_normal(values) -> float:
     return float(max(upper.max(), lower.max()))
 
 
-@dataclass(frozen=True)
-class NormalSummary:
-    mean: float
-    variance: float
-    skewness: float
-    excess_kurtosis: float
-
-
-def normal_summary(values) -> NormalSummary:
-    """Population mean, variance, skewness and excess kurtosis of a sample;
-    ks_normal gives its KS distance to N(0,1)."""
+def normal_summary(values) -> dict:
+    """Population mean, variance, skewness and excess kurtosis of a sample,
+    by those names; ks_normal gives its KS distance to N(0,1)."""
     x = np.asarray(values, dtype=float)
     m = float(np.mean(x))
     c = x - m
@@ -65,7 +56,7 @@ def normal_summary(values) -> NormalSummary:
     else:
         skew = 0.0
         exkurt = 0.0
-    return NormalSummary(mean=m, variance=m2, skewness=skew, excess_kurtosis=exkurt)
+    return {"mean": m, "variance": m2, "skewness": skew, "excess_kurtosis": exkurt}
 
 
 def zeta_statistics(

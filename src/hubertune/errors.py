@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit.
 
 The CLI maps these onto its exit-code contract: input problems exit 1,
-numerical failures exit 2, infeasible selection exits 3.
+numerical failures exit 2. Infeasible selection (exit 3) is no exception:
+select returns an empty ranking.
 """
 
 from __future__ import annotations
@@ -41,7 +42,3 @@ class DegenerateFit(HubertuneError):
 
 class DegenerateDenominator(HubertuneError):
     """A standardization denominator is exactly zero (estimate == target, or df = n)."""
-
-
-class NoFeasibleCandidate(HubertuneError):
-    """No candidate satisfies the selection feasibility constraint."""

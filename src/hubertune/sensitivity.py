@@ -369,26 +369,6 @@ def contraction_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DerivativeCheckReport:
-    """Outcome of one full derivative-verification run.
-
-    contraction maps each finite-difference step to the five gaps
-    contraction_check gave there. failures is the tuple of check names
-    whose residual exceeded its tolerance; empty means everything passed.
-    """
-
-    jacobian_rel_error: float
-    df_abs_error: float
-    trace_v_abs_error: float
-    contraction: dict
-    failures: tuple
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
 def _fd_safe_fixture(
     n: int,
     p: int,
@@ -459,7 +439,7 @@ def run_derivative_checks(
     seed: int,
     contraction_steps=(1e-3, 1e-4),
     fault: Optional[str] = None,
-) -> DerivativeCheckReport:
+) -> dict:
     """Compare every closed-form derivative against finite differences.
 
     Generates a synthetic fixture, fits it tightly, then checks the
@@ -467,6 +447,11 @@ def run_derivative_checks(
     identities. A_hat is formed once, and every closed form reads it.
     fault='corrupt-a-hat' multiplies it by 1.37 before checking — a
     negative control that must fail.
+
+    Returns the record check-derivatives writes: the three errors, the
+    five contraction gaps at each step ({"step", "residuals"}), the
+    tolerances, the failures (names of the checks over tolerance) and
+    passed (no failure).
     """
     data, beta_star, result = _fd_safe_fixture(
         n, p, loss, penalty, seed, CHECK_FIT_OPTIONS
@@ -488,10 +473,15 @@ def run_derivative_checks(
     df_abs_error = abs(bundle.df - df_fd)
     trace_v_abs_error = abs(bundle.trace_V - trace_v_fd)
 
-    contraction = {
-        s: contraction_check(data, loss, penalty, result, bundle, A, beta_star, step=s)
+    contraction = [
+        {
+            "step": s,
+            "residuals": contraction_check(
+                data, loss, penalty, result, bundle, A, beta_star, step=s
+            ),
+        }
         for s in contraction_steps
-    }
+    ]
 
     failures = []
     if not jacobian_rel_error <= CHECK_TOLERANCES["jacobian_rel"]:
@@ -500,15 +490,17 @@ def run_derivative_checks(
         failures.append("df")
     if not trace_v_abs_error <= CHECK_TOLERANCES["trace_abs"]:
         failures.append("trace_V")
-    for s, gaps in contraction.items():
-        for k, gap in enumerate(gaps, start=1):
+    for entry in contraction:
+        for k, gap in enumerate(entry["residuals"], start=1):
             if not gap <= CHECK_TOLERANCES["contraction_abs"]:
-                failures.append(f"contraction-{k}@step={s:g}")
+                failures.append(f"contraction-{k}@step={entry['step']:g}")
 
-    return DerivativeCheckReport(
-        jacobian_rel_error=jacobian_rel_error,
-        df_abs_error=df_abs_error,
-        trace_v_abs_error=trace_v_abs_error,
-        contraction=contraction,
-        failures=tuple(failures),
-    )
+    return {
+        "jacobian_rel_error": jacobian_rel_error,
+        "df_abs_error": df_abs_error,
+        "trace_v_abs_error": trace_v_abs_error,
+        "contraction": contraction,
+        "tolerances": dict(CHECK_TOLERANCES),
+        "failures": failures,
+        "passed": not failures,
+    }

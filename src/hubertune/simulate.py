@@ -293,13 +293,6 @@ GRID_METRICS = GRID_COLUMNS[4:15]
 # The columns a record takes from Candidate.summary() under the same name.
 SUMMARY_COLUMNS = ("df", "trace_v", "n_hat", "p_hat", "crit_adaptive", "constraint_value")
 
-# A fit whose A_hat was singular: no derived quantity, and failed.
-SINGULAR_RECORD = {
-    "df": math.nan, "trace_v": math.nan, "n_hat": math.nan, "p_hat": 0,
-    "trace_sigma_a": math.nan, "crit_adaptive": math.nan, "crit_oracle": math.nan,
-    "constraint_value": math.nan, "failed": True,
-}
-
 
 def write_records_csv(records, path) -> None:
     """The records as CSV, GRID_COLUMNS in order."""
@@ -346,15 +339,16 @@ def _replication_records(config: SimConfig, options: FitOptions, shared_sigma, r
             "eps_norm_sq_over_n": eps_term,
             "solver_iterations": summary["iterations"],
             "newton_attempts": summary["newton_attempts"],
+            **{col: summary[col] for col in SUMMARY_COLUMNS},
         }
         # A_hat is formed here, from the design; at tau = 0 it can be
-        # singular, and the record then fails with NaN for every derived column.
+        # singular, and the record then fails with NaN in the two columns
+        # that read it.
         try:
             t_hat = trace_sigma_A(cand.bundle, data.X, Sigma)
         except SingularSystem:
-            record.update(SINGULAR_RECORD)
+            record.update(trace_sigma_a=math.nan, crit_oracle=math.nan, failed=True)
         else:
-            record.update({col: summary[col] for col in SUMMARY_COLUMNS})
             record["trace_sigma_a"] = t_hat
             record["crit_oracle"] = crit_oracle_sigma(cand.result, cand.loss, t_hat)
             record["failed"] = not summary["converged"]

@@ -117,9 +117,9 @@ class TestDerivativeCorrectness:
                     seed=100 * k + combo,
                     contraction_steps=(),
                 )
-                assert report.jacobian_rel_error <= 1e-3, (k, combo)
-                assert report.df_abs_error <= 1e-3, (k, combo)
-                assert report.trace_v_abs_error <= 1e-3, (k, combo)
+                assert report["jacobian_rel_error"] <= 1e-3, (k, combo)
+                assert report["df_abs_error"] <= 1e-3, (k, combo)
+                assert report["trace_v_abs_error"] <= 1e-3, (k, combo)
 
 
 class TestSquareLossIdentities:
@@ -330,10 +330,10 @@ class TestDesignDerivativeIdentities:
         """The five summed design-derivative identities hold to 1e-3 at
         every finite-difference step on both standard check fixtures."""
         for report in contraction_check_reports:
-            assert not report.failures
-            for step, gaps in report.contraction.items():
-                assert gaps.shape == (5,)
-                assert float(np.max(gaps)) <= 1e-3, step
+            assert not report["failures"]
+            for entry in report["contraction"]:
+                assert entry["residuals"].shape == (5,)
+                assert float(np.max(entry["residuals"])) <= 1e-3, entry["step"]
 
     def test_residuals_shrink_at_least_linearly_in_the_step(
         self, contraction_check_reports
@@ -343,7 +343,7 @@ class TestDesignDerivativeIdentities:
         so the residuals are true discretization error, not model error."""
         floor = 5e-6
         for report in contraction_check_reports:
-            by_step = report.contraction
+            by_step = {e["step"]: e["residuals"] for e in report["contraction"]}
             coarse, fine = by_step[1e-2], by_step[1e-3]
             for k in range(5):
                 assert fine[k] <= max(0.2 * coarse[k], floor), k

@@ -23,6 +23,9 @@ from hubertune import (
     evaluate,
     fit,
     make_loss,
+    normal_summary,
+    residual_representation_check,
+    run_derivative_checks,
     select,
     sensitivity_closed_form,
 )
@@ -807,7 +810,9 @@ class TestSimulate:
     def test_singular_cell_is_a_failed_nan_record(self, tmp_path, capsys):
         """The lasso cell (tau = 0) leaves more active coefficients than the
         8 rows of this +-1 design, so its A_hat is singular and trace[Sigma A]
-        cannot be formed: each of its records is failed, with NaN values."""
+        cannot be formed: each of its records is failed, with NaN in the two
+        columns that read A_hat and the fit's own df, trace V, n_hat and
+        p_hat, which are defined for every fit."""
         doc = sim_config_doc()
         doc.update(n=8, p=40, design_kind="rademacher")
         doc["grid"] = [
@@ -821,17 +826,26 @@ class TestSimulate:
         lines = out.read_text().strip().splitlines()
         header = lines[0].split(",")
         rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-        derived = ["df", "trace_v", "n_hat", "trace_sigma_a", "crit_adaptive",
-                   "crit_oracle", "constraint_value"]
+        reads_a_hat = ["trace_sigma_a", "crit_oracle"]
+        summary = ["df", "trace_v", "n_hat", "constraint_value"]
         for row in rows:
             assert row["huber_scale"] == ""  # the square loss
             if row["lambda"] == "0.05":
-                assert row["failed"] == "true" and row["p_hat"] == "0"
-                assert all(row[key] == "nan" for key in derived)
+                assert row["failed"] == "true"
+                assert all(row[key] == "nan" for key in reads_a_hat)
+                # More active coefficients than rows, and the lasso's df is
+                # the rank, at most the 8 rows; trace V is n_hat - df.
+                assert int(row["p_hat"]) > 8
+                df, trace_v = float(row["df"]), float(row["trace_v"])
+                assert df <= 8 and trace_v == float(row["n_hat"]) - df
+                assert all(math.isfinite(float(row[key])) for key in summary)
+                # The criterion is undefined exactly where trace V vanishes.
+                assert math.isnan(float(row["crit_adaptive"])) == (trace_v == 0)
                 assert math.isfinite(float(row["oos_error"]))
                 assert int(row["solver_iterations"]) > 0
             else:
                 assert row["failed"] == "false"
+                derived = reads_a_hat + summary + ["crit_adaptive"]
                 assert all(math.isfinite(float(row[key])) for key in derived)
 
     def test_rerun_and_parallel_runs_are_byte_identical(self, tmp_path):
@@ -1143,6 +1157,18 @@ class TestDiagnose:
         assert err.startswith("error: debiased residuals are constant")
         assert not out.exists()
 
+    def test_debiased_moments_are_the_library_summary(self, tmp_path):
+        """debiased_moments is normal_summary of the effective observations
+        u = r + t_hat psi(r), written as the library returns it."""
+        design, response, X, y = make_regression_files(tmp_path, n=30, seed=2)
+        out = tmp_path / "diag.json"
+        argv = ["diagnose", str(design), str(response), "--lambda", "0.05"]
+        assert main(argv + ["--tau", "0.1", "--out", str(out)]) == 0
+        loss = make_loss("huber", huber_scale=1.0)
+        cand = evaluate(Dataset(X, y), loss, ElasticNet(lam=0.05, tau=0.1))
+        _, u = residual_representation_check(cand.result, loss, cand.ratio)
+        assert read_json(out)["debiased_moments"] == normal_summary(u)
+
     def test_all_saturated_fit_has_degenerate_denominator(self, tmp_path, capsys):
         """Huge responses saturate every Huber residual, so trace_V is zero
         and the adaptive debiasing factor is undefined: exit code 2."""
@@ -1224,6 +1250,41 @@ class TestCheckDerivatives:
         validate(doc, "check_derivatives_report.schema.json")
         assert doc["passed"] is False
         assert any("jacobian_y" in failure for failure in doc["failures"])
+
+    @pytest.mark.parametrize(
+        "flags, loss, penalty, fault",
+        [
+            ([], make_loss("huber", huber_scale=1.0), ElasticNet(lam=0.1, tau=0.1), None),
+            (
+                ["--loss", "square", "--tau", "0", "--lambda", "0.05"],
+                make_loss("square"),
+                ElasticNet(lam=0.05, tau=0.0),
+                None,
+            ),
+            (
+                ["--fault", "corrupt-a-hat"],
+                make_loss("huber", huber_scale=1.0),
+                ElasticNet(lam=0.1, tau=0.1),
+                "corrupt-a-hat",
+            ),
+        ],
+        ids=["default", "square-lasso", "fault"],
+    )
+    def test_report_is_its_header_and_the_library_record(
+        self, tmp_path, flags, loss, penalty, fault
+    ):
+        """The JSON report is the command's header followed by the record
+        run_derivative_checks returns for the same flags, key for key."""
+        out = tmp_path / "check.json"
+        argv = ["check-derivatives", "--n", "8", "--p", "3", "--seed", "1", *flags]
+        main(argv + ["--out", str(out)])
+        record = run_derivative_checks(8, 3, loss, penalty, 1, fault=fault)
+        doc = read_json(out)
+        header = ["command", "n", "p", "seed", "loss", "penalty", "fault"]
+        assert list(doc) == header + list(record)
+        assert doc["fault"] == fault
+        as_json = json.loads(json.dumps(record, default=np.ndarray.tolist))
+        assert {key: doc[key] for key in record} == as_json
 
     def test_one_step_bound_per_fitted_dataset(self, tmp_path, step_bounds):
         """One step bound per fixture draw, per response refit of the FD

@@ -20,7 +20,6 @@ from hubertune import (
     FitResult,
     HuberLoss,
     IllPosed,
-    NoFeasibleCandidate,
     SensitivityBundle,
     crit_adaptive,
     crit_oracle_sigma,
@@ -228,12 +227,10 @@ class TestSelect:
             synth_candidate([1.0], df=0.0, trace_v=1.0, n_hat=0.0),
             synth_candidate([2.0], df=0.0, trace_v=1.0, n_hat=0.0),
         ]
-        with pytest.raises(NoFeasibleCandidate):
-            select(cands)
+        assert select(cands) == ()
 
     def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            select([])
+        assert select([]) == ()
 
     def test_residual_scale_does_not_change_ranking(self):
         """Scaling the residuals scales every criterion; the argmin stays."""

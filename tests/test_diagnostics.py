@@ -82,10 +82,11 @@ class TestNormalSummary:
         m = 3.0
         c = x - m
         m2 = np.mean(c**2)
-        assert s.mean == pytest.approx(m, abs=1e-14)
-        assert s.variance == pytest.approx(m2, rel=1e-14)
-        assert s.skewness == pytest.approx(np.mean(c**3) / m2**1.5, rel=1e-13)
-        assert s.excess_kurtosis == pytest.approx(
+        assert list(s) == ["mean", "variance", "skewness", "excess_kurtosis"]
+        assert s["mean"] == pytest.approx(m, abs=1e-14)
+        assert s["variance"] == pytest.approx(m2, rel=1e-14)
+        assert s["skewness"] == pytest.approx(np.mean(c**3) / m2**1.5, rel=1e-13)
+        assert s["excess_kurtosis"] == pytest.approx(
             np.mean(c**4) / m2**2 - 3.0, rel=1e-13
         )
 
@@ -95,15 +96,15 @@ class TestNormalSummary:
         a = normal_summary(x)
         permuted = x[rng.permutation(500)]
         b = normal_summary(permuted)
-        assert a.mean == pytest.approx(b.mean, abs=1e-13)
-        assert a.variance == pytest.approx(b.variance, rel=1e-12)
-        assert a.skewness == pytest.approx(b.skewness, rel=1e-10, abs=1e-12)
+        assert a["mean"] == pytest.approx(b["mean"], abs=1e-13)
+        assert a["variance"] == pytest.approx(b["variance"], rel=1e-12)
+        assert a["skewness"] == pytest.approx(b["skewness"], rel=1e-10, abs=1e-12)
         assert ks_normal(x) == pytest.approx(ks_normal(permuted), abs=1e-14)
 
     def test_constant_sample(self):
         s = normal_summary(np.full(10, 2.0))
-        assert s.variance == 0.0
-        assert s.skewness == 0.0 and s.excess_kurtosis == 0.0
+        assert s["variance"] == 0.0
+        assert s["skewness"] == 0.0 and s["excess_kurtosis"] == 0.0
 
 
 class TestResidualRepresentation:
@@ -171,8 +172,8 @@ class TestZetaStatistics:
         assert np.all(np.isfinite(zetas))
         # Loose sanity bands; the sharp distributional claims live in the
         # acceptance suite over hundreds of replications.
-        assert abs(summary.mean) <= 0.35
-        assert 0.5 <= summary.variance <= 1.6
+        assert abs(summary["mean"]) <= 0.35
+        assert 0.5 <= summary["variance"] <= 1.6
         assert ks_normal(zetas) <= 0.2
 
     def test_denominator_is_the_sigma_norm(self):

@@ -431,7 +431,8 @@ class TestRunGrid:
 
     def test_singular_a_hat_read_is_a_failed_record(self, monkeypatch):
         """A_hat raising SingularSystem on first read fails that record only:
-        it keeps the fit's own fields and NaN for everything derived."""
+        it keeps every column of the clean record but the two that read
+        A_hat, which are NaN."""
         import hubertune.simulate
 
         original, calls = hubertune.simulate.trace_sigma_A, []
@@ -451,21 +452,11 @@ class TestRunGrid:
 
         assert not any(rec["failed"] for rec in clean)
         c = clean[4]
-        derived = [
-            "df",
-            "trace_v",
-            "n_hat",
-            "trace_sigma_a",
-            "crit_adaptive",
-            "crit_oracle",
-            "constraint_value",
-        ]
         expected = {
-            **{col: c[col] for col in GRID_COLUMNS},
-            **dict.fromkeys(derived, math.nan),
-            "p_hat": 0,
+            **c,
+            "trace_sigma_a": math.nan,
+            "crit_oracle": math.nan,
             "failed": True,
-            "newton_attempts": c["newton_attempts"],
         }
         assert repr(sorted(records[4].items())) == repr(sorted(expected.items()))
         for i, rec in enumerate(records):

@@ -409,8 +409,8 @@ class TestNewtonPolish:
         Measured with single-threaded BLAS over the 8 fits: FISTA alone took
         66,244 iterations, and 9,925 with a plain-step stagnation fallback
         beside the polish. With the polish as the only terminal phase and
-        the exact step bound they take 2,082 (38, 31, 67, 48, 667, 181, 639
-        and 411).
+        the exact step bound they take 2,094 (39, 33, 69, 51, 669, 183, 639
+        and 411, as pinned below).
         """
         rng = np.random.default_rng(7)
         X = rng.standard_normal((60, 120))
