@@ -4,15 +4,14 @@ Subcommands: fit, select, simulate, diagnose, check-derivatives. All
 commands are deterministic given their flags and seeds. JSON reports follow
 the schemas shipped under hubertune/schemas/.
 
-Threads: for the length of a main() call, every loaded OpenBLAS runs one
+Threads: for the length of a main() call, numpy's OpenBLAS runs one
 thread, and so does each worker that `select --jobs` and `simulate --jobs`
-fork; the previous count is restored on return. A user who sets
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS keeps the thread
-count those give instead. `--jobs N` counts this process and N - 1 forked
-workers; it defaults to the usable CPU count divided by that thread count,
-one process per CPU under the policy. No more processes work than there
-are grid cells or replications, and the reports are the same for every
-`--jobs` value.
+fork; the previous count is restored on return. A user who sets any of
+blas.THREAD_VARIABLES keeps the thread count it gives instead. `--jobs N`
+counts this process and N - 1 forked workers; it defaults to the usable CPU
+count divided by that thread count, one process per CPU under the policy.
+No more processes work than there are grid cells or replications, and the
+reports are the same for every `--jobs` value.
 
 Output paths are checked before any input is read: a parent directory that
 does not exist, or an output file that is a directory, ends the call
@@ -33,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blas import thread_policy
+from .blas import THREAD_VARIABLES, thread_policy
 from .criterion import DEFAULT_ETA, evaluate, evaluate_grid, select
 from .data import Dataset
 from .errors import DegenerateDenominator, HubertuneError, IllPosed, InputError
@@ -554,13 +553,14 @@ def _add_solver_flags(p, with_intercept: bool = True):
 
 
 def _add_jobs_flag(p, unit: str):
+    *names, last = THREAD_VARIABLES
     p.add_argument(
         "--jobs",
         type=int,
         default=None,
         help=f"processes, this one included, at most one per {unit} (default: one "
-        "per usable CPU); each runs one BLAS thread unless OPENBLAS_NUM_THREADS, "
-        "OMP_NUM_THREADS or MKL_NUM_THREADS is set",
+        f"per usable CPU); each runs one BLAS thread unless {', '.join(names)} or "
+        f"{last} is set",
     )
 
 

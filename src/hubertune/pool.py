@@ -6,12 +6,12 @@ process: with more than one job and more than one item it forks up to
 ``jobs - 1`` workers through multiprocessing's fork context, and then
 every process, this one included, takes item indices from one ticket pipe
 until the pipe is empty. The workers inherit ``shared`` (a grid's Dataset,
-options and eta, say), the items and the parent's OpenBLAS thread count
-through fork, so nothing is pickled on the way out; each worker pickles
-its results once, when the tickets run out, and writes them to a pipe of
-its own. Results come back in item order, so the jobs count changes wall
-time only. Where the platform cannot fork, every item runs in this
-process, as one job does.
+options and eta, say), the items and the thread count of the parent's
+numpy OpenBLAS through fork, so nothing is pickled on the way out; each
+worker pickles its results once, when the tickets run out, and writes them
+to a pipe of its own. Results come back in item order, so the jobs count
+changes wall time only. Where the platform cannot fork, every item runs in
+this process, as one job does.
 
 ``multiprocessing`` is imported only when workers may start: a serial run
 never loads it.
@@ -30,8 +30,8 @@ def default_jobs() -> int:
     """Processes that fill the usable CPUs at the current BLAS thread count.
 
     The usable CPUs are this process's affinity set (os.cpu_count() where
-    the platform has none); each process runs the current OpenBLAS thread
-    count, which is one under the command's thread policy.
+    the platform has none); each process runs the current thread count of
+    numpy's OpenBLAS, which is one under the command's thread policy.
     """
     try:
         cpus = len(os.sched_getaffinity(0))

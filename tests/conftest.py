@@ -1,7 +1,7 @@
 """Run the suite under the thread policy of the `hubertune` command.
 
 Library-level tests then use one OpenBLAS thread, as every CLI call does,
-unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is set.
+unless a variable of hubertune.blas.THREAD_VARIABLES is set.
 """
 
 import pytest

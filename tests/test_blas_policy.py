@@ -1,16 +1,17 @@
 """The CLI's BLAS thread policy, observed from fresh processes.
 
 Every test starts the CLI in a subprocess whose environment holds none of
-the thread variables unless the test sets one, so each run begins with the
-libraries' default thread count. tests/blas_probe.py reads the count of
-every loaded OpenBLAS through ctypes before the call, in every process of
-a --jobs pool as it starts taking items, inside each `simulate` replication
-and each `select` grid cell (in whichever process runs it) and after the
-call.
+the thread variables (nor MKL_NUM_THREADS, which numpy's OpenBLAS does not
+read) unless the test sets one, so each run begins with the libraries'
+default thread count. tests/blas_probe.py reads the count of every loaded
+OpenBLAS through ctypes before the call, in every process of a --jobs pool
+as it starts taking items, inside each `simulate` replication and each
+`select` grid cell (in whichever process runs it) and after the call.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,9 +19,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hubertune.blas import THREAD_VARIABLES
+from hubertune.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 PROBE = Path(__file__).with_name("blas_probe.py")
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+STRIPPED_VARIABLES = (*THREAD_VARIABLES, "MKL_NUM_THREADS")
 
 # The acceptance heavy-tail shape (400 x 200, t(2) noise): large enough for
 # a multi-threaded OpenBLAS to split its products, so the records of a
@@ -45,7 +49,7 @@ SMALL_CONFIG = dict(HEAVY_CONFIG, n=60, p=20)
 
 
 def clean_env(**extra):
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env = {k: v for k, v in os.environ.items() if k not in STRIPPED_VARIABLES}
     src = str(ROOT / "src")
     if env.get("PYTHONPATH"):
         src += os.pathsep + env["PYTHONPATH"]
@@ -219,10 +223,13 @@ def test_in_process_main_restores_the_callers_thread_count(config, tmp_path):
 def test_default_records_equal_those_of_an_explicit_single_thread(
     heavy_config, tmp_path, jobs
 ):
+    # numpy's OpenBLAS does not read MKL_NUM_THREADS, so it must leave the
+    # policy in force.
     outs = {}
     for label, env in (
         ("default", clean_env()),
         ("explicit", clean_env(OPENBLAS_NUM_THREADS="1")),
+        ("mkl", clean_env(MKL_NUM_THREADS="1")),
     ):
         out = tmp_path / f"{label}.csv"
         cmd = [sys.executable, "-m", "hubertune.cli", "simulate", str(heavy_config)]
@@ -232,4 +239,62 @@ def test_default_records_equal_those_of_an_explicit_single_thread(
         )
         assert proc.returncode == 0, proc.stderr
         outs[label] = out.read_bytes()
-    assert outs["default"] == outs["explicit"]
+    assert outs["default"] == outs["explicit"] == outs["mkl"]
+
+
+# Runs in a fresh process with tests/ on sys.path. numpy's OpenBLAS is found
+# and set to 3 threads as blas_probe.py does, through /proc/self/maps; then
+# that file is made unreadable, and the counts are read through the handles
+# found before.
+NO_PROC_SCRIPT = """
+import builtins, json
+import blas_probe
+from hubertune.blas import get_threads, thread_policy
+
+libs = blas_probe._libraries()
+for lib in libs:
+    blas_probe._call(lib, blas_probe._SET, 3)
+real_open = builtins.open
+
+
+def no_proc(file, *args, **kwargs):
+    if str(file).startswith("/proc/"):
+        raise FileNotFoundError(file)
+    return real_open(file, *args, **kwargs)
+
+
+def counts():
+    return [blas_probe._call(lib, blas_probe._GET) for lib in libs]
+
+
+builtins.open = no_proc
+found = get_threads() is not None
+with thread_policy():
+    inside = counts()
+print(json.dumps({"found": found, "inside": inside, "after": counts()}))
+"""
+
+
+def test_the_policy_needs_no_proc():
+    env = clean_env()
+    env["PYTHONPATH"] = str(PROBE.parent) + os.pathsep + env["PYTHONPATH"]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_PROC_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    if not seen["after"]:
+        pytest.skip("no OpenBLAS is loaded in this environment")
+    assert seen == {"found": True, "inside": [1], "after": [3]}
+
+
+@pytest.mark.parametrize("command", ["select", "simulate"])
+def test_jobs_help_names_exactly_the_thread_variables(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    named = re.findall(r"\b[A-Z]+_NUM_THREADS\b", capsys.readouterr().out)
+    assert named == list(THREAD_VARIABLES)
