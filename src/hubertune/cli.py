@@ -209,14 +209,13 @@ def _eta_from_args(args) -> float:
     return args.eta
 
 
-def _loss_doc(loss) -> dict:
+def _cell_doc(loss, penalty: ElasticNet) -> dict:
+    """The "loss" and "penalty" blocks of every report."""
     if math.isinf(loss.scale):
-        return {"kind": "square"}
-    return {"kind": "huber", "huber_scale": loss.scale}
-
-
-def _penalty_doc(penalty: ElasticNet) -> dict:
-    return {"lambda": penalty.lam, "tau": penalty.tau}
+        loss_doc = {"kind": "square"}
+    else:
+        loss_doc = {"kind": "huber", "huber_scale": loss.scale}
+    return {"loss": loss_doc, "penalty": {"lambda": penalty.lam, "tau": penalty.tau}}
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +322,7 @@ def cmd_fit(args) -> int:
         "command": "fit",
         "n": data.n,
         "p": data.p,
-        "loss": _loss_doc(cand.loss),
-        "penalty": _penalty_doc(cand.penalty),
+        **_cell_doc(cand.loss, cand.penalty),
         "with_intercept": result.with_intercept,
         "intercept": result.intercept_hat if result.with_intercept else None,
         "beta_hat": result.beta_hat,
@@ -347,8 +345,7 @@ def _select_entry(index: int, cand) -> dict:
     summary = cand.summary()
     return {
         "index": index,
-        "loss": _loss_doc(cand.loss),
-        "penalty": _penalty_doc(cand.penalty),
+        **_cell_doc(cand.loss, cand.penalty),
         **{key: summary[key] for key in SELECT_ENTRY_KEYS},
     }
 
@@ -448,8 +445,7 @@ def cmd_diagnose(args) -> int:
         "command": "diagnose",
         "n": data.n,
         "p": data.p,
-        "loss": _loss_doc(loss),
-        "penalty": _penalty_doc(cand.penalty),
+        **_cell_doc(loss, cand.penalty),
         "converged": summary["converged"],
         "t_hat": t_hat,
         "t_hat_source": source,
@@ -507,8 +503,7 @@ def cmd_check_derivatives(args) -> int:
             "n": args.n,
             "p": args.p,
             "seed": args.seed,
-            "loss": _loss_doc(loss),
-            "penalty": _penalty_doc(penalty),
+            **_cell_doc(loss, penalty),
             "fault": args.fault,
             **record,
         }
@@ -581,6 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     fit_p = sub.add_parser("fit", help="fit one model and report its criteria")
+    fit_p.set_defaults(handler=cmd_fit)
     fit_p.add_argument("design", help="n x p design CSV")
     fit_p.add_argument("response", help="n x 1 response CSV")
     _add_loss_flags(fit_p)
@@ -592,6 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sel_p = sub.add_parser("select", help="fit a candidate grid and pick the best")
+    sel_p.set_defaults(handler=cmd_select)
     sel_p.add_argument("design")
     sel_p.add_argument("response")
     sel_p.add_argument("grid", help="JSON array of {huber_scale, lambda, tau} cells")
@@ -601,6 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_flag(sel_p, "grid cell")
 
     sim_p = sub.add_parser("simulate", help="run a seeded Monte Carlo grid")
+    sim_p.set_defaults(handler=cmd_simulate)
     sim_p.add_argument("config", help="simulation config JSON")
     sim_p.add_argument("--out", required=True, help="grid records CSV")
     sim_p.add_argument(
@@ -618,6 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag_p = sub.add_parser(
         "diagnose", help="debiased-residual normality diagnostics for one fit"
     )
+    diag_p.set_defaults(handler=cmd_diagnose)
     diag_p.add_argument("design")
     diag_p.add_argument("response")
     _add_loss_flags(diag_p)
@@ -637,6 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check-derivatives",
         help="verify closed-form derivatives against finite differences",
     )
+    chk_p.set_defaults(handler=cmd_check_derivatives)
     chk_p.add_argument("--n", type=int, default=30, help="fixture rows (max 100)")
     chk_p.add_argument("--p", type=int, default=10, help="fixture columns (max 50)")
     chk_p.add_argument("--seed", type=int, default=0)
@@ -652,21 +652,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "fit": cmd_fit,
-    "select": cmd_select,
-    "simulate": cmd_simulate,
-    "diagnose": cmd_diagnose,
-    "check-derivatives": cmd_check_derivatives,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         check_outputs(args)
         with thread_policy():
-            return _HANDLERS[args.command](args)
+            return args.handler(args)
     except (InputError, IllPosed, OSError) as exc:
         # Inputs that cannot be read are InputErrors already; an OSError here
         # is an output path that cannot be written.

@@ -12,7 +12,7 @@ raising it; evaluate_grid() does so for every cell of a grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,21 +32,23 @@ DEFAULT_ETA = 0.05
 ZERO_TRACE_V_REL = 1e-12
 
 
-def _trace_v_vanishes(bundle: SensitivityBundle, n: int) -> bool:
-    """trace V is numerically zero (<= 1e-12 * n): df/trace V is undefined."""
-    return bundle.trace_V <= ZERO_TRACE_V_REL * n
+def _t_hat(bundle: SensitivityBundle, n: int) -> float:
+    """The plug-in t_hat = df/trace V; NaN where trace V is numerically zero
+    (<= 1e-12 * n) and the ratio is undefined."""
+    if bundle.trace_V <= ZERO_TRACE_V_REL * n:
+        return math.nan
+    return float(bundle.df / bundle.trace_V)
 
 
 def crit_adaptive(
     fit_result: FitResult, bundle: SensitivityBundle, loss: HuberLoss
 ) -> float:
     """||r + (df/trace V) psi(r)||^2, which is crit_oracle_sigma at the
-    plug-in t_hat = df/trace V; NaN where trace V is numerically zero
-    (<= 1e-12 * n) and the ratio is undefined, never a garbage number.
+    plug-in t_hat = df/trace V; NaN where that ratio is undefined, never a
+    garbage number. A Candidate calls it once, when it is built.
     """
-    if _trace_v_vanishes(bundle, fit_result.residuals.shape[0]):
-        return math.nan
-    return crit_oracle_sigma(fit_result, loss, bundle.df / bundle.trace_V)
+    t_hat = _t_hat(bundle, fit_result.residuals.shape[0])
+    return math.nan if math.isnan(t_hat) else crit_oracle_sigma(fit_result, loss, t_hat)
 
 
 def crit_oracle_sigma(fit_result: FitResult, loss: HuberLoss, t_hat: float) -> float:
@@ -75,31 +77,34 @@ class Candidate:
     """One tuning candidate after fit -> sensitivity -> criterion.
 
     result is the converged fit or, when the iteration cap was hit, the best
-    iterate (converged False, the solver's message in warning). crit_adaptive
-    is its criterion, NaN where undefined, and eta the feasibility threshold
-    it was scored at. This is the one place that decides feasibility: the
-    criterion is defined and n_hat/n is at least eta. summary() holds every
-    number a command reports about it.
+    iterate (converged False, the solver's message in warning), and eta the
+    feasibility threshold it is scored at. A candidate scores itself when it
+    is built: crit_adaptive is its criterion, NaN where undefined. reason is
+    the one feasibility decision, the first rule the candidate fails (the
+    criterion is defined, then n_hat/n is at least eta), and feasible is
+    reason is None. summary() holds every number a command reports about it.
     """
 
     loss: HuberLoss
     penalty: ElasticNet
     result: FitResult
     bundle: SensitivityBundle
-    crit_adaptive: float
     eta: float
     warning: Optional[str] = None
+    crit_adaptive: float = field(init=False)
 
-    @property
-    def crit_defined(self) -> bool:
-        return not _trace_v_vanishes(self.bundle, self.result.residuals.shape[0])
+    def __post_init__(self):
+        criterion = crit_adaptive(self.result, self.bundle, self.loss)
+        object.__setattr__(self, "crit_adaptive", criterion)
 
     @property
     def ratio(self) -> float:
         """The plug-in t_hat = df/trace V; NaN where it is undefined."""
-        if not self.crit_defined:
-            return math.nan
-        return float(self.bundle.df / self.bundle.trace_V)
+        return _t_hat(self.bundle, self.result.residuals.shape[0])
+
+    @property
+    def crit_defined(self) -> bool:
+        return not math.isnan(self.ratio)
 
     @property
     def constraint_value(self) -> float:
@@ -111,18 +116,18 @@ class Candidate:
         return self.crit_defined and bool(self.constraint_value >= self.eta)
 
     @property
-    def feasible(self) -> bool:
-        # constraint_ok already requires a defined criterion.
-        return self.constraint_ok
-
-    @property
     def reason(self) -> Optional[str]:
-        """Why the candidate is infeasible; None when it is feasible."""
-        if self.feasible:
-            return None
+        """The first feasibility rule the candidate fails; None when it
+        meets them all."""
         if not self.crit_defined:
             return "criterion undefined: trace of V is numerically zero"
-        return f"constraint value {self.constraint_value} below eta {self.eta}"
+        if not self.constraint_ok:
+            return f"constraint value {self.constraint_value} below eta {self.eta}"
+        return None
+
+    @property
+    def feasible(self) -> bool:
+        return self.reason is None
 
     def summary(self) -> dict:
         """The fit's convergence and counters, the sensitivity quantities
@@ -168,8 +173,7 @@ def evaluate(
     except NonConvergence as exc:
         result, warning = exc.result, str(exc)
     bundle = sensitivity_closed_form(data, loss, penalty, result)
-    criterion = crit_adaptive(result, bundle, loss)
-    return Candidate(loss, penalty, result, bundle, criterion, eta, warning)
+    return Candidate(loss, penalty, result, bundle, eta, warning)
 
 
 def _cell_candidate(data: Dataset, options: FitOptions, eta: float, cell) -> Candidate:

@@ -483,17 +483,16 @@ def run_derivative_checks(
         for s in contraction_steps
     ]
 
-    failures = []
-    if not jacobian_rel_error <= CHECK_TOLERANCES["jacobian_rel"]:
-        failures.append("jacobian_y")
-    if not df_abs_error <= CHECK_TOLERANCES["trace_abs"]:
-        failures.append("df")
-    if not trace_v_abs_error <= CHECK_TOLERANCES["trace_abs"]:
-        failures.append("trace_V")
-    for entry in contraction:
-        for k, gap in enumerate(entry["residuals"], start=1):
-            if not gap <= CHECK_TOLERANCES["contraction_abs"]:
-                failures.append(f"contraction-{k}@step={entry['step']:g}")
+    checks = [
+        ("jacobian_y", jacobian_rel_error, CHECK_TOLERANCES["jacobian_rel"]),
+        ("df", df_abs_error, CHECK_TOLERANCES["trace_abs"]),
+        ("trace_V", trace_v_abs_error, CHECK_TOLERANCES["trace_abs"]),
+    ] + [
+        (f"contraction-{k}@step={entry['step']:g}", gap, CHECK_TOLERANCES["contraction_abs"])
+        for entry in contraction
+        for k, gap in enumerate(entry["residuals"], start=1)
+    ]
+    failures = [name for name, error, tolerance in checks if not error <= tolerance]
 
     return {
         "jacobian_rel_error": jacobian_rel_error,

@@ -24,10 +24,10 @@ one linear system with the sensitivity matrix,
 
 where D = diag{psi'(r)}, S is the active set, and an intercept joins S as
 an unpenalized unit column. The KKT residual is checked at the start point
-and every KKT_CHECK_EVERY iterations, at every problem size. When the
-pattern has stayed the same over PATTERN_CHECKS consecutive checks (the
-start point's among them), the solver solves that system for b_S with one
-LU solve (LAPACK's gesv); an exactly singular system is a failed attempt.
+and every KKT_CHECK_EVERY iterations, at every problem size. When two
+consecutive checks (the start point's among them) see the same pattern,
+the solver solves that system for b_S with one LU solve (LAPACK's gesv);
+an exactly singular system is a failed attempt.
 The solved point is accepted only if its own KKT residual is within the
 tolerance, the same certificate a FISTA iterate must meet; otherwise FISTA
 carries on from its own iterate. A deterministic flop budget gates the
@@ -55,8 +55,6 @@ from .penalties import ElasticNet
 
 # Iterations between KKT checks; each check costs a matrix-vector product.
 KKT_CHECK_EVERY = 3
-# Consecutive KKT checks with an unchanged pattern before a Newton attempt.
-PATTERN_CHECKS = 2
 
 
 @dataclass(frozen=True)
@@ -227,7 +225,7 @@ def fit(
     converged = False
     iteration_flops = 6 * n * Xa.shape[1]
     attempts = 0
-    pattern, stable_checks, tried_pattern = pattern_of(w, ps, r), 1, None
+    pattern, tried_pattern = pattern_of(w, ps, r), None
     for iterations in range(1, options.max_iterations + 1):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
         omega = (t_mom - 1.0) / t_next
@@ -284,14 +282,11 @@ def fit(
                 converged = True
                 break
 
-            new_pattern = pattern_of(w, ps, r)
-            if new_pattern == pattern:
-                stable_checks += 1
-            else:
-                pattern, stable_checks = new_pattern, 1
-            # The solved point depends on the pattern alone, so a pattern
-            # that failed once is not tried again.
-            if stable_checks >= PATTERN_CHECKS and pattern != tried_pattern:
+            # A Newton attempt needs the same pattern at two consecutive
+            # checks. The solved point depends on the pattern alone, so a
+            # pattern that failed once is not tried again.
+            previous, pattern = pattern, pattern_of(w, ps, r)
+            if pattern == previous != tried_pattern:
                 p_hat = int(np.count_nonzero(w[off:])) + off
                 # The budget of an attempt (see the module docstring).
                 attempt_flops = n * p_hat * p_hat + p_hat**3 / 3.0

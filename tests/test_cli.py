@@ -1157,6 +1157,26 @@ class TestDiagnose:
         assert err.startswith("error: debiased residuals are constant")
         assert not out.exists()
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 3: with an intercept a constant response fits exactly, "
+        "and diagnose standardizes debiased residuals that are rounding noise "
+        "(variance about 1e-16) and exits 0",
+    )
+    def test_constant_response_with_intercept_is_degenerate(self, tmp_path):
+        """A constant response is fitted by the intercept alone, so the
+        debiased residuals are zero up to the KKT tolerance: exit code 2."""
+        X = np.random.default_rng(0).standard_normal((20, 4))
+        design, response = tmp_path / "x.csv", tmp_path / "y.csv"
+        write_matrix(design, X)
+        argv = ["diagnose", str(design), str(response), "--intercept", "--tau", "0.1",
+                "--out", str(tmp_path / "diag.json")]
+        codes = []
+        for level in (1.0, 1e6, 3.0):
+            write_matrix(response, np.full(20, level))
+            codes.append(main(argv))
+        assert codes == [2, 2, 2]
+
     def test_debiased_moments_are_the_library_summary(self, tmp_path):
         """debiased_moments is normal_summary of the effective observations
         u = r + t_hat psi(r), written as the library returns it."""

@@ -81,8 +81,7 @@ def synth_candidate(residuals, df, trace_v, n_hat=None, loss=None):
         system_size=1,
         rank=1,
     )
-    criterion = crit_adaptive(fit_result, bundle, loss)
-    return Candidate(loss, ElasticNet(lam=0.0), fit_result, bundle, criterion, DEFAULT_ETA)
+    return Candidate(loss, ElasticNet(lam=0.0), fit_result, bundle, DEFAULT_ETA)
 
 
 class TestCritAdaptive:
@@ -131,8 +130,11 @@ class TestCritAdaptive:
         assert cand.constraint_ok == (hand >= 0.25)
         assert cand.eta == 0.25
 
-    def test_flagged_when_trace_v_vanishes(self):
-        cand = synth_candidate([1.0, 2.0], df=1.0, trace_v=0.0)
+    @pytest.mark.parametrize("n_hat", [2.0, 0.0], ids=["n_hat=n", "n_hat=0"])
+    def test_flagged_when_trace_v_vanishes(self, n_hat):
+        """The undefined criterion is the first rule, so it is the reason
+        whether or not n_hat/n also falls below eta."""
+        cand = synth_candidate([1.0, 2.0], df=1.0, trace_v=0.0, n_hat=n_hat)
         assert math.isnan(crit_adaptive(cand.result, cand.bundle, cand.loss))
         assert not cand.crit_defined
         assert math.isnan(cand.crit_adaptive)

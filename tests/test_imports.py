@@ -3,6 +3,9 @@ processes: never a scipy module (the installed runtime is numpy and the
 standard library), and no process-pool machinery until a pool starts; and
 that every name the package exports resolves."""
 
+import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -218,3 +221,25 @@ def test_every_exported_name_resolves():
     for mode in ("getattr", "star"):
         doc = run_script(EXPORTS_SCRIPT, [mode])
         assert doc["names"] > 0 and doc["unresolved"] == [], mode
+
+
+def test_every_traced_name_is_a_function():
+    """perfbench/tracing.py wraps hubertune.<layer>.<name> for every entry
+    of its LAYERS table. The table is read from the file's source, without
+    running it, and each name must still be a module-level function."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    (layers,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    ]
+    missing = [
+        f"hubertune.{layer}.{name}"
+        for layer, names in layers.items()
+        for name in names
+        if not inspect.isfunction(
+            getattr(importlib.import_module(f"hubertune.{layer}"), name, None)
+        )
+    ]
+    assert layers and missing == []

@@ -467,9 +467,9 @@ class TestKktCheckSchedule:
 
     @CADENCE_SIZES
     def test_warm_start_at_its_pattern_is_polished_at_the_first_check(self, n, p):
-        """The start point's check is the first of the PATTERN_CHECKS, so a
-        start with the solution's signs and inliers is polished, and
-        certified, at the first loop check."""
+        """A Newton attempt needs the same pattern at two consecutive checks,
+        the start point's among them, so a start with the solution's signs
+        and inliers is polished, and certified, at the first loop check."""
         data = heavy_tail_lasso_data(n, p)
         loss, penalty = HuberLoss(scale=0.5), ElasticNet(lam=0.05, tau=0.01)
         cold = fit(data, loss, penalty)
